@@ -1,6 +1,7 @@
 """Traffic grid simulator: conservation, delays, determinism, golden master."""
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from cptopt.envs.traffic import (
 from cptopt.rng import substream
 
 GOLDEN = Path(__file__).parent / "data" / "traffic_golden.csv"
+GOLDEN_2X3 = Path(__file__).parent / "data" / "traffic_golden_2x3.json"
 
 
 def uniform_policy(grid):
@@ -169,3 +171,22 @@ class TestGoldenMaster:
         assert len(episode.samples) == len(expected)
         for path, samples in expected.items():
             assert list(episode.samples[path]) == pytest.approx(samples, abs=0.0)
+
+    def test_non_square_grid_bursts_across_arrival_blocks(self):
+        """2x3 grid, bursts, non-uniform theta, 600 steps (three arrival blocks).
+
+        The frozen file holds the inputs next to the expected samples and
+        flow counters; regenerate it with the same script as above.
+        """
+        doc = json.loads(GOLDEN_2X3.read_text())
+        grid = TrafficGrid(TrafficConfig.from_dict(doc["config"]))
+        assert (grid.config.rows, grid.config.cols) == (2, 3)
+        assert grid.config.burst_prob > 0.0 and doc["horizon"] > 512
+        policy = BoltzmannSignPolicy(np.array(doc["theta"]), grid)
+        episode = traffic_episode(grid, policy, doc["horizon"], substream(doc["seed"]))
+        assert episode.injected == doc["injected"]
+        assert episode.departed == doc["departed"]
+        assert episode.queued == doc["queued"]
+        assert len(episode.samples) == len(doc["samples"]) == grid.n_paths
+        for got, expected in zip(episode.samples, doc["samples"]):
+            assert list(got) == pytest.approx(expected, abs=0.0)
