@@ -62,16 +62,23 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedules:
-    alpha = model.holder_order or 1.0
-    return SpsaSchedules(
+    """Schedules from the flags; alpha is ``--alpha`` or the model's Holder order."""
+    overrides = dict(
         a0=args.a0,
         a_offset=args.a_offset,
         delta0=args.delta0,
         delta_exp=args.delta_exp,
         m0=args.m0,
         nu=args.nu,
-        alpha=alpha,
     )
+    if args.alpha is not None:
+        overrides["alpha"] = args.alpha
+    elif model.holder_order is None:
+        raise ValueError(
+            "the model's weights (e.g. prelec) have no positive Holder order "
+            "to take alpha from; pass --alpha"
+        )
+    return SpsaSchedules.for_model(model, **overrides)
 
 
 def _box_bounds(args: argparse.Namespace, default_lo: float, default_hi: float):
@@ -82,7 +89,11 @@ def _box_bounds(args: argparse.Namespace, default_lo: float, default_hi: float):
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    schedules = _default_schedules(model, args)
+    try:
+        schedules = _default_schedules(model, args)
+    except ValueError as exc:
+        print(f"cptopt optimize: error: {exc}", file=sys.stderr)
+        return 2
     if args.env == "traffic-2x2":
         traffic = (
             TrafficConfig.from_json(Path(args.env_config).read_text())
@@ -165,6 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--delta-exp", type=float, default=0.101, dest="delta_exp")
     p_opt.add_argument("--m0", type=float, default=10.0)
     p_opt.add_argument("--nu", type=float, default=1.0)
+    p_opt.add_argument("--alpha", type=float, default=None,
+                       help="Holder order of the weights for the schedule checks "
+                            "(default: the model's; required for prelec weights)")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_exp = sub.add_parser("experiment", help="avg/eut/cpt training comparison")

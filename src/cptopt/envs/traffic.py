@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
+from .._codec import checked_keys
 from ..rng import substream
 
 __all__ = [
@@ -126,7 +127,7 @@ class TrafficConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficConfig":
-        kwargs = dict(data)
+        kwargs = checked_keys("traffic config", data, (f.name for f in fields(cls)))
         if "arrival_rates" in kwargs and kwargs["arrival_rates"] is not None:
             kwargs["arrival_rates"] = tuple(kwargs["arrival_rates"])
         if "queue_bins" in kwargs:
@@ -168,12 +169,18 @@ class TrafficGrid:
         for c in range(config.cols):
             hops.append(tuple(self.lane_id(r * config.cols + c, NS) for r in range(config.rows)))
         self.path_hops: tuple[tuple[int, ...], ...] = tuple(hops)
-        # lane -> (path, hop position); each lane belongs to exactly one path
-        lane_path = [(-1, -1)] * self.n_lanes
+        # routing tables for the simulator: where a path's vehicles enter,
+        # the lane a vehicle served on a lane moves to (-1: it departs), and
+        # the path each lane belongs to (each lane is on exactly one path)
+        self.first_lane: tuple[int, ...] = tuple(lanes[0] for lanes in self.path_hops)
+        next_lane = [-1] * self.n_lanes
+        lane_of_path = [-1] * self.n_lanes
         for p, lanes in enumerate(self.path_hops):
-            for pos, lane in enumerate(lanes):
-                lane_path[lane] = (p, pos)
-        self.lane_path: tuple[tuple[int, int], ...] = tuple(lane_path)
+            for lane, nxt in zip(lanes, lanes[1:] + (-1,)):
+                next_lane[lane] = nxt
+                lane_of_path[lane] = p
+        self.next_lane: tuple[int, ...] = tuple(next_lane)
+        self.lane_of_path: tuple[int, ...] = tuple(lane_of_path)
         self._baseline: Optional[tuple[float, ...]] = None
 
     @staticmethod
@@ -234,7 +241,8 @@ class BoltzmannSignPolicy:
 
     The joint feature vector activates one indicator per junction, so scores
     add across junctions and the joint softmax factorizes into independent
-    per-junction two-way softmaxes.
+    per-junction two-way softmaxes.  ``choose_configs`` computes the active
+    indices inline; ``TrafficGrid.active_feature`` is their definition.
     """
 
     def __init__(self, theta: np.ndarray, grid: TrafficGrid):
@@ -247,17 +255,29 @@ class BoltzmannSignPolicy:
             raise ValueError("theta must be finite")
         self.theta = theta
         self.grid = grid
+        self._scores = theta.tolist()
 
     def choose_configs(self, t, queues, timers, rng) -> tuple[int, ...]:
         grid = self.grid
-        theta = self.theta
-        draws = rng.random(grid.n_junctions)
+        scores = self._scores
+        lo, hi = grid.config.queue_bins
+        timer_bin = grid.config.timer_bin
+        draws = rng.random(grid.n_junctions).tolist()
         configs = []
-        for j in range(grid.n_junctions):
-            s_ew = theta[grid.active_feature(j, EW, queues, timers)]
-            s_ns = theta[grid.active_feature(j, NS, queues, timers)]
-            p_ns = 1.0 / (1.0 + math.exp(s_ew - s_ns))
-            configs.append(NS if draws[j] < p_ns else EW)
+        # junction j's EW lane is 2j and its NS lane 2j+1; its EW indicators
+        # start at 12j and its NS ones at 12j+6 (2 per queue bin, +1 once the
+        # red lane's timer reaches timer_bin)
+        for base, q_ew, q_ns, t_ew, t_ns, u in zip(
+            range(0, 12 * grid.n_junctions, 12),
+            queues[0::2], queues[1::2], timers[0::2], timers[1::2], draws,
+        ):
+            s_ew = scores[
+                base + (0 if q_ew < lo else 2 if q_ew < hi else 4) + (t_ns >= timer_bin)
+            ]
+            s_ns = scores[
+                base + 6 + (0 if q_ns < lo else 2 if q_ns < hi else 4) + (t_ew >= timer_bin)
+            ]
+            configs.append(NS if u < 1.0 / (1.0 + math.exp(s_ew - s_ns)) else EW)
         return tuple(configs)
 
 
@@ -304,23 +324,23 @@ class TrafficSim:
         self.injected = 0
         self.departed = 0
         self.delays: list[list[int]] = [[] for _ in range(grid.n_paths)]
-        self._arrivals: Optional[np.ndarray] = None
-        self._cursor = 0
+        self._arrivals: list[list[int]] = []
+        self._cursor = _ARRIVAL_BLOCK
         self._last_configs: Optional[tuple[int, ...]] = None
 
     @property
     def queued(self) -> int:
         return sum(len(q) for q in self.queues)
 
-    def _next_arrivals(self) -> np.ndarray:
-        if self._arrivals is None or self._cursor == _ARRIVAL_BLOCK:
+    def _next_arrivals(self) -> list[int]:
+        if self._cursor == _ARRIVAL_BLOCK:
             cfg = self.grid.config
             shape = (_ARRIVAL_BLOCK, self.grid.n_paths)
             counts = self.rng.poisson(cfg.rates, shape)
             if cfg.burst_prob > 0.0:
                 bursts = self.rng.random(shape) < cfg.burst_prob
                 counts = counts + bursts * cfg.burst_size
-            self._arrivals = counts
+            self._arrivals = counts.tolist()
             self._cursor = 0
         row = self._arrivals[self._cursor]
         self._cursor += 1
@@ -329,49 +349,54 @@ class TrafficSim:
     def step(self, t: int, policy: SignPolicy) -> None:
         grid = self.grid
         cfg = grid.config
+        queues = self.queues
+        timers = self.timers
 
-        counts = self._next_arrivals()
-        for path, k in enumerate(counts):
+        for lane, k in zip(grid.first_lane, self._next_arrivals()):
             if k:
-                self.queues[grid.path_hops[path][0]].extend([t] * int(k))
-                self.injected += int(k)
+                queues[lane].extend([t] * k)
+                self.injected += k
 
         # signal decision on the post-arrival state
-        queue_lens = [len(q) for q in self.queues]
-        configs = policy.choose_configs(t, queue_lens, self.timers, self.rng)
+        configs = policy.choose_configs(t, list(map(len, queues)), timers, self.rng)
 
-        # serve green lanes; moved vehicles only become serviceable next step
-        moves: list[tuple[int, int]] = []
+        # serve green lanes and advance the elapsed-red timers.  A lane's next
+        # lane always sits at a later junction (one column or one row on), so
+        # serving junctions from last to first lets a moved vehicle join its
+        # next queue at once: that queue was already served this step, and
+        # the vehicle only becomes serviceable next step, as it must.
+        service_rate, switch_loss = cfg.service_rate, cfg.switch_loss
         previous = self._last_configs
-        for j, c in enumerate(configs):
-            capacity = cfg.service_rate
+        for j in range(len(configs) - 1, -1, -1):
+            c = configs[j]
+            green = 2 * j + c  # TrafficGrid.lane_id(j, c); its red lane is green ^ 1
+            timers[green] = 0
+            timers[green ^ 1] += 1
+            queue = queues[green]
+            served = service_rate
             if previous is not None and previous[j] != c:
-                capacity -= cfg.switch_loss  # phase-change lost time
-            green = grid.lane_id(j, c)
-            queue = self.queues[green]
-            path, pos = grid.lane_path[green]
-            hops = grid.path_hops[path]
-            for _ in range(min(capacity, len(queue))):
-                entered = queue.popleft()
-                if pos + 1 < len(hops):
-                    moves.append((hops[pos + 1], entered))
-                else:
-                    self.departed += 1
-                    self.delays[path].append(t - entered)
-        for lane, entered in moves:
-            self.queues[lane].append(entered)
+                served -= switch_loss  # phase-change lost time
+            if served > len(queue):
+                served = len(queue)
+            if not served:
+                continue
+            popleft = queue.popleft
+            nxt = grid.next_lane[green]
+            if nxt < 0:
+                self.departed += served
+                delays = self.delays[grid.lane_of_path[green]]
+                for _ in range(served):
+                    delays.append(t - popleft())
+            else:
+                push = queues[nxt].append
+                for _ in range(served):
+                    push(popleft())
         self._last_configs = tuple(configs)
-
-        # elapsed-red timers
-        for j, c in enumerate(configs):
-            self.timers[grid.lane_id(j, c)] = 0
-            self.timers[grid.lane_id(j, 1 - c)] += 1
 
     def raw_delays(self, horizon: int) -> list[list[int]]:
         """Recorded delays plus the accrued delay of still-queued vehicles."""
         out = [list(d) for d in self.delays]
-        for lane, queue in enumerate(self.queues):
-            path, _ = self.grid.lane_path[lane]
+        for path, queue in zip(self.grid.lane_of_path, self.queues):
             out[path].extend(horizon - entered for entered in queue)
         return out
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._codec import checked_keys
 from .estimator import EstimatorConfig, estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
@@ -139,7 +139,6 @@ class ExperimentConfig:
     )
     include_top: bool = False
     mu: Optional[tuple[float, ...]] = None
-    max_workers: int = 4
 
     def __post_init__(self) -> None:
         if self.train_iters < 0 or self.test_reps < 1:
@@ -196,17 +195,21 @@ class ExperimentConfig:
             },
             "include_top": self.include_top,
             "mu": list(self.mu) if self.mu is not None else None,
-            "max_workers": self.max_workers,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = dict(data)
+        names = [f.name for f in fields(cls)]
+        kwargs = checked_keys("experiment config", data, names + ["lambda"])
         if "traffic" in kwargs:
             kwargs["traffic"] = TrafficConfig.from_dict(kwargs["traffic"])
         if "schedules" in kwargs:
-            kwargs["schedules"] = SpsaSchedules(**kwargs["schedules"])
+            kwargs["schedules"] = SpsaSchedules(**checked_keys(
+                "schedules", kwargs["schedules"], (f.name for f in fields(SpsaSchedules))
+            ))
         if "lambda" in kwargs:
+            if "loss_aversion" in kwargs:
+                raise ValueError("give 'lambda' or 'loss_aversion', not both")
             kwargs["loss_aversion"] = kwargs.pop("lambda")
         if kwargs.get("mu") is not None:
             kwargs["mu"] = tuple(kwargs["mu"])
@@ -236,17 +239,18 @@ def _test_scores(
     mu = config.path_weights()
     cfg = EstimatorConfig(include_top_order_stat=config.include_top)
     policy = BoltzmannSignPolicy(theta, grid)
-
-    def one(rep: int) -> list[float]:
-        episode = traffic_episode(
-            grid, policy, config.test_horizon, substream(master, _TEST, rep)
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return path_cpt_scores(episode.samples, score_model, cfg)
-
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        per_path = np.asarray(list(pool.map(one, range(config.test_reps))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        per_path = np.asarray([
+            path_cpt_scores(
+                traffic_episode(
+                    grid, policy, config.test_horizon, substream(master, _TEST, rep)
+                ).samples,
+                score_model,
+                cfg,
+            )
+            for rep in range(config.test_reps)
+        ])
     totals = per_path @ np.asarray(mu)
     return totals, per_path
 

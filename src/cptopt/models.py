@@ -25,6 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import integrate, special
 
+from ._codec import checked_keys
+
 __all__ = [
     "UtilitySpec",
     "WeightSpec",
@@ -139,6 +141,9 @@ class UtilitySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UtilitySpec":
+        data = checked_keys(
+            "utility", data, ("kind", "sigma_plus", "sigma_minus", "lambda", "reference")
+        )
         return cls(
             kind=data.get("kind", "identity"),
             sigma_plus=data.get("sigma_plus", 1.0),
@@ -254,6 +259,7 @@ class WeightSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightSpec":
+        data = checked_keys("weight", data, ("kind", "eta"))
         return cls(kind=data.get("kind", "identity"), eta=data.get("eta", 1.0))
 
 
@@ -314,6 +320,7 @@ class CptModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CptModel":
+        data = checked_keys("model", data, ("utility", "weight_plus", "weight_minus"))
         return cls(
             utility=UtilitySpec.from_dict(data.get("utility", {})),
             weight_plus=WeightSpec.from_dict(data.get("weight_plus", {})),

@@ -73,6 +73,22 @@ class TestOptimizeCommand:
         assert code == 0
         assert out.read_text().splitlines()[0].count("theta_") == 2
 
+    def test_prelec_model_requires_alpha(self, capsys, tmp_path):
+        model = tmp_path / "prelec.json"
+        model.write_text(json.dumps({"weight_plus": {"kind": "prelec", "eta": 0.65}}))
+        out = tmp_path / "trace.csv"
+        args = ["optimize", "--env", "gaussian-mean", "--model", str(model),
+                "--iters", "3", "--nu", "0.5", "--out", str(out)]
+        assert main(args) == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit alpha still goes through the schedule's bias check ...
+        assert main(args + ["--alpha", "0.3"]) == 2
+        assert "delta_exp < nu*alpha/2" in capsys.readouterr().err
+        # ... and runs once the check holds
+        assert main(args + ["--alpha", "0.5"]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
 
 class TestExperimentCommand:
     def test_writes_outputs(self, capsys, tmp_path):

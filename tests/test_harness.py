@@ -87,6 +87,25 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_json(doc)
         assert again == SMALL
 
+    def test_loss_aversion_key_aliases(self):
+        assert ExperimentConfig.from_dict({"lambda": 1.5}).loss_aversion == 1.5
+        assert ExperimentConfig.from_dict({"loss_aversion": 1.5}).loss_aversion == 1.5
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentConfig.from_dict({"lambda": 1.5, "loss_aversion": 1.5})
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"train_iter": 5}, "train_iter"),
+            ({"max_workers": 4}, "max_workers"),
+            ({"traffic": {"rows": 2, "colums": 3}}, "colums"),
+            ({"schedules": {"alpha": 0.61, "m_0": 15.0}}, "m_0"),
+        ],
+    )
+    def test_unknown_keys_name_the_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"'{key}'.*allowed: "):
+            ExperimentConfig.from_dict(doc)
+
     def test_uniform_path_weights(self):
         assert SMALL.path_weights() == (0.25, 0.25, 0.25, 0.25)
 

@@ -161,6 +161,22 @@ class TestModelSerde:
         assert doc["weight_plus"] == {"kind": "tversky_kahneman", "eta": 0.61}
         assert doc["weight_minus"]["eta"] == 0.69
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"utility": {"kind": "piecewise_power", "loss_aversion": 2.25}}, "loss_aversion"),
+            ({"utilty": {"kind": "piecewise_power", "lambda": 2.25}}, "utilty"),
+            ({"weight_plus": {"kind": "prelec", "eta": 0.65, "gamma": 0.5}}, "gamma"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=f"'{key}'.*allowed: "):
+            CptModel.from_dict(doc)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            CptModel.from_dict({"weight_plus": "prelec"})
+
 
 DISTS = [
     Uniform(0.0, 1.0),

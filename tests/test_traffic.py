@@ -2,14 +2,18 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cptopt.envs.traffic import (
     ConstantPolicy,
     EW,
+    NS,
     BoltzmannSignPolicy,
     FixedCyclePolicy,
     TrafficConfig,
@@ -39,6 +43,17 @@ class TestTopology:
         grid = TrafficGrid(TrafficConfig())
         seen = [lane for hops in grid.path_hops for lane in hops]
         assert sorted(seen) == list(range(grid.n_lanes))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (2, 3), (3, 1)])
+    def test_routing_tables_follow_path_hops(self, rows, cols):
+        grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols))
+        assert grid.first_lane == tuple(hops[0] for hops in grid.path_hops)
+        for path, hops in enumerate(grid.path_hops):
+            assert [grid.next_lane[lane] for lane in hops] == list(hops[1:]) + [-1]
+            assert all(grid.lane_of_path[lane] == path for lane in hops)
+        # TrafficSim.step serves junctions last to first, which relies on this
+        for lane, nxt in enumerate(grid.next_lane):
+            assert nxt < 0 or nxt // 2 > lane // 2
 
     def test_single_junction_grid(self):
         grid = TrafficGrid(TrafficConfig(rows=1, cols=1))
@@ -152,6 +167,66 @@ class TestEpisode:
         rng = substream(2)
         for t in range(50):
             assert policy.choose_configs(t, [1] * 8, [0] * 8, rng) == (0, 0, 0, 0)
+
+
+def reference_configs(grid, theta, queues, timers, rng):
+    """Boltzmann choice spelled out with the grid's feature definition."""
+    draws = rng.random(grid.n_junctions)
+    configs = []
+    for j in range(grid.n_junctions):
+        s_ew = theta[grid.active_feature(j, EW, queues, timers)]
+        s_ns = theta[grid.active_feature(j, NS, queues, timers)]
+        configs.append(NS if draws[j] < 1.0 / (1.0 + math.exp(s_ew - s_ns)) else EW)
+    return tuple(configs)
+
+
+@st.composite
+def policy_inputs(draw):
+    lo = draw(st.integers(0, 8))
+    config = TrafficConfig(
+        rows=draw(st.integers(1, 3)),
+        cols=draw(st.integers(1, 4)),
+        queue_bins=(lo, lo + draw(st.integers(1, 8))),
+        timer_bin=draw(st.integers(1, 6)),
+    )
+    grid = TrafficGrid(config)
+    lanes = st.lists(st.integers(0, 25), min_size=grid.n_lanes, max_size=grid.n_lanes)
+    theta = draw(st.lists(
+        st.floats(-300.0, 300.0), min_size=grid.feature_dim, max_size=grid.feature_dim
+    ))
+    return grid, np.array(theta), draw(lanes), draw(lanes), draw(st.integers(0, 2**32 - 1))
+
+
+class TestTableDrivenProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(policy_inputs())
+    def test_boltzmann_choice_matches_feature_definition(self, case):
+        grid, theta, queues, timers, seed = case
+        policy = BoltzmannSignPolicy(theta, grid)
+        rng, ref_rng = substream(seed), substream(seed)
+        for _ in range(3):
+            got = policy.choose_configs(0, queues, timers, rng)
+            assert got == reference_configs(grid, theta, queues, timers, ref_rng)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(1, 3),
+        cols=st.integers(1, 4),
+        burst_prob=st.sampled_from([0.0, 0.01, 0.1]),
+        steps=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conservation_on_non_square_grids(self, rows, cols, burst_prob, steps, seed):
+        assume(rows != cols)
+        grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=burst_prob))
+        theta = substream(seed, 1).uniform(-2.0, 2.0, grid.feature_dim)
+        policy = BoltzmannSignPolicy(theta, grid)
+        sim = TrafficSim(grid, substream(seed))
+        for t in range(steps):
+            sim.step(t, policy)
+            assert sim.injected == sim.departed + sim.queued
+        assert sum(len(d) for d in sim.raw_delays(steps)) == sim.injected
 
 
 class TestGoldenMaster:
