@@ -69,7 +69,6 @@ class TrafficConfig:
     burst_size: int = 20
     service_rate: int = 3
     switch_loss: int = 1
-    t_max: int = 10_000
     baseline_seed: int = 181_173
     baseline_cycle: int = 3
     baseline_horizon: int = 2_000
@@ -93,8 +92,8 @@ class TrafficConfig:
             raise ValueError("burst_size must be >= 0 and service_rate >= 1")
         if not 0 <= self.switch_loss <= self.service_rate:
             raise ValueError("switch_loss must lie in [0, service_rate]")
-        if self.t_max < 1 or self.baseline_cycle < 1 or self.baseline_horizon < 1:
-            raise ValueError("t_max, baseline_cycle and baseline_horizon must be >= 1")
+        if self.baseline_cycle < 1 or self.baseline_horizon < 1:
+            raise ValueError("baseline_cycle and baseline_horizon must be >= 1")
         if not self.queue_bins[0] < self.queue_bins[1]:
             raise ValueError("queue_bins must be increasing")
         if self.timer_bin < 1:
@@ -107,23 +106,10 @@ class TrafficConfig:
         return (self.ew_rate,) * self.rows + (self.ns_rate,) * self.cols
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "arrival_rates": list(self.arrival_rates) if self.arrival_rates else None,
-            "ew_rate": self.ew_rate,
-            "ns_rate": self.ns_rate,
-            "burst_prob": self.burst_prob,
-            "burst_size": self.burst_size,
-            "service_rate": self.service_rate,
-            "switch_loss": self.switch_loss,
-            "t_max": self.t_max,
-            "baseline_seed": self.baseline_seed,
-            "baseline_cycle": self.baseline_cycle,
-            "baseline_horizon": self.baseline_horizon,
-            "queue_bins": list(self.queue_bins),
-            "timer_bin": self.timer_bin,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["arrival_rates"] = list(self.arrival_rates) if self.arrival_rates else None
+        out["queue_bins"] = list(self.queue_bins)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficConfig":

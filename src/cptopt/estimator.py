@@ -15,6 +15,10 @@ Two schemes:
   its telescoped share, which makes the identity-weight estimate equal the
   sample mean exactly.
 
+  Each sum runs only over its own side of the reference (``u+`` vanishes at
+  and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
+  not a BLAS dot product, so no result depends on the BLAS thread count.
+
 * :func:`estimate_cpt_discrete` works on per-atom counts for a known finite
   support, distorting cumulated-from-the-tail probabilities:
   ``F_k`` cumulates from below over losses (k <= split) and from above over
@@ -35,7 +39,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .models import CptModel
+from .models import CptModel, eval_utility
 
 __all__ = [
     "EstimatorConfig",
@@ -181,30 +185,31 @@ def estimate_cpt(
 ) -> CptEstimate:
     """Order-statistics estimate of the model value from i.i.d. samples.
 
-    Input order never affects the result.  Sums are evaluated with numpy's
-    pairwise accumulation, whose O(eps log n) rounding is negligible at
-    n = 1e6 against the statistical error.
+    Input order never affects the result.  Each side's utility and weight
+    grid prefix are evaluated on its own order statistics only; the pairwise
+    sums' O(eps log n) rounding is negligible at n = 1e6.
     """
     arr = _validate_samples(samples)
     n = arr.size
-    xs = np.sort(arr, kind="stable")
+    xs = np.sort(arr)
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = min(int(xs.searchsorted(ref, "left")), n - 1)  # xs[:m] are the losses
+    grid = np.arange(max(n - k, m + 1)) / n  # exact rationals j/n
 
-    gains = model.utility.gain_values(xs)
-    losses = model.utility.loss_values(xs)
-
-    grid = np.arange(n) / n  # exact rationals j/n, j = 0..n-1
-    w_plus = model.weight_plus.apply(grid)
-    w_minus = model.weight_minus.apply(grid)
-    d_plus = np.diff(w_plus)  # w+(j/n) - w+((j-1)/n), j = 1..n-1
-    d_minus = np.diff(w_minus)
-
-    # gain term i pairs with the increment at j = n - i
-    pos = float(np.dot(gains[: n - 1], d_plus[::-1]))
-    neg = float(np.dot(losses[: n - 1], d_minus))
+    # gain term i (0-based, k <= i <= n-2) pairs with w+((n-1-i)/n) - w+((n-2-i)/n)
+    w_plus = model.weight_plus.apply(grid[: n - k])
+    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
+    pos = float(np.add.reduce(model.utility.gain_values(xs[k : n - 1]) * d_plus))
+    # loss term i (0 <= i < m) pairs with w-((i+1)/n) - w-(i/n)
+    w_minus = model.weight_minus.apply(grid[: m + 1])
+    d_minus = w_minus[1:] - w_minus[:-1]
+    neg = float(np.add.reduce(model.utility.loss_values(xs[:m]) * d_minus))
 
     if cfg.include_top_order_stat:
-        pos += float(gains[-1]) * float(d_plus[0])
-        neg += float(losses[-1]) * float(model.weight_minus(1.0) - w_minus[-1])
+        gain, loss = eval_utility(xs[-1], model.utility)
+        pos += gain * (model.weight_plus(1.0 / n) - model.weight_plus(0.0))
+        neg += loss * (model.weight_minus(1.0) - model.weight_minus((n - 1) / n))
 
     return CptEstimate(value=pos - neg, n=n, positive_part=pos, negative_part=neg)
 

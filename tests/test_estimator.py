@@ -1,15 +1,23 @@
 """Order-statistics and finite-support estimators plus sample-size calculators."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cptopt
 from cptopt import (
     CptModel,
     DiscreteDist,
     EstimatorConfig,
     Uniform,
+    UtilitySpec,
     WeightSpec,
     counts_from_samples,
     cpt_value_quadrature,
@@ -36,6 +44,74 @@ def tk_model(eta_gain=0.61, eta_loss=None):
 
 def fit_loglog_slope(ns, errors):
     return np.polyfit(np.log(ns), np.log(errors), 1)[0]
+
+
+def _reference_estimate(samples, model, cfg=EstimatorConfig()):
+    """The full-grid, two-sided order-statistics formula, summed exactly.
+
+    Both sides run over every order statistic (the utility of the wrong side
+    is zero) with both weights on the whole grid ``j/n, j = 0..n``, which is
+    the formula in :mod:`cptopt.estimator`'s docstring term by term.  Returns
+    the value and the scale ``1 + sum |u|`` that bounds its rounding.
+    """
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = xs.size
+    gains = model.utility.gain_values(xs)
+    losses = model.utility.loss_values(xs)
+    w_plus = model.weight_plus.apply(np.arange(n + 1) / n)
+    w_minus = model.weight_minus.apply(np.arange(n + 1) / n)
+    # 0-based gain term i pairs with w+((n-1-i)/n) - w+((n-2-i)/n)
+    pos = [gains[i] * (w_plus[n - 1 - i] - w_plus[n - 2 - i]) for i in range(n - 1)]
+    neg = [losses[i] * (w_minus[i + 1] - w_minus[i]) for i in range(n - 1)]
+    if cfg.include_top_order_stat:
+        pos.append(gains[-1] * (w_plus[1] - w_plus[0]))
+        neg.append(losses[-1] * (w_minus[n] - w_minus[n - 1]))
+    scale = 1.0 + math.fsum(gains) + math.fsum(losses)
+    return math.fsum(pos) - math.fsum(neg), scale
+
+
+REFERENCES = st.integers(-20, 20).map(lambda r: r / 4)
+SIGMAS = st.floats(0.2, 1.0)
+LOSS_AVERSIONS = st.floats(1.0, 3.0)
+TK_ETAS = st.floats(0.3, 1.0)
+PRELEC_ETAS = st.floats(0.2, 1.0)
+
+
+@st.composite
+def models(draw, families=("identity", "eu", "tk", "prelec", "power")):
+    """A model from one of the weight/utility families at a random reference."""
+    family = draw(st.sampled_from(families))
+    ref = draw(REFERENCES)
+    if family == "identity":
+        return CptModel.identity(ref)
+    utility = UtilitySpec.piecewise_power(
+        draw(SIGMAS), draw(SIGMAS), draw(LOSS_AVERSIONS), ref
+    )
+    if family == "eu":
+        weights = (WeightSpec.identity(), WeightSpec.identity())
+    elif family == "tk":
+        weights = (WeightSpec.tversky_kahneman(draw(TK_ETAS)),
+                   WeightSpec.tversky_kahneman(draw(TK_ETAS)))
+    elif family == "prelec":
+        weights = (WeightSpec.prelec(draw(PRELEC_ETAS)), WeightSpec.prelec(draw(PRELEC_ETAS)))
+    else:
+        weights = (WeightSpec.power(draw(st.floats(0.2, 3.0))),
+                   WeightSpec.power(draw(st.floats(0.2, 3.0))))
+    return CptModel(utility, *weights)
+
+
+@st.composite
+def batches(draw, ref):
+    """2..60 samples: mixed, all gains or all losses, some exactly at ``ref``."""
+    side = draw(st.sampled_from(("mixed", "gains", "losses")))
+    offsets = draw(st.lists(
+        st.one_of(st.floats(-100.0, 100.0), st.just(0.0)), min_size=2, max_size=60
+    ))
+    if side == "gains":
+        offsets = [abs(x) for x in offsets]
+    elif side == "losses":
+        offsets = [-abs(x) for x in offsets]
+    return [ref + x for x in offsets]
 
 
 class TestEstimateCpt:
@@ -101,6 +177,123 @@ class TestEstimateCpt:
         before = estimate_cpt(data, model).value
         after = estimate_cpt([x + shift for x in data], model).value
         assert after >= before - 1e-12
+
+    @given(data=st.data(), include_top=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_formula(self, data, include_top):
+        model = data.draw(models())
+        samples = data.draw(batches(model.utility.reference))
+        cfg = EstimatorConfig(include_top_order_stat=include_top)
+        expected, scale = _reference_estimate(samples, model, cfg)
+        est = estimate_cpt(samples, model, cfg)
+        assert est.value == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("include_top", [False, True])
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            (0.0, 0.0),
+            (0.0, 2.5),
+            (-2.5, 0.0),
+            (1.0, 3.0),
+            (-3.0, -1.0),
+            (-4.0, 0.0, 0.0, 0.0, 6.0),
+            (0.0, 0.0, 1.5, 7.0),
+            (-7.0, -1.5, 0.0, 0.0),
+        ],
+        ids=["n2-at-ref", "n2-ref-gain", "n2-loss-ref", "n2-gains", "n2-losses",
+             "ties-at-ref", "gains-from-ref", "losses-to-ref"],
+    )
+    def test_edge_batches_match_reference(self, offsets, include_top):
+        cfg = EstimatorConfig(include_top_order_stat=include_top)
+        utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25, reference=1.25)
+        for model in (
+            CptModel.identity(1.25),
+            CptModel(utility),
+            CptModel(
+                utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
+            ),
+            CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
+            CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
+        ):
+            samples = [1.25 + x for x in offsets]
+            expected, scale = _reference_estimate(samples, model, cfg)
+            est = estimate_cpt(samples, model, cfg)
+            assert est.value == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
+
+    @given(
+        data=st.data(),
+        offsets=st.lists(st.integers(-400, 400), min_size=2, max_size=60),
+        shift=st.integers(-400, 400),
+        include_top=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_translation_invariance(self, data, offsets, shift, include_top):
+        # quarter-integers keep every shifted sample and difference exact
+        model = data.draw(models())
+        u = model.utility
+        moved = UtilitySpec(u.kind, u.sigma_plus, u.sigma_minus, u.loss_aversion,
+                            u.reference + shift / 4)
+        samples = [u.reference + x / 4 for x in offsets]
+        cfg = EstimatorConfig(include_top_order_stat=include_top)
+        before = estimate_cpt(samples, model, cfg)
+        after = estimate_cpt(
+            [x + shift / 4 for x in samples],
+            CptModel(moved, model.weight_plus, model.weight_minus),
+            cfg,
+        )
+        _, scale = _reference_estimate(samples, model, cfg)
+        assert after.value == pytest.approx(before.value, rel=0.0, abs=1e-12 * scale)
+
+    @given(
+        data=st.data(),
+        others=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
+        side=st.sampled_from((1.0, -1.0)),
+        magnitude=st.floats(0.0, 50.0),
+        raise_by=st.floats(1e-6, 60.0),
+        include_top=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_raising_one_sample_never_lowers_the_value(
+        self, data, others, side, magnitude, raise_by, include_top
+    ):
+        # first-order stochastic dominance: the raised sample may be a gain
+        # or a loss, and may cross the reference
+        model = data.draw(models(families=("eu", "tk", "prelec")))
+        ref = model.utility.reference
+        cfg = EstimatorConfig(include_top_order_stat=include_top)
+        x = ref + side * magnitude
+        before = estimate_cpt(others + [x], model, cfg)
+        after = estimate_cpt(others + [x + raise_by], model, cfg)
+        _, scale = _reference_estimate(others + [x + raise_by], model, cfg)
+        assert after.value >= before.value - 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_independent_of_blas_thread_count(self, n):
+        # numpy's pairwise sums make no BLAS call; a BLAS dot product splits
+        # its sum by thread above ~1e4 entries and changes the last bits
+        script = (
+            "import sys, numpy as np\n"
+            "from cptopt import CptModel, estimate_cpt\n"
+            "n = int(sys.argv[1])\n"
+            "xs = np.random.default_rng(n).normal(0.3, 2.0, n)\n"
+            "for model in (CptModel.identity(), CptModel.tversky_kahneman()):\n"
+            "    est = estimate_cpt(xs, model)\n"
+            "    print(est.positive_part.hex(), est.negative_part.hex())\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(cptopt.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        single = subprocess.run(
+            [sys.executable, "-c", script, str(n)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        xs = np.random.default_rng(n).normal(0.3, 2.0, n)
+        here = []
+        for model in (CptModel.identity(), CptModel.tversky_kahneman()):
+            est = estimate_cpt(xs, model)
+            here += [est.positive_part.hex(), est.negative_part.hex()]
+        assert single == here
 
     def test_ties_are_harmless(self):
         est_tied = estimate_cpt([2.0, 2.0, 2.0, 5.0], tk_model())

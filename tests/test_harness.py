@@ -1,12 +1,14 @@
 """Composite objective and the avg/eut/cpt experiment pipeline."""
 
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cptopt import CptModel, composite_cpt, estimate_cpt
+from cptopt import CptModel, composite_cpt, estimate_cpt, harness
 from cptopt.envs.traffic import TrafficConfig
 from cptopt.harness import (
     ExperimentConfig,
@@ -100,6 +102,7 @@ class TestExperimentConfig:
             ({"max_workers": 4}, "max_workers"),
             ({"traffic": {"rows": 2, "colums": 3}}, "colums"),
             ({"schedules": {"alpha": 0.61, "m_0": 15.0}}, "m_0"),
+            ({"traffic": {"t_max": 10_000}}, "t_max"),
         ],
     )
     def test_unknown_keys_name_the_key(self, doc, key):
@@ -162,3 +165,30 @@ class TestRunExperiment:
         header = (tmp_path / "trace_avg.csv").read_text().splitlines()[0]
         assert header.startswith("n,theta_0,")
         assert "theta_47" in header
+
+    def test_only_short_path_warnings_are_silenced(self, monkeypatch):
+        short_paths = []
+        real_scores = harness.path_cpt_scores
+        real_composite = harness.composite_cpt
+
+        def counting_scores(path_samples, *args, **kwargs):
+            short_paths.extend(i for i, s in enumerate(path_samples) if len(s) < 2)
+            return real_scores(path_samples, *args, **kwargs)
+
+        def overflowing_composite(*args, **kwargs):
+            # stands in for a numpy overflow inside a training evaluation
+            warnings.warn("overflow encountered in exp", RuntimeWarning)
+            return real_composite(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "path_cpt_scores", counting_scores)
+        monkeypatch.setattr(harness, "composite_cpt", overflowing_composite)
+        config = ExperimentConfig(
+            master_seed=5, train_iters=1, test_reps=2, train_horizon=3, test_horizon=3
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(config)
+        messages = [str(w.message) for w in caught]
+        assert short_paths, "the config must produce short paths"
+        assert "overflow encountered in exp" in messages
+        assert not [m for m in messages if re.match(r"path \d+ has", m)]
