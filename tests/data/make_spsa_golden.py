@@ -1,0 +1,98 @@
+"""Regenerate the SPSA golden master after an intentional change.
+
+``spsa_golden.json`` freezes four optimizer runs: SPSA-G and SPSA-N on a 2-d
+anisotropic Gaussian bowl (identity model; SPSA-N with ``hessian_scale=0.5``
+and ``pd_floor=1.0``) and on the two-state SSP chain (Tversky-Kahneman
+model).  Each case holds its inputs next to the run's records, final theta
+and (SPSA-N) running curvature matrix.  Every float is stored as
+``float.hex`` so the comparison is exact.
+
+Run with ``PYTHONPATH=src python tests/data/make_spsa_golden.py``.
+"""
+
+import json
+from pathlib import Path
+
+from cptopt.envs import GaussianMeanEnv, SspReturnEnv
+from cptopt.envs.ssp import two_state_chain
+from cptopt.models import CptModel
+from cptopt.spsa import BoxConstraint, SpsaSchedules, optimize_spsa_g, optimize_spsa_n
+
+HERE = Path(__file__).parent
+
+BOWL = {"kind": "gaussian", "optimum": [2.0, 2.0], "curvatures": [1.0, 10.0], "noise_std": 0.1}
+CHAIN = {"kind": "ssp_two_state_chain"}
+BOWL_SCHEDULES = {"a0": 1.0, "a_offset": 0.0, "nu": 0.5, "alpha": 1.0}
+CHAIN_SCHEDULES = {"nu": 0.5, "alpha": 0.61}
+
+CASES = [
+    {"name": "g_bowl", "algo": "spsa-g", "env": BOWL, "model": CptModel.identity().to_dict(),
+     "schedules": BOWL_SCHEDULES, "box": [0.0, 4.0], "theta0": [0.5, 0.5],
+     "iters": 40, "seed": 11, "newton": None},
+    {"name": "n_bowl", "algo": "spsa-n", "env": BOWL, "model": CptModel.identity().to_dict(),
+     "schedules": BOWL_SCHEDULES, "box": [0.0, 4.0], "theta0": [0.5, 0.5],
+     "iters": 40, "seed": 12, "newton": {"hessian_scale": 0.5, "pd_floor": 1.0}},
+    {"name": "g_ssp", "algo": "spsa-g", "env": CHAIN,
+     "model": CptModel.tversky_kahneman().to_dict(), "schedules": CHAIN_SCHEDULES,
+     "box": [0.1, 10.0], "theta0": [1.0, 1.0], "iters": 20, "seed": 13, "newton": None},
+    {"name": "n_ssp", "algo": "spsa-n", "env": CHAIN,
+     "model": CptModel.tversky_kahneman().to_dict(), "schedules": CHAIN_SCHEDULES,
+     "box": [0.1, 10.0], "theta0": [1.0, 1.0], "iters": 20, "seed": 14,
+     "newton": {"hessian_scale": 1.0, "pd_floor": 1e-4}},
+]
+
+
+def run_case(case: dict):
+    spec = case["env"]
+    if spec["kind"] == "gaussian":
+        env = GaussianMeanEnv(spec["optimum"], spec["curvatures"], spec["noise_std"])
+    else:
+        env = SspReturnEnv(two_state_chain())
+    model = CptModel.from_dict(case["model"])
+    schedules = SpsaSchedules(**case["schedules"])
+    box = BoxConstraint.cube(*case["box"], env.dim)
+    args = (env, model, schedules, box, case["theta0"], case["iters"], case["seed"])
+    if case["algo"] == "spsa-g":
+        return optimize_spsa_g(*args)
+    return optimize_spsa_n(*args, **case["newton"])
+
+
+def _hex(v) -> str:
+    return float(v).hex()
+
+
+def encode(trace) -> dict:
+    """Every record field, the final theta and h_bar, floats as ``float.hex``."""
+    records = [
+        {
+            "n": r.n,
+            "theta": [_hex(v) for v in r.theta],
+            "c_plus": _hex(r.c_plus),
+            "c_minus": _hex(r.c_minus),
+            "c_center": None if r.c_center is None else _hex(r.c_center),
+            "gamma": _hex(r.gamma),
+            "delta": _hex(r.delta),
+            "m": r.m,
+            "stream": r.stream,
+        }
+        for r in trace.records
+    ]
+    h_bar = None if trace.newton is None else [
+        [_hex(v) for v in row] for row in trace.newton.h_bar
+    ]
+    return {
+        "records": records,
+        "final_theta": [_hex(v) for v in trace.final_theta],
+        "h_bar": h_bar,
+    }
+
+
+def main() -> None:
+    doc = [dict(case, trace=encode(run_case(case))) for case in CASES]
+    out = HERE / "spsa_golden.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

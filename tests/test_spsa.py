@@ -1,6 +1,8 @@
 """Perturbation machinery, schedules, and both optimizers."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from cptopt import (
     spsa_n_estimates,
     substream,
 )
+from cptopt.envs import SspReturnEnv
+from cptopt.envs.ssp import two_state_chain
 
 IDENTITY = CptModel.identity()
 
@@ -386,3 +390,50 @@ class TestAscendNewton:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,theta_0,c_plus,c_minus,gamma,delta,m"
         assert len(lines) == 3
+
+
+GOLDEN = Path(__file__).parent / "data" / "spsa_golden.json"
+
+
+def _hex(v):
+    return float(v).hex()
+
+
+def _golden_run(case):
+    spec = case["env"]
+    if spec["kind"] == "gaussian":
+        env = GaussianMeanEnv(spec["optimum"], spec["curvatures"], spec["noise_std"])
+    else:
+        env = SspReturnEnv(two_state_chain())
+    box = BoxConstraint.cube(*case["box"], env.dim)
+    args = (env, CptModel.from_dict(case["model"]), SpsaSchedules(**case["schedules"]),
+            box, case["theta0"], case["iters"], case["seed"])
+    if case["algo"] == "spsa-g":
+        return optimize_spsa_g(*args)
+    return optimize_spsa_n(*args, **case["newton"])
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda case: case["name"]
+)
+def test_golden_master(case):
+    """Every record field, final theta and h_bar, bit for bit.
+
+    Regenerate tests/data/spsa_golden.json with
+    ``python tests/data/make_spsa_golden.py`` after an intentional change.
+    """
+    trace = _golden_run(case)
+    expected = case["trace"]
+    assert len(trace.records) == len(expected["records"]) == case["iters"]
+    for r, want in zip(trace.records, expected["records"]):
+        assert r.n == want["n"] and r.m == want["m"] and r.stream == want["stream"]
+        assert [_hex(v) for v in r.theta] == want["theta"]
+        assert [_hex(r.c_plus), _hex(r.c_minus), _hex(r.gamma), _hex(r.delta)] == [
+            want["c_plus"], want["c_minus"], want["gamma"], want["delta"]
+        ]
+        assert (None if r.c_center is None else _hex(r.c_center)) == want["c_center"]
+    assert [_hex(v) for v in trace.final_theta] == expected["final_theta"]
+    if expected["h_bar"] is None:
+        assert trace.newton is None
+    else:
+        assert [[_hex(v) for v in row] for row in trace.newton.h_bar] == expected["h_bar"]
