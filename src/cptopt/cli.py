@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,15 +26,12 @@ from .harness import ExperimentConfig, TrafficObjective, run_experiment
 from .models import CptModel
 from .spsa import (
     BoxConstraint,
-    HessianSchedule,
+    Evaluator,
     SpsaSchedules,
     ascend,
     ascend_newton,
-    optimize_spsa_g,
-    optimize_spsa_n,
+    return_evaluator,
 )
-
-ENV_NAMES = ("gaussian-mean", "ssp-chain", "traffic-2x2")
 
 
 def _load_model(path: str | None) -> CptModel:
@@ -81,52 +79,65 @@ def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedul
     return SpsaSchedules.for_model(model, **overrides)
 
 
-def _box_bounds(args: argparse.Namespace, default_lo: float, default_hi: float):
-    lo = args.box_lo if args.box_lo is not None else default_lo
-    hi = args.box_hi if args.box_hi is not None else default_hi
-    return lo, hi
+def _gaussian_mean(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
+    env = GaussianMeanEnv(optimum=2.0, curvatures=2.0, noise_std=0.1)
+    return return_evaluator(env, model, EstimatorConfig()), env.dim
+
+
+def _ssp_chain(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
+    env = SspReturnEnv(two_state_chain())
+    return return_evaluator(env, model, EstimatorConfig()), env.dim
+
+
+def _traffic_2x2(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
+    traffic = (
+        TrafficConfig.from_json(Path(args.env_config).read_text())
+        if args.env_config
+        else TrafficConfig()
+    )
+    horizon = 500 if args.horizon is None else args.horizon
+    if horizon < 1:
+        raise ValueError(f"--horizon must be positive, got {horizon}")
+    grid = TrafficGrid(traffic)
+    mu = (1.0 / grid.n_paths,) * grid.n_paths
+    return TrafficObjective(grid, mu, model, EstimatorConfig(), horizon), grid.feature_dim
+
+
+class EnvEntry(NamedTuple):
+    build: Callable[[argparse.Namespace, CptModel], tuple[Evaluator, int]]
+    box: tuple[float, float]  # default bounds of every coordinate
+    flags: tuple[str, ...] = ()  # the optional flags ``build`` reads
+
+
+ENVS = {
+    "gaussian-mean": EnvEntry(_gaussian_mean, (0.0, 4.0)),
+    "ssp-chain": EnvEntry(_ssp_chain, (0.1, 10.0)),
+    "traffic-2x2": EnvEntry(_traffic_2x2, (0.1, 10.0), ("env_config", "horizon")),
+}
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
+    entry = ENVS[args.env]
     try:
+        for flag in ("env_config", "horizon"):
+            if getattr(args, flag) is not None and flag not in entry.flags:
+                raise ValueError(
+                    f"--{flag.replace('_', '-')} does not apply to --env {args.env}"
+                )
+        if args.iters < 0:
+            raise ValueError(f"--iters must be nonnegative, got {args.iters}")
         schedules = _default_schedules(model, args)
+        evaluate, dim = entry.build(args, model)
+        lo = entry.box[0] if args.box_lo is None else args.box_lo
+        hi = entry.box[1] if args.box_hi is None else args.box_hi
+        box = BoxConstraint.cube(lo, hi, dim)
     except ValueError as exc:
         print(f"cptopt optimize: error: {exc}", file=sys.stderr)
         return 2
-    if args.env == "traffic-2x2":
-        traffic = (
-            TrafficConfig.from_json(Path(args.env_config).read_text())
-            if args.env_config
-            else TrafficConfig()
-        )
-        grid = TrafficGrid(traffic)
-        dim = grid.feature_dim
-        mu = (1.0 / grid.n_paths,) * grid.n_paths
-        lo, hi = _box_bounds(args, 0.1, 10.0)
-        box = BoxConstraint.cube(lo, hi, dim)
-        theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
-        objective = TrafficObjective(grid, mu, model, EstimatorConfig(), args.horizon)
-        if args.algo == "spsa-g":
-            trace = ascend(objective, schedules, box, theta0, args.iters, args.seed)
-        else:
-            trace = ascend_newton(
-                objective, schedules, box, theta0, args.iters, args.seed,
-                hessian=HessianSchedule(),
-            )
-    else:
-        if args.env == "gaussian-mean":
-            env = GaussianMeanEnv(optimum=2.0, curvatures=2.0, noise_std=0.1)
-            lo, hi = _box_bounds(args, 0.0, 4.0)
-        else:
-            env = SspReturnEnv(two_state_chain())
-            lo, hi = _box_bounds(args, 0.1, 10.0)
-        box = BoxConstraint.cube(lo, hi, env.dim)
-        theta0 = np.full(env.dim, float(np.clip(1.0, lo, hi)))
-        if args.algo == "spsa-g":
-            trace = optimize_spsa_g(env, model, schedules, box, theta0, args.iters, args.seed)
-        else:
-            trace = optimize_spsa_n(env, model, schedules, box, theta0, args.iters, args.seed)
+    theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
+    climb = ascend if args.algo == "spsa-g" else ascend_newton
+    trace = climb(evaluate, schedules, box, theta0, args.iters, args.seed)
     trace.write_csv(args.out)
     final = ", ".join(f"{v:.6g}" for v in trace.final_theta)
     print(f"final theta: [{final}]  ({args.iters} iterations, trace: {args.out})")
@@ -158,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_opt = sub.add_parser("optimize", help="maximize an environment's value")
-    p_opt.add_argument("--env", choices=ENV_NAMES, default="gaussian-mean")
+    p_opt.add_argument("--env", choices=tuple(ENVS), default="gaussian-mean")
     p_opt.add_argument("--env-config", help="environment config JSON (traffic only)")
     p_opt.add_argument("--model", help="model JSON file (default: identity)")
     p_opt.add_argument("--algo", choices=("spsa-g", "spsa-n"), default="spsa-g")
     p_opt.add_argument("--iters", type=int, default=200)
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", default="trace.csv")
-    p_opt.add_argument("--horizon", type=int, default=500,
-                       help="episode length for the traffic objective")
+    p_opt.add_argument("--horizon", type=int, default=None,
+                       help="episode length for the traffic objective (default: 500)")
     p_opt.add_argument("--box-lo", type=float, default=None, dest="box_lo",
                        help="override the environment's default box")
     p_opt.add_argument("--box-hi", type=float, default=None, dest="box_hi")

@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .base import ReturnEnv
+
 __all__ = [
     "SspMdp",
     "BoltzmannPolicy",
@@ -145,7 +147,7 @@ def ssp_episode(
     return EpisodeResult(total, steps, False)
 
 
-class SspReturnEnv:
+class SspReturnEnv(ReturnEnv):
     """Adapter: episode returns of a softmax policy as a return distribution."""
 
     def __init__(self, mdp: SspMdp):
@@ -155,14 +157,7 @@ class SspReturnEnv:
     def dim(self) -> int:
         return self.mdp.feature_dim
 
-    def sample_returns(
-        self, theta: np.ndarray, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.dim,) or not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be a finite vector matching the feature length")
-        if m < 1:
-            raise ValueError("need at least one sample")
+    def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         policy = BoltzmannPolicy(tuple(theta), self.mdp)
         return np.asarray([ssp_episode(self.mdp, policy, rng).ret for _ in range(m)])
 

@@ -1,19 +1,25 @@
 """Simultaneous-perturbation ascent on a noisy value objective.
 
 Both optimizers maximize ``theta -> C(X^theta)`` over a box, observing only
-value *estimates* built from simulated returns.  Per iteration the parameter
-is perturbed along a random +/-1 direction, the objective is estimated at the
-perturbed points, and a finite difference recovers an ascent direction:
+value *estimates* built from simulated returns.  Both run one iteration
+loop: perturb the parameter along a random +/-1 direction, estimate the
+objective at the perturbed points, record the iteration, and take a step
+projected onto the box.  They differ only in the step rule:
 
-* :func:`optimize_spsa_g` -- two evaluations at ``theta +/- delta_n * Delta``
-  give the gradient estimate ``(c_plus - c_minus) / (2 delta_n Delta_i)``;
-  projected gradient ascent follows.
+* :func:`ascend` / :func:`optimize_spsa_g` -- two evaluations at
+  ``theta +/- delta_n * Delta`` give the gradient estimate
+  ``(c_plus - c_minus) / (2 delta_n Delta_i)``; the step is gamma_n times it.
 
-* :func:`optimize_spsa_n` -- three evaluations (center plus
-  ``theta +/- delta_n (Delta + Delta_hat)``) additionally give a curvature
+* :func:`ascend_newton` / :func:`optimize_spsa_n` -- a second direction
+  ``Delta_hat`` and a third (center) evaluation; the outer two sit at
+  ``theta +/- delta_n (Delta + Delta_hat)`` and additionally give a curvature
   estimate ``(c_plus + c_minus - 2 c_center) / (delta_n^2 Delta_i Delta_hat_j)``,
   tracked on a faster timescale and inverted (after projection onto
   well-conditioned positive-definite matrices) for a Newton-style step.
+
+``ascend``/``ascend_newton`` take any evaluator ``(theta, m, rng) -> value``;
+``optimize_spsa_g``/``_n`` build one from an environment's sampled returns
+with :func:`return_evaluator`.
 
 Randomness is drawn from counter-based substreams keyed by
 (iteration, role), so the per-iteration evaluations could run concurrently
@@ -61,6 +67,7 @@ __all__ = [
     "psd_project",
     "ascend",
     "ascend_newton",
+    "return_evaluator",
     "optimize_spsa_g",
     "optimize_spsa_n",
 ]
@@ -256,7 +263,10 @@ class RunTrace:
         return np.asarray([r.theta for r in self.records])
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
-        """Columns: n, theta_0..theta_{d-1}, c_plus, c_minus, gamma, delta, m."""
+        """Columns: n, theta_0..theta_{d-1}, c_plus, c_minus, gamma, delta, m.
+
+        SPSA-N traces (``newton`` set) add a trailing ``c_center`` column.
+        """
         if isinstance(out, str):
             with open(out, "w", newline="") as fh:
                 self.write_csv(fh)
@@ -267,10 +277,14 @@ class RunTrace:
         writer = csv.writer(out, lineterminator="\n")
         header = ["n"] + [f"theta_{i}" for i in range(dim)]
         header += ["c_plus", "c_minus", "gamma", "delta", "m"]
+        if self.newton is not None:
+            header.append("c_center")
         writer.writerow(header)
         for r in self.records:
-            row = [r.n, *[repr(v) for v in r.theta]]
-            row += [repr(r.c_plus), repr(r.c_minus), repr(r.gamma), repr(r.delta), r.m]
+            floats = (*r.theta, r.c_plus, r.c_minus, r.gamma, r.delta)
+            row = [r.n, *[repr(float(v)) for v in floats], r.m]
+            if self.newton is not None:
+                row.append(repr(float(r.c_center)))
             writer.writerow(row)
 
 
@@ -313,11 +327,8 @@ def spsa_n_estimates(
     ``2 delta perturb_i``; curvature entry (i, j) divides the second
     difference by ``delta^2 perturb_i perturb_hat_j``.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    perturb = _check_perturbation(perturb)
+    grad = spsa_gradient(c_plus, c_minus, delta, perturb)
     perturb_hat = _check_perturbation(perturb_hat)
-    grad = (c_plus - c_minus) / (2.0 * delta) * perturb
     curvature = (c_plus + c_minus - 2.0 * c_center) / delta**2
     hess = curvature * np.outer(perturb, perturb_hat)
     return grad, hess
@@ -385,27 +396,38 @@ def _evaluate(
     return value
 
 
-def ascend(
+def _climb(
     evaluate: Evaluator,
     schedules: SpsaSchedules,
     box: BoxConstraint,
     theta0: np.ndarray,
     iters: int,
     seed: RootSeed,
+    newton: Optional[NewtonState],
+    hessian_scale: float = 1.0,
 ) -> RunTrace:
-    """First-order projected ascent driven by two-point gradient estimates."""
+    """The shared iteration; ``newton=None`` takes plain gradient steps."""
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     theta = _validate_start(box, theta0)
-    trace = RunTrace(seed=_trace_seed(seed))
+    trace = RunTrace(seed=_trace_seed(seed), newton=newton)
     for n in range(1, iters + 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
-        dv = rademacher_vector(substream(seed, n, _PERTURB), box.dim)
+        rng_perturb = substream(seed, n, _PERTURB)
+        dv = rademacher_vector(rng_perturb, box.dim)
+        if newton is None:
+            shift = delta * dv
+        else:
+            dv_hat = rademacher_vector(rng_perturb, box.dim)
+            shift = delta * (dv + dv_hat)
         c_plus = _evaluate(
-            evaluate, theta + delta * dv, m, substream(seed, n, _TRAJ_PLUS), n, trace, "+"
+            evaluate, theta + shift, m, substream(seed, n, _TRAJ_PLUS), n, trace, "+"
         )
         c_minus = _evaluate(
-            evaluate, theta - delta * dv, m, substream(seed, n, _TRAJ_MINUS), n, trace, "-"
+            evaluate, theta - shift, m, substream(seed, n, _TRAJ_MINUS), n, trace, "-"
+        )
+        c_center = None if newton is None else _evaluate(
+            evaluate, theta, m, substream(seed, n, _TRAJ_CENTER), n, trace, "0"
         )
         trace.records.append(
             IterationRecord(
@@ -417,12 +439,36 @@ def ascend(
                 delta=delta,
                 m=m,
                 stream=stream_id(seed, n),
+                c_center=c_center,
             )
         )
-        grad = spsa_gradient(c_plus, c_minus, delta, dv)
-        theta = box.project(theta + gamma * grad)
+        if newton is None:
+            step = spsa_gradient(c_plus, c_minus, delta, dv)
+        else:
+            grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
+            # symmetric scaled average; symmetry is preserved exactly under
+            # element-wise scaling and addition
+            sym = hessian_scale * (hess + hess.T) / 2.0
+            xi = newton.schedule.xi(n)
+            newton.h_bar = (1.0 - xi) * newton.h_bar + xi * sym
+            # condition the curvature of the climb (-h_bar) and solve for the step
+            conditioned = psd_project(-newton.h_bar, newton.pd_floor)
+            step = linalg.cho_solve(linalg.cho_factor(conditioned, lower=True), grad)
+        theta = box.project(theta + gamma * step)
     trace.final_theta = theta
     return trace
+
+
+def ascend(
+    evaluate: Evaluator,
+    schedules: SpsaSchedules,
+    box: BoxConstraint,
+    theta0: np.ndarray,
+    iters: int,
+    seed: RootSeed,
+) -> RunTrace:
+    """First-order projected ascent driven by two-point gradient estimates."""
+    return _climb(evaluate, schedules, box, theta0, iters, seed, newton=None)
 
 
 def ascend_newton(
@@ -437,58 +483,17 @@ def ascend_newton(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Newton-style ascent with a fast-timescale running curvature average."""
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
     if hessian_scale <= 0.0:
         raise ValueError("hessian_scale must be positive")
-    theta = _validate_start(box, theta0)
-    state = NewtonState(
+    newton = NewtonState(
         h_bar=np.zeros((box.dim, box.dim)), schedule=hessian, pd_floor=pd_floor
     )
-    trace = RunTrace(seed=_trace_seed(seed), newton=state)
-    for n in range(1, iters + 1):
-        gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
-        rng_perturb = substream(seed, n, _PERTURB)
-        dv = rademacher_vector(rng_perturb, box.dim)
-        dv_hat = rademacher_vector(rng_perturb, box.dim)
-        shift = delta * (dv + dv_hat)
-        c_plus = _evaluate(
-            evaluate, theta + shift, m, substream(seed, n, _TRAJ_PLUS), n, trace, "+"
-        )
-        c_minus = _evaluate(
-            evaluate, theta - shift, m, substream(seed, n, _TRAJ_MINUS), n, trace, "-"
-        )
-        c_center = _evaluate(
-            evaluate, theta, m, substream(seed, n, _TRAJ_CENTER), n, trace, "0"
-        )
-        grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
-        # symmetric scaled average; symmetry is preserved exactly under
-        # element-wise scaling and addition
-        sym = hessian_scale * (hess + hess.T) / 2.0
-        xi = hessian.xi(n)
-        state.h_bar = (1.0 - xi) * state.h_bar + xi * sym
-        # condition the curvature of the climb (-h_bar) and solve for the step
-        conditioned = psd_project(-state.h_bar, pd_floor)
-        step = linalg.cho_solve(linalg.cho_factor(conditioned, lower=True), grad)
-        trace.records.append(
-            IterationRecord(
-                n=n,
-                theta=tuple(theta),
-                c_plus=c_plus,
-                c_minus=c_minus,
-                gamma=gamma,
-                delta=delta,
-                m=m,
-                stream=stream_id(seed, n),
-                c_center=c_center,
-            )
-        )
-        theta = box.project(theta + gamma * step)
-    trace.final_theta = theta
-    return trace
+    return _climb(evaluate, schedules, box, theta0, iters, seed, newton, hessian_scale)
 
 
-def _return_evaluator(env, model: CptModel, cfg: EstimatorConfig) -> Evaluator:
+def return_evaluator(env, model: CptModel, cfg: EstimatorConfig) -> Evaluator:
+    """Evaluator estimating the model value of ``env``'s sampled returns."""
+
     def evaluate(theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
         return estimate_cpt(env.sample_returns(theta, m, rng), model, cfg).value
 
@@ -511,7 +516,7 @@ def optimize_spsa_g(
     parameters and fed through the order-statistics estimator.
     """
     return ascend(
-        _return_evaluator(env, model, estimator_cfg), schedules, box, theta0, iters, seed
+        return_evaluator(env, model, estimator_cfg), schedules, box, theta0, iters, seed
     )
 
 
@@ -530,7 +535,7 @@ def optimize_spsa_n(
 ) -> RunTrace:
     """Second-order variant of :func:`optimize_spsa_g` (three trajectories)."""
     return ascend_newton(
-        _return_evaluator(env, model, estimator_cfg),
+        return_evaluator(env, model, estimator_cfg),
         schedules,
         box,
         theta0,

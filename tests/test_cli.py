@@ -1,11 +1,14 @@
 """Command-line interface."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
-from cptopt.cli import main
+from cptopt.cli import ENVS, build_parser, main
 from cptopt.models import CptModel
+from cptopt.spsa import BoxConstraint, SpsaSchedules, ascend, ascend_newton
 
 
 @pytest.fixture()
@@ -88,6 +91,66 @@ class TestOptimizeCommand:
         # ... and runs once the check holds
         assert main(args + ["--alpha", "0.5"]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("env", ["gaussian-mean", "ssp-chain"])
+    def test_env_config_rejected_off_traffic(self, env, capsys, tmp_path):
+        config = tmp_path / "traffic.json"
+        config.write_text("{}")
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--env", env, "--env-config", str(config),
+                     "--iters", "2", "--out", str(out)]) == 2
+        assert f"--env-config does not apply to --env {env}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env", ["gaussian-mean", "ssp-chain"])
+    def test_horizon_rejected_off_traffic(self, env, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--env", env, "--horizon", "60",
+                     "--iters", "2", "--out", str(out)]) == 2
+        assert f"--horizon does not apply to --env {env}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonpositive_horizon_rejected(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--env", "traffic-2x2", "--horizon", "0",
+                     "--iters", "2", "--out", str(out)]) == 2
+        assert "cptopt optimize: error: --horizon must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_iters_rejected(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--iters", "-1", "--out", str(out)]) == 2
+        assert "cptopt optimize: error: --iters must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inverted_box_rejected(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--box-lo", "5", "--box-hi", "1",
+                     "--iters", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cptopt optimize: error: each lower bound must be strictly below" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["spsa-g", "spsa-n"])
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_cli_trace_equals_direct_call(env, algo, tmp_path, model_file):
+    """The CLI adds nothing to a direct ascend/ascend_newton call on its evaluator."""
+    out = tmp_path / "trace.csv"
+    argv = ["optimize", "--env", env, "--algo", algo, "--iters", "3", "--seed", "4",
+            "--nu", "0.5", "--model", str(model_file), "--out", str(out)]
+    if "horizon" in ENVS[env].flags:
+        argv += ["--horizon", "40"]
+    assert main(argv) == 0
+
+    model = CptModel.from_json(model_file.read_text())
+    evaluate, dim = ENVS[env].build(build_parser().parse_args(argv), model)
+    box = BoxConstraint.cube(*ENVS[env].box, dim)
+    climb = ascend if algo == "spsa-g" else ascend_newton
+    direct = climb(evaluate, SpsaSchedules.for_model(model, nu=0.5), box, np.ones(dim), 3, 4)
+    expected = io.StringIO()
+    direct.write_csv(expected)
+    assert out.read_text() == expected.getvalue()
 
 
 class TestExperimentCommand:

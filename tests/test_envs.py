@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cptopt import CptModel, GaussianMeanEnv, estimate_cpt, substream
+from cptopt import CptModel, GaussianMeanEnv, ReturnEnv, estimate_cpt, substream
 from cptopt.envs.ssp import (
     BoltzmannPolicy,
     SspMdp,
@@ -174,3 +174,21 @@ class TestSspReturnEnv:
 
     def test_dim(self):
         assert SspReturnEnv(two_state_chain()).dim == 2
+
+    def test_is_a_return_env(self):
+        assert isinstance(SspReturnEnv(two_state_chain()), ReturnEnv)
+
+    @pytest.mark.parametrize(
+        "theta, m, message",
+        [
+            ([0.3], 5, r"theta has shape \(1,\), expected \(2,\)"),
+            ([0.3, -0.2, 0.1], 5, r"theta has shape \(3,\), expected \(2,\)"),
+            ([np.nan, 0.0], 5, "theta must be finite"),
+            ([0.0, np.inf], 5, "theta must be finite"),
+            ([0.3, -0.2], 0, "need at least one sample"),
+        ],
+    )
+    def test_shared_checks_reject_bad_input(self, theta, m, message):
+        env = SspReturnEnv(two_state_chain())
+        with pytest.raises(ValueError, match=message):
+            env.sample_returns(theta, m, substream(0))

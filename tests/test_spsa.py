@@ -1,5 +1,6 @@
 """Perturbation machinery, schedules, and both optimizers."""
 
+import csv
 import itertools
 import json
 from pathlib import Path
@@ -390,6 +391,36 @@ class TestAscendNewton:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,theta_0,c_plus,c_minus,gamma,delta,m"
         assert len(lines) == 3
+
+
+class TestTraceCsv:
+    BOWL = GaussianMeanEnv(optimum=(2.0, 2.0), curvatures=(1.0, 10.0), noise_std=0.1)
+    BOX = BoxConstraint.cube(0.0, 4.0, 2)
+
+    def _rows(self, trace, tmp_path):
+        out = tmp_path / "trace.csv"
+        trace.write_csv(str(out))
+        with open(out, newline="") as fh:
+            return list(csv.reader(fh))
+
+    @pytest.mark.parametrize("optimize", [optimize_spsa_g, optimize_spsa_n])
+    def test_every_cell_is_a_number(self, optimize, tmp_path):
+        trace = optimize(self.BOWL, IDENTITY, SCHEDULES, self.BOX, [0.5, 0.5], 3, 2)
+        header, *rows = self._rows(trace, tmp_path)
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == len(header)
+            for cell in row:
+                float(cell)
+
+    def test_newton_trace_ends_with_c_center(self, tmp_path):
+        trace = optimize_spsa_n(self.BOWL, IDENTITY, SCHEDULES, self.BOX, [0.5, 0.5], 3, 2)
+        header, *rows = self._rows(trace, tmp_path)
+        assert header == [
+            "n", "theta_0", "theta_1", "c_plus", "c_minus", "gamma", "delta", "m", "c_center"
+        ]
+        assert [float(row[-1]) for row in rows] == [r.c_center for r in trace.records]
+        assert [float(row[1]) for row in rows] == [r.theta[0] for r in trace.records]
 
 
 GOLDEN = Path(__file__).parent / "data" / "spsa_golden.json"
