@@ -1,21 +1,39 @@
 """Regenerate the traffic golden-master files after an intentional change.
 
-Two frozen cases:
+Three frozen files:
 
 * ``traffic_golden.csv`` -- default 2x2 grid, uniform Boltzmann policy,
   120 steps (inside the first 256-step arrival block);
 * ``traffic_golden_2x3.json`` -- a 2x3 grid with frequent bursts, a seeded
   non-uniform ``theta`` and 600 steps (three arrival blocks).  The file holds
   its inputs (config, theta, horizon, episode seed) next to the samples and
-  flow counters.
+  flow counters;
+* ``traffic_digest_matrix.json`` -- one sha256 per case of a grid x burst
+  rate x policy x horizon x seed matrix.  Each case runs an episode and then a
+  pooled episode on the same generator, and hashes both episodes' samples
+  (as ``float.hex``), their flow counters and the generator's next
+  ``random()``, so a change in random-number consumption shows too.  The file
+  holds the matrix axes next to the digests.
+
+Run with ``PYTHONPATH=src python tests/data/make_traffic_golden.py``.
 """
 
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from cptopt.envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
+from cptopt.envs.traffic import (
+    NS,
+    BoltzmannSignPolicy,
+    ConstantPolicy,
+    FixedCyclePolicy,
+    TrafficConfig,
+    TrafficGrid,
+    traffic_episode,
+)
 from cptopt.rng import substream
 
 HERE = Path(__file__).parent
@@ -28,6 +46,50 @@ EPISODE_SEED_2X3 = 2025
 def theta_2x3(grid: TrafficGrid) -> np.ndarray:
     """Seeded non-uniform policy weights for the 2x3 case."""
     return substream(77).uniform(-2.0, 2.0, grid.feature_dim)
+
+
+MATRIX = {
+    "grids": [[1, 1], [2, 2], [2, 3], [3, 2], [6, 6]],
+    "burst_probs": [0.0, 0.004, 0.02, 0.05],
+    "policies": ["boltzmann-uniform", "boltzmann-random", "fixed-cycle-3", "constant-ns"],
+    "horizons": [1, 255, 256, 257, 700],
+    "seeds": [0],
+    "pooled_horizon": 300,
+}
+
+
+def matrix_policy(name: str, grid: TrafficGrid):
+    if name == "boltzmann-uniform":
+        return BoltzmannSignPolicy(np.ones(grid.feature_dim), grid)
+    if name == "boltzmann-random":
+        return BoltzmannSignPolicy(substream(91).uniform(-3.0, 3.0, grid.feature_dim), grid)
+    if name == "fixed-cycle-3":
+        return FixedCyclePolicy(3)
+    if name == "constant-ns":
+        return ConstantPolicy(NS)
+    raise ValueError(f"unknown policy {name!r}")
+
+
+def matrix_digest(grid, policy, horizon: int, seed: int, pooled_horizon: int) -> str:
+    rng = substream(seed)
+    digest = hashlib.sha256()
+    for steps in (horizon, pooled_horizon):
+        episode = traffic_episode(grid, policy, steps, rng)
+        for samples in episode.samples:
+            digest.update(" ".join(float.hex(v) for v in samples).encode() + b"\n")
+        digest.update(f"{episode.injected} {episode.departed} {episode.queued}\n".encode())
+    digest.update(float.hex(rng.random()).encode())
+    return digest.hexdigest()
+
+
+def matrix_cases(matrix: dict):
+    """Yield ``(case id, grid, policy name, horizon, seed)`` over the matrix."""
+    for (rows, cols), burst in itertools.product(matrix["grids"], matrix["burst_probs"]):
+        grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=burst))
+        for name, horizon, seed in itertools.product(
+            matrix["policies"], matrix["horizons"], matrix["seeds"]
+        ):
+            yield f"{rows}x{cols}/{burst!r}/{name}/{horizon}/{seed}", grid, name, horizon, seed
 
 
 def main() -> None:
@@ -57,6 +119,16 @@ def main() -> None:
         "samples": episode.as_lists(),
     }
     out.write_text(json.dumps(doc) + "\n")
+    print(f"wrote {out}")
+
+    digests = {
+        case_id: matrix_digest(
+            grid, matrix_policy(name, grid), horizon, seed, MATRIX["pooled_horizon"]
+        )
+        for case_id, grid, name, horizon, seed in matrix_cases(MATRIX)
+    }
+    out = HERE / "traffic_digest_matrix.json"
+    out.write_text(json.dumps({**MATRIX, "digests": digests}, indent=1) + "\n")
     print(f"wrote {out}")
 
 

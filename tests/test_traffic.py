@@ -1,6 +1,8 @@
 """Traffic grid simulator: conservation, delays, determinism, golden master."""
 
 import csv
+import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -25,6 +27,7 @@ from cptopt.rng import substream
 
 GOLDEN = Path(__file__).parent / "data" / "traffic_golden.csv"
 GOLDEN_2X3 = Path(__file__).parent / "data" / "traffic_golden_2x3.json"
+DIGEST_MATRIX = Path(__file__).parent / "data" / "traffic_digest_matrix.json"
 
 
 def uniform_policy(grid):
@@ -265,3 +268,38 @@ class TestGoldenMaster:
         assert len(episode.samples) == len(doc["samples"]) == grid.n_paths
         for got, expected in zip(episode.samples, doc["samples"]):
             assert list(got) == pytest.approx(expected, abs=0.0)
+
+    def test_digest_matrix(self):
+        """Grid x burst rate x policy x horizon, each case then a pooled episode.
+
+        Each case hashes both episodes' samples (``float.hex``), their flow
+        counters and the generator's next ``random()``; regenerate the file
+        with the same script as above.
+        """
+        doc = json.loads(DIGEST_MATRIX.read_text())
+        policies = {
+            "boltzmann-uniform": uniform_policy,
+            "boltzmann-random": lambda grid: BoltzmannSignPolicy(
+                substream(91).uniform(-3.0, 3.0, grid.feature_dim), grid
+            ),
+            "fixed-cycle-3": lambda grid: FixedCyclePolicy(3),
+            "constant-ns": lambda grid: ConstantPolicy(NS),
+        }
+        got = {}
+        for (rows, cols), burst in itertools.product(doc["grids"], doc["burst_probs"]):
+            grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=burst))
+            for name, horizon, seed in itertools.product(
+                doc["policies"], doc["horizons"], doc["seeds"]
+            ):
+                rng = substream(seed)
+                digest = hashlib.sha256()
+                for steps in (horizon, doc["pooled_horizon"]):
+                    episode = traffic_episode(grid, policies[name](grid), steps, rng)
+                    for samples in episode.samples:
+                        digest.update(" ".join(map(float.hex, samples)).encode() + b"\n")
+                    counters = (episode.injected, episode.departed, episode.queued)
+                    digest.update(("%d %d %d\n" % counters).encode())
+                digest.update(float.hex(rng.random()).encode())
+                got[f"{rows}x{cols}/{burst!r}/{name}/{horizon}/{seed}"] = digest.hexdigest()
+        assert len(got) == len(doc["digests"]) == 400
+        assert [k for k in got if got[k] != doc["digests"][k]] == []
