@@ -15,13 +15,20 @@ contribute the delay accrued so far.  Episodes report, per path, the
 *difference* ``baseline - delay``: positive when a vehicle did better than the
 fixed-cycle controller's cached average on that path, negative when worse.
 The baseline table is simulated once per grid from a dedicated seed.
+
+The simulator stores no vehicles.  Its state is a queue count and a red timer
+per lane; lanes on a path are FIFO and no vehicle overtakes, so the delays are
+rebuilt at episode end from the arrival counts and each path's departure
+steps.  A signal policy hands the simulator a table of P(NS) per junction and
+queue/timer-bin state (the Boltzmann policy computes its softmax once) and one
+block of uniform draws per 256-step arrival block.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Optional, Protocol, Sequence
 
@@ -129,15 +136,20 @@ class TrafficConfig:
 
 
 class SignPolicy(Protocol):
-    """Per-step choice of one sign configuration per junction."""
+    """Signal controller, read by the simulator as a table plus uniform draws.
 
-    def choose_configs(
-        self,
-        t: int,
-        queues: Sequence[int],
-        timers: Sequence[int],
-        rng: np.random.Generator,
-    ) -> tuple[int, ...]: ...
+    Junction ``j`` picks NS at step ``t`` exactly when
+    ``draws[t - t0][j] < p_ns[36 * j + state]``, else EW.  ``state`` indexes
+    the junction's (EW queue bin, NS timer bin, NS queue bin, EW timer bin),
+    3 x 2 x 3 x 2 entries in that order.  ``draws`` is asked once per arrival
+    block for its ``k`` rows of ``n_junctions`` values each.
+    """
+
+    def p_ns_table(self, n_junctions: int) -> Sequence[float]: ...
+
+    def draws(
+        self, t0: int, k: int, n_junctions: int, rng: np.random.Generator
+    ) -> Sequence[Sequence[float]]: ...
 
 
 class TrafficGrid:
@@ -211,13 +223,15 @@ class TrafficGrid:
     def baseline_delays(self) -> tuple[float, ...]:
         """Per-path mean delay of the fixed-cycle controller (cached)."""
         if self._baseline is None:
-            sim = TrafficSim(self, substream(self.config.baseline_seed))
-            policy = FixedCyclePolicy(self.config.baseline_cycle)
-            for t in range(self.config.baseline_horizon):
-                sim.step(t, policy)
-            raw = sim.raw_delays(self.config.baseline_horizon)
+            sim = TrafficSim(
+                self,
+                FixedCyclePolicy(self.config.baseline_cycle),
+                self.config.baseline_horizon,
+                substream(self.config.baseline_seed),
+            )
+            sim.run()
             self._baseline = tuple(
-                float(np.mean(d)) if d else 0.0 for d in raw
+                float(np.mean(d)) if d.size else 0.0 for d in sim.raw_delays()
             )
         return self._baseline
 
@@ -227,8 +241,12 @@ class BoltzmannSignPolicy:
 
     The joint feature vector activates one indicator per junction, so scores
     add across junctions and the joint softmax factorizes into independent
-    per-junction two-way softmaxes.  ``choose_configs`` computes the active
-    indices inline; ``TrafficGrid.active_feature`` is their definition.
+    per-junction two-way softmaxes.  The 36 P(NS) values of each junction,
+    ``1 / (1 + exp(s_ew - s_ns))`` over the active EW and NS indicators
+    (``TrafficGrid.active_feature`` defines them), are computed once here; a
+    score gap too large for ``exp`` gives 0.0, the limit of ``1 / (1 + inf)``.
+    The uniforms are one ``rng.random((k, n_junctions))`` per block, the same
+    values, in the same stream order, as ``k`` per-step draws.
     """
 
     def __init__(self, theta: np.ndarray, grid: TrafficGrid):
@@ -241,149 +259,206 @@ class BoltzmannSignPolicy:
             raise ValueError("theta must be finite")
         self.theta = theta
         self.grid = grid
-        self._scores = theta.tolist()
+        scores = theta.tolist()
+        table = []
+        for j in range(grid.n_junctions):
+            for qb_ew, tb_ns, qb_ns, tb_ew in itertools.product(
+                range(3), range(2), range(3), range(2)
+            ):
+                gap = (
+                    scores[grid.feature_index(j, EW, qb_ew, tb_ns)]
+                    - scores[grid.feature_index(j, NS, qb_ns, tb_ew)]
+                )
+                try:
+                    table.append(1.0 / (1.0 + math.exp(gap)))
+                except OverflowError:
+                    table.append(0.0)
+        self._p_ns = tuple(table)
 
-    def choose_configs(self, t, queues, timers, rng) -> tuple[int, ...]:
-        grid = self.grid
-        scores = self._scores
-        lo, hi = grid.config.queue_bins
-        timer_bin = grid.config.timer_bin
-        draws = rng.random(grid.n_junctions).tolist()
-        configs = []
-        # junction j's EW lane is 2j and its NS lane 2j+1; its EW indicators
-        # start at 12j and its NS ones at 12j+6 (2 per queue bin, +1 once the
-        # red lane's timer reaches timer_bin)
-        for base, q_ew, q_ns, t_ew, t_ns, u in zip(
-            range(0, 12 * grid.n_junctions, 12),
-            queues[0::2], queues[1::2], timers[0::2], timers[1::2], draws,
-        ):
-            s_ew = scores[
-                base + (0 if q_ew < lo else 2 if q_ew < hi else 4) + (t_ns >= timer_bin)
-            ]
-            s_ns = scores[
-                base + 6 + (0 if q_ns < lo else 2 if q_ns < hi else 4) + (t_ew >= timer_bin)
-            ]
-            configs.append(NS if u < 1.0 / (1.0 + math.exp(s_ew - s_ns)) else EW)
-        return tuple(configs)
+    def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
+        if n_junctions != self.grid.n_junctions:
+            raise ValueError(
+                f"policy has {self.grid.n_junctions} junctions, grid has {n_junctions}"
+            )
+        return self._p_ns
+
+    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
+        return rng.random((k, n_junctions)).tolist()
 
 
 class FixedCyclePolicy:
-    """Pre-timed controller: all junctions alternate EW/NS every ``cycle`` steps."""
+    """Pre-timed controller: all junctions alternate EW/NS every ``cycle`` steps.
+
+    Its draws are 0.0 (NS) or 1.0 (EW) against P(NS) = 0.5; it uses no rng.
+    """
 
     def __init__(self, cycle: int = 2):
         if cycle < 1:
             raise ValueError("cycle must be >= 1")
         self.cycle = cycle
 
-    def choose_configs(self, t, queues, timers, rng) -> tuple[int, ...]:
-        phase = EW if (t // self.cycle) % 2 == 0 else NS
-        return (phase,) * (len(queues) // 2)
+    def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
+        return (0.5,) * (36 * n_junctions)
+
+    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
+        ew, ns = [1.0] * n_junctions, [0.0] * n_junctions
+        return [ns if (t // self.cycle) % 2 else ew for t in range(t0, t0 + k)]
 
 
 class ConstantPolicy:
-    """Always the same configuration at every junction."""
+    """Always the same configuration at every junction (no rng use)."""
 
     def __init__(self, config: int):
         if config not in (EW, NS):
             raise ValueError("config must be 0 (EW) or 1 (NS)")
         self.config = config
 
-    def choose_configs(self, t, queues, timers, rng) -> tuple[int, ...]:
-        return (self.config,) * (len(queues) // 2)
+    def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
+        return (0.5,) * (36 * n_junctions)
+
+    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
+        return [[0.0 if self.config == NS else 1.0] * n_junctions] * k
 
 
 _ARRIVAL_BLOCK = 256
 
 
 class TrafficSim:
-    """Mutable episode state: per-lane FIFO queues of vehicle entry steps.
+    """Mutable episode state: per-lane queue counts and red timers.
 
-    Arrival randomness is drawn in fixed-size blocks (a throughput detail;
-    the consumption order, and hence every result, stays deterministic).
+    No vehicle is stored.  A path is a chain of FIFO lanes and no vehicle
+    overtakes, so the k-th vehicle to leave a path is the k-th to enter it;
+    the sim keeps the arrival rows and, per path, the steps and sizes of its
+    departures, and ``raw_delays`` rebuilds every delay from them.
+
+    Randomness is drawn per 256-step block: the arrival counts, then the
+    policy's uniforms for the block's steps inside the horizon.  ``run``
+    serves junctions last to first and makes each junction's signal decision
+    in the same pass: a served vehicle only moves to a later junction, so a
+    junction's lanes still hold their post-arrival state when it decides,
+    and a moved vehicle joins a queue already served this step.
     """
 
-    def __init__(self, grid: TrafficGrid, rng: np.random.Generator):
+    def __init__(
+        self,
+        grid: TrafficGrid,
+        policy: SignPolicy,
+        horizon: int,
+        rng: np.random.Generator,
+    ):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.grid = grid
+        self.policy = policy
+        self.horizon = horizon
         self.rng = rng
-        self.queues: list[deque] = [deque() for _ in range(grid.n_lanes)]
+        self.t = 0
+        self.queues: list[int] = [0] * grid.n_lanes
         self.timers: list[int] = [0] * grid.n_lanes
         self.injected = 0
         self.departed = 0
-        self.delays: list[list[int]] = [[] for _ in range(grid.n_paths)]
-        self._arrivals: list[list[int]] = []
-        self._cursor = _ARRIVAL_BLOCK
-        self._last_configs: Optional[tuple[int, ...]] = None
+        self._p_ns = policy.p_ns_table(grid.n_junctions)
+        self._blocks: list[np.ndarray] = []
+        self._rows: list[list[int]] = []
+        self._draws: Sequence[Sequence[float]] = []
+        self._left_at: list[list[int]] = [[] for _ in range(grid.n_paths)]
+        self._left_n: list[list[int]] = [[] for _ in range(grid.n_paths)]
 
     @property
     def queued(self) -> int:
-        return sum(len(q) for q in self.queues)
+        return sum(self.queues)
 
-    def _next_arrivals(self) -> list[int]:
-        if self._cursor == _ARRIVAL_BLOCK:
-            cfg = self.grid.config
-            shape = (_ARRIVAL_BLOCK, self.grid.n_paths)
-            counts = self.rng.poisson(cfg.rates, shape)
-            if cfg.burst_prob > 0.0:
-                bursts = self.rng.random(shape) < cfg.burst_prob
-                counts = counts + bursts * cfg.burst_size
-            self._arrivals = counts.tolist()
-            self._cursor = 0
-        row = self._arrivals[self._cursor]
-        self._cursor += 1
-        return row
+    def _draw_block(self, t0: int) -> None:
+        cfg = self.grid.config
+        shape = (_ARRIVAL_BLOCK, self.grid.n_paths)
+        counts = self.rng.poisson(cfg.rates, shape)
+        if cfg.burst_prob > 0.0:
+            bursts = self.rng.random(shape) < cfg.burst_prob
+            counts = counts + bursts * cfg.burst_size
+        self._blocks.append(counts)
+        self._rows = counts.tolist()
+        k = min(_ARRIVAL_BLOCK, self.horizon - t0)
+        self._draws = self.policy.draws(t0, k, self.grid.n_junctions, self.rng)
 
-    def step(self, t: int, policy: SignPolicy) -> None:
+    def run(self, until: Optional[int] = None) -> None:
+        """Simulate up to step ``until`` (default: the horizon)."""
+        until = self.horizon if until is None else until
+        if not self.t <= until <= self.horizon:
+            raise ValueError(f"until must lie in [{self.t}, {self.horizon}]")
         grid = self.grid
         cfg = grid.config
-        queues = self.queues
-        timers = self.timers
+        lo, hi = cfg.queue_bins
+        timer_bin = cfg.timer_bin
+        rate = cfg.service_rate
+        switched_rate = rate - cfg.switch_loss
+        queues, timers, p_ns = self.queues, self.timers, self._p_ns
+        first_lane, next_lane, lane_of_path = grid.first_lane, grid.next_lane, grid.lane_of_path
+        left_at, left_n = self._left_at, self._left_n
+        # junction j's EW lane is 2j, its NS lane 2j+1 and its table starts at 36j
+        junctions = [(j, 2 * j, 2 * j + 1, 36 * j) for j in reversed(range(grid.n_junctions))]
+        injected, departed = self.injected, self.departed
+        t = self.t
+        while t < until:
+            offset = t % _ARRIVAL_BLOCK
+            if offset == 0:
+                self._draw_block(t)
+            stop = offset + min(until - t, _ARRIVAL_BLOCK - offset)
+            for arrivals, draws in zip(self._rows[offset:stop], self._draws[offset:stop]):
+                for lane, k in zip(first_lane, arrivals):
+                    if k:
+                        queues[lane] += k
+                        injected += k
+                for j, ew, ns, base in junctions:
+                    q_ew, q_ns, t_ew, t_ns = queues[ew], queues[ns], timers[ew], timers[ns]
+                    state = (
+                        (0 if q_ew < lo else 12 if q_ew < hi else 24)
+                        + (6 if t_ns >= timer_bin else 0)
+                        + (0 if q_ns < lo else 2 if q_ns < hi else 4)
+                        + (t_ew >= timer_bin)
+                    )
+                    # a lane that was red last step (timer > 0) just turned
+                    # green and loses switch_loss of its service
+                    if draws[j] < p_ns[base + state]:
+                        green, queue, served = ns, q_ns, switched_rate if t_ns else rate
+                        timers[ns] = 0
+                        timers[ew] = t_ew + 1
+                    else:
+                        green, queue, served = ew, q_ew, switched_rate if t_ew else rate
+                        timers[ew] = 0
+                        timers[ns] = t_ns + 1
+                    if served > queue:
+                        served = queue
+                    if served:
+                        queues[green] = queue - served
+                        nxt = next_lane[green]
+                        if nxt < 0:
+                            path = lane_of_path[green]
+                            left_at[path].append(t)
+                            left_n[path].append(served)
+                            departed += served
+                        else:
+                            queues[nxt] += served
+                t += 1
+        self.t, self.injected, self.departed = t, injected, departed
 
-        for lane, k in zip(grid.first_lane, self._next_arrivals()):
-            if k:
-                queues[lane].extend([t] * k)
-                self.injected += k
+    def raw_delays(self) -> list[np.ndarray]:
+        """Per-path delays: departed vehicles in departure order, then the
+        accrued delay of still-queued ones.
 
-        # signal decision on the post-arrival state
-        configs = policy.choose_configs(t, list(map(len, queues)), timers, self.rng)
-
-        # serve green lanes and advance the elapsed-red timers.  A lane's next
-        # lane always sits at a later junction (one column or one row on), so
-        # serving junctions from last to first lets a moved vehicle join its
-        # next queue at once: that queue was already served this step, and
-        # the vehicle only becomes serviceable next step, as it must.
-        service_rate, switch_loss = cfg.service_rate, cfg.switch_loss
-        previous = self._last_configs
-        for j in range(len(configs) - 1, -1, -1):
-            c = configs[j]
-            green = 2 * j + c  # TrafficGrid.lane_id(j, c); its red lane is green ^ 1
-            timers[green] = 0
-            timers[green ^ 1] += 1
-            queue = queues[green]
-            served = service_rate
-            if previous is not None and previous[j] != c:
-                served -= switch_loss  # phase-change lost time
-            if served > len(queue):
-                served = len(queue)
-            if not served:
-                continue
-            popleft = queue.popleft
-            nxt = grid.next_lane[green]
-            if nxt < 0:
-                self.departed += served
-                delays = self.delays[grid.lane_of_path[green]]
-                for _ in range(served):
-                    delays.append(t - popleft())
-            else:
-                push = queues[nxt].append
-                for _ in range(served):
-                    push(popleft())
-        self._last_configs = tuple(configs)
-
-    def raw_delays(self, horizon: int) -> list[list[int]]:
-        """Recorded delays plus the accrued delay of still-queued vehicles."""
-        out = [list(d) for d in self.delays]
-        for path, queue in zip(self.grid.lane_of_path, self.queues):
-            out[path].extend(horizon - entered for entered in queue)
+        The still-queued vehicles are a path's newest entries, the newest at
+        its first hop; they follow hop by hop, oldest first within a hop.
+        """
+        t = self.t
+        arrivals = np.concatenate(self._blocks or [np.zeros((0, self.grid.n_paths), int)])
+        out = []
+        for path, hops in enumerate(self.grid.path_hops):
+            entered = np.repeat(np.arange(t), arrivals[:t, path])
+            left = np.repeat(np.asarray(self._left_at[path], dtype=int), self._left_n[path])
+            queued, end = [], entered.size
+            for lane in hops:
+                queued.append(entered[end - self.queues[lane] : end])
+                end -= self.queues[lane]
+            out.append(np.concatenate([left - entered[: left.size], t - np.concatenate(queued)]))
         return out
 
 
@@ -411,15 +486,11 @@ def traffic_episode(
     Each sample is ``baseline_mean_delay[path] - delay``: a gain when the
     vehicle beats the fixed-cycle reference, a loss when it does worse.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    sim = TrafficSim(grid, rng)
-    for t in range(horizon):
-        sim.step(t, policy)
-    baseline = grid.baseline_delays
-    raw = sim.raw_delays(horizon)
+    sim = TrafficSim(grid, policy, horizon, rng)
+    sim.run()
     samples = tuple(
-        tuple(baseline[p] - d for d in delays) for p, delays in enumerate(raw)
+        tuple((baseline - delays).tolist())
+        for baseline, delays in zip(grid.baseline_delays, sim.raw_delays())
     )
     return TrafficEpisode(
         samples=samples, injected=sim.injected, departed=sim.departed, queued=sim.queued

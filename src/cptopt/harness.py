@@ -102,6 +102,10 @@ class TrafficObjective:
         cfg: EstimatorConfig,
         horizon: int,
     ):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if len(mu) != grid.n_paths:
+            raise ValueError(f"got {len(mu)} path weights for {grid.n_paths} paths")
         self.grid = grid
         self.mu = tuple(mu)
         self.model = model

@@ -7,15 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cptopt import CptModel, composite_cpt, estimate_cpt, harness
-from cptopt.envs.traffic import TrafficConfig
+from cptopt import CptModel, EstimatorConfig, composite_cpt, estimate_cpt, harness
+from cptopt.envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from cptopt.harness import (
     ExperimentConfig,
+    TrafficObjective,
     VARIANTS,
     path_cpt_scores,
     run_experiment,
 )
+from cptopt.rng import substream
 
 IDENTITY = CptModel.identity()
 
@@ -117,6 +121,20 @@ class TestExperimentConfig:
             ExperimentConfig(mu=(0.5, 0.5))
 
 
+class TestTrafficObjective:
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(ValueError, match="horizon"):
+            TrafficObjective(grid, (0.25,) * 4, IDENTITY, EstimatorConfig(), horizon)
+
+    @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])
+    def test_path_weight_count_must_match_grid(self, mu):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(ValueError, match="path weights"):
+            TrafficObjective(grid, mu, IDENTITY, EstimatorConfig(), 100)
+
+
 class TestRunExperiment:
     def test_zero_training_scores_identical_across_variants(self):
         config = ExperimentConfig(
@@ -192,3 +210,28 @@ class TestRunExperiment:
         assert short_paths, "the config must produce short paths"
         assert "overflow encountered in exp" in messages
         assert not [m for m in messages if re.match(r"path \d+ has", m)]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        master=st.integers(0, 2**32 - 1),
+        order=st.permutations(range(5)),
+        theta_seed=st.integers(0, 2**16),
+    )
+    def test_test_scores_do_not_depend_on_scoring_order(self, master, order, theta_seed):
+        config = ExperimentConfig(master_seed=master, test_reps=5, test_horizon=60)
+        grid = TrafficGrid(config.traffic)
+        theta = substream(theta_seed).uniform(0.1, 10.0, grid.feature_dim)
+        model = config.variant_models()["cpt"]
+        _, per_path = harness._test_scores(config, grid, theta, model, master)
+        policy = BoltzmannSignPolicy(theta, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # short paths score 0
+            rows = {
+                rep: path_cpt_scores(
+                    traffic_episode(grid, policy, 60, substream(master, 1, rep)).samples,
+                    model,
+                )
+                for rep in order
+            }
+        for rep in order:
+            assert rows[rep] == per_path[rep].tolist()

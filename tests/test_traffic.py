@@ -34,6 +34,11 @@ def uniform_policy(grid):
     return BoltzmannSignPolicy(np.ones(grid.feature_dim), grid)
 
 
+def green_configs(sim):
+    """Configurations of the last simulated step: a green lane's timer is 0."""
+    return tuple(EW if sim.timers[2 * j] == 0 else NS for j in range(sim.grid.n_junctions))
+
+
 class TestTopology:
     def test_default_grid_shape(self):
         grid = TrafficGrid(TrafficConfig())
@@ -54,7 +59,7 @@ class TestTopology:
         for path, hops in enumerate(grid.path_hops):
             assert [grid.next_lane[lane] for lane in hops] == list(hops[1:]) + [-1]
             assert all(grid.lane_of_path[lane] == path for lane in hops)
-        # TrafficSim.step serves junctions last to first, which relies on this
+        # TrafficSim.run serves junctions last to first, which relies on this
         for lane, nxt in enumerate(grid.next_lane):
             assert nxt < 0 or nxt // 2 > lane // 2
 
@@ -111,10 +116,9 @@ class TestEpisode:
 
     def test_conservation_at_every_step(self):
         grid = TrafficGrid(TrafficConfig())
-        sim = TrafficSim(grid, substream(3))
-        policy = uniform_policy(grid)
-        for t in range(300):
-            sim.step(t, policy)
+        sim = TrafficSim(grid, uniform_policy(grid), 300, substream(3))
+        for t in range(1, 301):
+            sim.run(t)
             assert sim.injected == sim.departed + sim.queued
 
     def test_episode_counters_consistent(self):
@@ -136,18 +140,23 @@ class TestEpisode:
             service_rate=2, switch_loss=1,
         )
         grid = TrafficGrid(config)
-        sim = TrafficSim(grid, substream(0))
-        sim.queues[0].extend([0, 0, 0, 0])
-        sim.injected = 4
-        sim.step(0, ConstantPolicy(EW))
+        # FixedCyclePolicy(1) shows EW, NS, EW on steps 0, 1, 2
+        sim = TrafficSim(grid, FixedCyclePolicy(1), 3, substream(0))
+        sim.queues[0] = 4  # four vehicles waiting on the EW lane
+        sim.run(1)
         assert sim.departed == 2  # first step: no previous phase, full service
-        sim.step(1, ConstantPolicy(1))  # switch to NS (empty)
-        sim.step(2, ConstantPolicy(EW))  # switched back: one lost slot
+        sim.run(2)  # switch to NS (empty)
+        assert green_configs(sim) == (NS,)
+        sim.run(3)  # switched back: one lost slot
         assert sim.departed == 3
 
     def test_fixed_cycle_alternates(self):
-        policy = FixedCyclePolicy(cycle=2)
-        configs = [policy.choose_configs(t, [0] * 8, [0] * 8, None) for t in range(6)]
+        grid = TrafficGrid(TrafficConfig())
+        sim = TrafficSim(grid, FixedCyclePolicy(cycle=2), 6, substream(0))
+        configs = []
+        for t in range(1, 7):
+            sim.run(t)
+            configs.append(green_configs(sim))
         assert configs[0] == configs[1] == (0, 0, 0, 0)
         assert configs[2] == configs[3] == (1, 1, 1, 1)
         assert configs[4] == (0, 0, 0, 0)
@@ -166,10 +175,40 @@ class TestEpisode:
             for qb in range(3):
                 for tb in range(2):
                     theta[grid.feature_index(j, EW, qb, tb)] = 60.0
+        sim = TrafficSim(grid, BoltzmannSignPolicy(theta, grid), 50, substream(2))
+        for t in range(1, 51):
+            sim.run(t)
+            assert green_configs(sim) == (0, 0, 0, 0)
+
+    def test_score_gap_beyond_exp_range_pins_ew(self):
+        # a gap of 799 overflows math.exp; P(NS) is then 0.0, the limit of 1/(1+inf)
+        grid = TrafficGrid(TrafficConfig())
+        theta = np.ones(grid.feature_dim)
+        theta[0::12] = 800.0  # EW indicator at EW queue bin 0, NS timer bin 0
         policy = BoltzmannSignPolicy(theta, grid)
-        rng = substream(2)
-        for t in range(50):
-            assert policy.choose_configs(t, [1] * 8, [0] * 8, rng) == (0, 0, 0, 0)
+        episode = traffic_episode(grid, policy, 500, substream(4))
+        assert episode.injected == episode.departed + episode.queued
+        table = np.reshape(policy.p_ns_table(grid.n_junctions), (4, 3, 2, 3, 2))
+        assert np.all(table[:, 0, 0] == 0.0)
+        table[:, 0, 0] = 0.5
+        assert np.all(table == 0.5)  # every other gap is 0
+        # empty lanes keep EW's queue bin and NS's timer bin at 0 for the
+        # first timer_bin steps, so EW is green on each of them
+        empty = TrafficGrid(TrafficConfig(arrival_rates=(0.0,) * 4, burst_prob=0.0))
+        sim = TrafficSim(empty, BoltzmannSignPolicy(theta, empty), 5, substream(4))
+        for t in range(1, 6):
+            sim.run(t)
+            assert green_configs(sim) == (EW,) * 4
+
+    def test_run_bounds(self):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(ValueError):
+            TrafficSim(grid, uniform_policy(grid), 0, substream(0))
+        sim = TrafficSim(grid, uniform_policy(grid), 10, substream(0))
+        sim.run(4)
+        for until in (3, 11):
+            with pytest.raises(ValueError):
+                sim.run(until)
 
 
 def reference_configs(grid, theta, queues, timers, rng):
@@ -186,9 +225,14 @@ def reference_configs(grid, theta, queues, timers, rng):
 @st.composite
 def policy_inputs(draw):
     lo = draw(st.integers(0, 8))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    # no arrivals: a zero Poisson rate draws nothing, so a one-step episode
+    # consumes exactly the policy's uniforms
     config = TrafficConfig(
-        rows=draw(st.integers(1, 3)),
-        cols=draw(st.integers(1, 4)),
+        rows=rows,
+        cols=cols,
+        arrival_rates=(0.0,) * (rows + cols),
+        burst_prob=0.0,
         queue_bins=(lo, lo + draw(st.integers(1, 8))),
         timer_bin=draw(st.integers(1, 6)),
     )
@@ -208,7 +252,10 @@ class TestTableDrivenProperties:
         policy = BoltzmannSignPolicy(theta, grid)
         rng, ref_rng = substream(seed), substream(seed)
         for _ in range(3):
-            got = policy.choose_configs(0, queues, timers, rng)
+            sim = TrafficSim(grid, policy, 1, rng)
+            sim.queues, sim.timers = list(queues), list(timers)
+            sim.run()
+            got = green_configs(sim)
             assert got == reference_configs(grid, theta, queues, timers, ref_rng)
         assert rng.random() == ref_rng.random()  # same draws consumed
 
@@ -225,11 +272,34 @@ class TestTableDrivenProperties:
         grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=burst_prob))
         theta = substream(seed, 1).uniform(-2.0, 2.0, grid.feature_dim)
         policy = BoltzmannSignPolicy(theta, grid)
-        sim = TrafficSim(grid, substream(seed))
-        for t in range(steps):
-            sim.step(t, policy)
+        sim = TrafficSim(grid, policy, steps, substream(seed))
+        for t in range(1, steps + 1):
+            sim.run(t)
             assert sim.injected == sim.departed + sim.queued
-        assert sum(len(d) for d in sim.raw_delays(steps)) == sim.injected
+        assert sum(len(d) for d in sim.raw_delays()) == sim.injected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.integers(1, 3),
+        cols=st.integers(1, 3),
+        steps=st.integers(1, 700),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_run_equals_one_run(self, rows, cols, steps, cuts, seed):
+        grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=0.02))
+        policy = BoltzmannSignPolicy(substream(seed, 1).normal(0.0, 2.0, grid.feature_dim), grid)
+        whole = TrafficSim(grid, policy, steps, substream(seed))
+        whole.run()
+        pieces = TrafficSim(grid, policy, steps, substream(seed))
+        for until in sorted(int(c * steps) for c in cuts) + [steps]:
+            pieces.run(until)
+        delays = [d.tolist() for d in whole.raw_delays()]
+        assert [d.tolist() for d in pieces.raw_delays()] == delays
+        assert (pieces.injected, pieces.departed, pieces.queues) == (
+            whole.injected, whole.departed, whole.queues
+        )
+        assert pieces.rng.random() == whole.rng.random()
 
 
 class TestGoldenMaster:
