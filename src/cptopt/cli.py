@@ -34,6 +34,12 @@ from .spsa import (
 )
 
 
+def _error(command: str, exc: ValueError) -> int:
+    """Report bad input before any run starts; exit status 2, as argparse uses."""
+    print(f"cptopt {command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_model(path: str | None) -> CptModel:
     if path is None:
         return CptModel.identity()
@@ -41,11 +47,14 @@ def _load_model(path: str | None) -> CptModel:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    try:
+        model = _load_model(args.model)
+    except ValueError as exc:
+        return _error("estimate", exc)
     if args.samples == "-":
         samples = np.loadtxt(sys.stdin, ndmin=1)
     else:
         samples = np.loadtxt(args.samples, ndmin=1)
-    model = _load_model(args.model)
     cfg = EstimatorConfig(include_top_order_stat=args.include_top)
     est = estimate_cpt(samples, model, cfg)
     out = {
@@ -117,9 +126,9 @@ ENVS = {
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
     entry = ENVS[args.env]
     try:
+        model = _load_model(args.model)
         for flag in ("env_config", "horizon"):
             if getattr(args, flag) is not None and flag not in entry.flags:
                 raise ValueError(
@@ -133,8 +142,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         hi = entry.box[1] if args.box_hi is None else args.box_hi
         box = BoxConstraint.cube(lo, hi, dim)
     except ValueError as exc:
-        print(f"cptopt optimize: error: {exc}", file=sys.stderr)
-        return 2
+        return _error("optimize", exc)
     theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
     climb = ascend if args.algo == "spsa-g" else ascend_newton
     trace = climb(evaluate, schedules, box, theta0, args.iters, args.seed)
@@ -145,11 +153,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = (
-        ExperimentConfig.from_json(Path(args.config).read_text())
-        if args.config
-        else ExperimentConfig()
-    )
+    try:
+        config = (
+            ExperimentConfig.from_json(Path(args.config).read_text())
+            if args.config
+            else ExperimentConfig()
+        )
+    except ValueError as exc:
+        return _error("experiment", exc)
     result = run_experiment(config, Path(args.out))
     for name, info in result.summary["variants"].items():
         print(f"{name}: median cpt score {info['median_cpt_score']:.4f}")

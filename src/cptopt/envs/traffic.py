@@ -27,14 +27,13 @@ block of uniform draws per 256-step arrival block.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .._codec import checked_keys
+from .._codec import JsonRecord
 from ..rng import substream
 
 __all__ = [
@@ -52,7 +51,7 @@ EW, NS = 0, 1
 
 
 @dataclass(frozen=True)
-class TrafficConfig:
+class TrafficConfig(JsonRecord):
     """Grid shape, demand and service parameters.
 
     ``arrival_rates`` has one entry per path (rows EW paths first, then cols
@@ -111,28 +110,6 @@ class TrafficConfig:
         if self.arrival_rates is not None:
             return self.arrival_rates
         return (self.ew_rate,) * self.rows + (self.ns_rate,) * self.cols
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["arrival_rates"] = list(self.arrival_rates) if self.arrival_rates else None
-        out["queue_bins"] = list(self.queue_bins)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficConfig":
-        kwargs = checked_keys("traffic config", data, (f.name for f in fields(cls)))
-        if "arrival_rates" in kwargs and kwargs["arrival_rates"] is not None:
-            kwargs["arrival_rates"] = tuple(kwargs["arrival_rates"])
-        if "queue_bins" in kwargs:
-            kwargs["queue_bins"] = tuple(kwargs["queue_bins"])
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrafficConfig":
-        return cls.from_dict(json.loads(text))
 
 
 class SignPolicy(Protocol):

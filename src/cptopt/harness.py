@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._codec import checked_keys
+from ._codec import JsonRecord
 from .estimator import EstimatorConfig, estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
@@ -124,7 +124,7 @@ class TrafficObjective:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     """Everything a run needs; one master seed derives every substream."""
 
     traffic: TrafficConfig = TrafficConfig()
@@ -134,7 +134,9 @@ class ExperimentConfig:
     train_horizon: int = 500
     test_horizon: int = 1000
     sigma: float = 0.88
-    loss_aversion: float = 2.25
+    loss_aversion: float = field(
+        default=2.25, metadata={"key": "lambda", "aliases": ("loss_aversion",)}
+    )
     eta_gain: float = 0.61
     eta_loss: float = 0.69
     box_lo: float = 0.1
@@ -174,56 +176,6 @@ class ExperimentConfig:
                 self.sigma, self.loss_aversion, self.eta_gain, self.eta_loss
             ),
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "traffic": self.traffic.to_dict(),
-            "master_seed": self.master_seed,
-            "train_iters": self.train_iters,
-            "test_reps": self.test_reps,
-            "train_horizon": self.train_horizon,
-            "test_horizon": self.test_horizon,
-            "sigma": self.sigma,
-            "lambda": self.loss_aversion,
-            "eta_gain": self.eta_gain,
-            "eta_loss": self.eta_loss,
-            "box_lo": self.box_lo,
-            "box_hi": self.box_hi,
-            "theta_init": self.theta_init,
-            "schedules": {
-                "a0": self.schedules.a0,
-                "a_offset": self.schedules.a_offset,
-                "delta0": self.schedules.delta0,
-                "delta_exp": self.schedules.delta_exp,
-                "m0": self.schedules.m0,
-                "nu": self.schedules.nu,
-                "alpha": self.schedules.alpha,
-            },
-            "include_top": self.include_top,
-            "mu": list(self.mu) if self.mu is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        names = [f.name for f in fields(cls)]
-        kwargs = checked_keys("experiment config", data, names + ["lambda"])
-        if "traffic" in kwargs:
-            kwargs["traffic"] = TrafficConfig.from_dict(kwargs["traffic"])
-        if "schedules" in kwargs:
-            kwargs["schedules"] = SpsaSchedules(**checked_keys(
-                "schedules", kwargs["schedules"], (f.name for f in fields(SpsaSchedules))
-            ))
-        if "lambda" in kwargs:
-            if "loss_aversion" in kwargs:
-                raise ValueError("give 'lambda' or 'loss_aversion', not both")
-            kwargs["loss_aversion"] = kwargs.pop("lambda")
-        if kwargs.get("mu") is not None:
-            kwargs["mu"] = tuple(kwargs["mu"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

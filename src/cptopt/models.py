@@ -17,15 +17,14 @@ against which the sampling estimators in :mod:`cptopt.estimator` are tested.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
-from ._codec import checked_keys
+from ._codec import JsonRecord
 
 __all__ = [
     "UtilitySpec",
@@ -62,7 +61,7 @@ def _require_finite(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(JsonRecord):
     """Gain/loss utility pair split at a reference point.
 
     Gains above ``reference`` score ``(x - reference) ** sigma_plus``; losses
@@ -75,7 +74,7 @@ class UtilitySpec:
     kind: str = "identity"
     sigma_plus: float = 1.0
     sigma_minus: float = 1.0
-    loss_aversion: float = 1.0  # serialized under the conventional key "lambda"
+    loss_aversion: float = field(default=1.0, metadata={"key": "lambda"})
     reference: float = 0.0
 
     def __post_init__(self) -> None:
@@ -130,31 +129,9 @@ class UtilitySpec:
         """Outcome threshold t with u-(x) > z iff x < t, for z >= 0."""
         return self.reference - (z / self.loss_aversion) ** (1.0 / self.sigma_minus)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma_plus": self.sigma_plus,
-            "sigma_minus": self.sigma_minus,
-            "lambda": self.loss_aversion,
-            "reference": self.reference,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UtilitySpec":
-        data = checked_keys(
-            "utility", data, ("kind", "sigma_plus", "sigma_minus", "lambda", "reference")
-        )
-        return cls(
-            kind=data.get("kind", "identity"),
-            sigma_plus=data.get("sigma_plus", 1.0),
-            sigma_minus=data.get("sigma_minus", 1.0),
-            loss_aversion=data.get("lambda", 1.0),
-            reference=data.get("reference", 0.0),
-        )
-
 
 @dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(JsonRecord):
     """Probability distortion w: [0,1] -> [0,1], nondecreasing with w(0)=0, w(1)=1.
 
     Families:
@@ -245,26 +222,9 @@ class WeightSpec:
             return min(self.eta, 1.0)
         return 1.0 if self.eta == 1.0 else None
 
-    @property
-    def lipschitz_constant(self) -> Optional[float]:
-        """Global Lipschitz constant, or None when the slope is unbounded."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "power":
-            return self.eta if self.eta >= 1.0 else None
-        return 1.0 if self.eta == 1.0 else None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "eta": self.eta}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightSpec":
-        data = checked_keys("weight", data, ("kind", "eta"))
-        return cls(kind=data.get("kind", "identity"), eta=data.get("eta", 1.0))
-
 
 @dataclass(frozen=True)
-class CptModel:
+class CptModel(JsonRecord):
     """Utility pair plus one weighting function per side of the reference."""
 
     utility: UtilitySpec = UtilitySpec()
@@ -310,29 +270,6 @@ class CptModel:
         if any(o is None for o in orders):
             return None
         return min(orders)  # type: ignore[type-var]
-
-    def to_dict(self) -> dict:
-        return {
-            "utility": self.utility.to_dict(),
-            "weight_plus": self.weight_plus.to_dict(),
-            "weight_minus": self.weight_minus.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CptModel":
-        data = checked_keys("model", data, ("utility", "weight_plus", "weight_minus"))
-        return cls(
-            utility=UtilitySpec.from_dict(data.get("utility", {})),
-            weight_plus=WeightSpec.from_dict(data.get("weight_plus", {})),
-            weight_minus=WeightSpec.from_dict(data.get("weight_minus", {})),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CptModel":
-        return cls.from_dict(json.loads(text))
 
 
 def eval_utility(x: float, utility: UtilitySpec) -> tuple[float, float]:

@@ -173,3 +173,38 @@ class TestExperimentCommand:
             assert (out_dir / f"trace_{v}.csv").exists()
         printed = capsys.readouterr().out
         assert "median cpt score" in printed
+
+
+QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizon": 10'
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, message",
+    [
+        ("estimate", "--model", '{"utilty": {}}', "'utilty'"),
+        ("estimate", "--model", '{"weight_plus": {"kind": "power", "eta": "2"}}',
+         "CptModel.weight_plus.eta must be a number"),
+        ("optimize", "--model", '{"utility": {"kind": "piecewise_power", "lambda": "2"}}',
+         "CptModel.utility.lambda must be a number"),
+        ("optimize", "--model", "{not json", "Expecting property name"),
+        ("experiment", "--config", '{"train_iter": 5}', "'train_iter'"),
+        ("experiment", "--config", '{"include_top": "no", ' + QUICK_RUN + "}",
+         "ExperimentConfig.include_top must be a JSON bool"),
+        ("experiment", "--config", '{"master_seed": 3,}', "Expecting property name"),
+    ],
+)
+def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys, monkeypatch):
+    """A config file that does not load is a usage error, reported before any run."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, flag, str(bad)]
+    if command == "estimate":
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n"))
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cptopt {command}: error: ")
+    assert message in captured.err
+    assert captured.out == "" and not out.exists()
