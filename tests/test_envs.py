@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cptopt import CptModel, GaussianMeanEnv, ReturnEnv, estimate_cpt, substream
 from cptopt.envs.ssp import (
     BoltzmannPolicy,
+    EpisodeResult,
     SspMdp,
     SspReturnEnv,
     boltzmann_probs,
@@ -192,3 +195,93 @@ class TestSspReturnEnv:
         env = SspReturnEnv(two_state_chain())
         with pytest.raises(ValueError, match=message):
             env.sample_returns(theta, m, substream(0))
+
+
+def _choice_episode(mdp, policy, rng):
+    """The sampler as first written: one ``Generator.choice`` per draw."""
+    state = mdp.start
+    total = 0.0
+    steps = 0
+    while state != 0:
+        if steps >= mdp.t_max:
+            return EpisodeResult(total, steps, True)
+        probs = boltzmann_probs(policy, state)
+        action = int(rng.choice(len(probs), p=probs))
+        total += mdp.rewards[state - 1][action]
+        row = np.asarray(mdp.transitions[state - 1][action])
+        state = int(rng.choice(mdp.n_states, p=row / row.sum()))
+        steps += 1
+    return EpisodeResult(total, steps, False)
+
+
+def _random_mdp(rng: np.random.Generator) -> SspMdp:
+    """1-4 transient states, 1-3 actions each, feature dim 1-3, t_max 1-60."""
+    n_transient = int(rng.integers(1, 5))
+    dim = int(rng.integers(1, 4))
+    transitions, rewards, features = [], [], []
+    for _ in range(n_transient):
+        n_actions = int(rng.integers(1, 4))
+        rows = []
+        for _ in range(n_actions):
+            row = rng.random(n_transient + 1)
+            row[rng.random(row.size) < 0.3] = 0.0  # some unreachable successors
+            if row.sum() == 0.0:
+                row[0] = 1.0
+            rows.append(tuple((row / row.sum()).tolist()))
+        transitions.append(tuple(rows))
+        rewards.append(tuple(rng.normal(size=n_actions).tolist()))
+        features.append(tuple(tuple(f) for f in rng.normal(size=(n_actions, dim)).tolist()))
+    return SspMdp(
+        transitions=tuple(transitions),
+        rewards=tuple(rewards),
+        features=tuple(features),
+        start=0 if rng.random() < 0.1 else int(rng.integers(1, n_transient + 1)),
+        t_max=int(rng.integers(1, 61)),
+    )
+
+
+def _assert_same_draws(mdp, theta, n_episodes, seed):
+    policy = BoltzmannPolicy(tuple(theta), mdp)
+    ours, reference = substream(seed, 8), substream(seed, 8)
+    got = [ssp_episode(mdp, policy, ours) for _ in range(n_episodes)]
+    want = [_choice_episode(mdp, policy, reference) for _ in range(n_episodes)]
+    assert got == want
+    assert ours.random() == reference.random()
+
+
+class TestSspSamplerEquivalence:
+    """``ssp_episode`` draws exactly what one ``Generator.choice`` per draw would."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_mdps(self, seed):
+        rng = np.random.default_rng(seed)
+        mdp = _random_mdp(rng)
+        theta = rng.normal(scale=3.0, size=mdp.feature_dim)
+        _assert_same_draws(mdp, theta, 50, seed)
+
+    @pytest.mark.parametrize(
+        "mdp, theta",
+        [
+            (two_state_chain(continue_prob=0.999, t_max=3), (-50.0, 50.0)),
+            (two_state_chain(), (50.0, 0.0)),
+            (one_step_chain(), (0.0,)),
+            (two_state_chain(), (1.0, 1.0)),
+        ],
+        ids=["truncating", "saturated", "one-step", "default"],
+    )
+    def test_chains(self, mdp, theta):
+        _assert_same_draws(mdp, theta, 2000, 3)
+
+    def test_overflowing_scores_raise(self):
+        base = two_state_chain()
+        mdp = SspMdp(
+            transitions=base.transitions,
+            rewards=base.rewards,
+            features=(((10.0, 0.0), (0.0, 10.0)),),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Probabilities contain NaN"):
+                SspReturnEnv(mdp).sample_returns([1e308, 0.0], 5, substream(0))
+            with pytest.raises(ValueError, match="Probabilities contain NaN"):
+                _choice_episode(mdp, BoltzmannPolicy((1e308, 0.0), mdp), substream(0))
