@@ -57,9 +57,11 @@ class GaussianMeanEnv(ReturnEnv):
         return self._optimum.copy()
 
     def mean_value(self, theta) -> float:
-        theta = self._check_theta(theta)
+        return self._mean(self._check_theta(theta))
+
+    def _mean(self, theta: np.ndarray) -> float:
         gap = theta - self._optimum
         return float(-0.5 * np.dot(self._curvatures, gap * gap))
 
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean_value(theta), self._noise_std, m)
+        return rng.normal(self._mean(theta), self._noise_std, m)

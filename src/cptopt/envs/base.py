@@ -30,7 +30,7 @@ class ReturnEnv:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("theta must be finite")
         return theta
 

@@ -5,10 +5,19 @@ the policy until it reaches state 0 (or hits the step cap), and its return is
 the sum of per-step rewards.  Used as a black-box return distribution for the
 optimizers: the policy class is Boltzmann in linear features, so the episode
 return distribution is a smooth function of the feature weights.
+
+Sampling reads cached cdfs.  Every choice, of an action or of a next state,
+draws one double ``u = rng.random()`` and takes ``bisect_right(cdf, u)``: the
+index, and the one double consumed, that ``Generator.choice(k, p=p)`` gives,
+because the cdf is built with choice's own checks, cumsum and normalization.
+An ``SspMdp`` builds its kernel rows' cdfs once, at construction; a
+``BoltzmannPolicy`` builds a state's action cdf on the state's first visit, so
+a state that is never visited is never evaluated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +37,22 @@ __all__ = [
 ]
 
 _ROW_ATOL = 1e-9
+# the tolerance ``Generator.choice`` allows on the sum of its probabilities
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _choice_cdf(p: np.ndarray) -> tuple[float, ...]:
+    """The cdf ``Generator.choice(len(p), p=p)`` searches, after its checks."""
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0.0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 @dataclass(frozen=True)
@@ -65,17 +90,25 @@ class SspMdp:
                 if len(row) != n_states:
                     raise ValueError(f"state {s} action {a}: kernel row has wrong length")
                 total = float(np.sum(row))
-                if abs(total - 1.0) > _ROW_ATOL or min(row) < 0.0:
+                if not (abs(total - 1.0) <= _ROW_ATOL and min(row) >= 0.0):
                     raise ValueError(
                         f"state {s} action {a}: kernel row must be a distribution, "
                         f"sums to {total!r}"
                     )
-                if not np.all(np.isfinite(self.rewards[s - 1][a])):
+                if not np.isfinite(self.rewards[s - 1][a]):
                     raise ValueError(f"state {s} action {a}: reward must be finite")
+                if not np.isfinite(self.features[s - 1][a]).all():
+                    raise ValueError(f"state {s} action {a}: features must be finite")
                 dims.add(len(self.features[s - 1][a]))
         if len(dims) != 1:
             raise ValueError("all feature vectors must share one length")
         object.__setattr__(self, "_dim", dims.pop())
+        # next-state cdfs by [s - 1][a], from the normalized row as sampled
+        kernel = tuple(
+            tuple(_choice_cdf(row / row.sum()) for row in map(np.asarray, per_action))
+            for per_action in self.transitions
+        )
+        object.__setattr__(self, "_kernel_cdfs", kernel)
 
     @property
     def n_states(self) -> int:
@@ -104,9 +137,18 @@ class BoltzmannPolicy:
                 f"{self.mdp.feature_dim}"
             )
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_action_cdfs", {})
 
     def probs(self, state: int) -> np.ndarray:
         return boltzmann_probs(self, state)
+
+    def action_cdf(self, state: int) -> tuple[float, ...]:
+        """The state's action cdf, built from ``probs`` on first use."""
+        cdf = self._action_cdfs.get(state)  # type: ignore[attr-defined]
+        if cdf is None:
+            cdf = _choice_cdf(boltzmann_probs(self, state))
+            self._action_cdfs[state] = cdf  # type: ignore[attr-defined]
+        return cdf
 
 
 def boltzmann_probs(policy: BoltzmannPolicy, state: int) -> np.ndarray:
@@ -131,18 +173,21 @@ class EpisodeResult(NamedTuple):
 def ssp_episode(
     mdp: SspMdp, policy: BoltzmannPolicy, rng: np.random.Generator
 ) -> EpisodeResult:
-    """Roll out one episode; truncates (with a flag) at the step cap."""
+    """Roll out one episode; truncates (with a flag) at the step cap.
+
+    Each step draws two doubles: the action's, then the next state's.
+    """
+    kernel = mdp._kernel_cdfs  # type: ignore[attr-defined]
+    random = rng.random
     state = mdp.start
     total = 0.0
     steps = 0
     while state != 0:
         if steps >= mdp.t_max:
             return EpisodeResult(total, steps, True)
-        probs = boltzmann_probs(policy, state)
-        action = int(rng.choice(len(probs), p=probs))
+        action = bisect_right(policy.action_cdf(state), random())
         total += mdp.rewards[state - 1][action]
-        row = np.asarray(mdp.transitions[state - 1][action])
-        state = int(rng.choice(mdp.n_states, p=row / row.sum()))
+        state = bisect_right(kernel[state - 1][action], random())
         steps += 1
     return EpisodeResult(total, steps, False)
 

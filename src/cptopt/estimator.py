@@ -173,7 +173,7 @@ def _validate_samples(samples) -> np.ndarray:
         raise ValueError("samples must be one-dimensional")
     if arr.size < 2:
         raise ValueError(f"need at least 2 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("samples must be finite")
     return arr
 
