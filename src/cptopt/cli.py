@@ -34,7 +34,7 @@ from .spsa import (
 )
 
 
-def _error(command: str, exc: ValueError) -> int:
+def _error(command: str, exc: Exception) -> int:
     """Report bad input before any run starts; exit status 2, as argparse uses."""
     print(f"cptopt {command}: error: {exc}", file=sys.stderr)
     return 2
@@ -49,14 +49,11 @@ def _load_model(path: str | None) -> CptModel:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.model)
-    except ValueError as exc:
+        samples = np.loadtxt(sys.stdin if args.samples == "-" else args.samples, ndmin=1)
+        cfg = EstimatorConfig(include_top_order_stat=args.include_top)
+        est = estimate_cpt(samples, model, cfg)
+    except (OSError, ValueError) as exc:
         return _error("estimate", exc)
-    if args.samples == "-":
-        samples = np.loadtxt(sys.stdin, ndmin=1)
-    else:
-        samples = np.loadtxt(args.samples, ndmin=1)
-    cfg = EstimatorConfig(include_top_order_stat=args.include_top)
-    est = estimate_cpt(samples, model, cfg)
     out = {
         "value": est.value,
         "positive_part": est.positive_part,
@@ -141,7 +138,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         lo = entry.box[0] if args.box_lo is None else args.box_lo
         hi = entry.box[1] if args.box_hi is None else args.box_hi
         box = BoxConstraint.cube(lo, hi, dim)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _error("optimize", exc)
     theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
     climb = ascend if args.algo == "spsa-g" else ascend_newton
@@ -159,7 +156,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             if args.config
             else ExperimentConfig()
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _error("experiment", exc)
     result = run_experiment(config, Path(args.out))
     for name, info in result.summary["variants"].items():

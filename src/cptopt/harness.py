@@ -48,6 +48,11 @@ _TRAIN, _TEST = 0, 1
 _SHORT_PATH = r"path \d+ has .* sample"
 
 
+def _check_path_weights(mu: np.ndarray, name: str = "path weights") -> None:
+    if not (np.all(mu >= 0.0) and abs(mu.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"{name} must be nonnegative and sum to 1")
+
+
 def path_cpt_scores(
     path_samples: Sequence[Sequence[float]],
     model: CptModel,
@@ -80,8 +85,7 @@ def composite_cpt(
         raise ValueError(
             f"got {len(path_samples)} sample lists for {mu.size} path weights"
         )
-    if abs(mu.sum() - 1.0) > 1e-9 or np.any(mu < 0.0):
-        raise ValueError("path weights must be nonnegative and sum to 1")
+    _check_path_weights(mu)
     return float(np.dot(mu, path_cpt_scores(path_samples, model, cfg)))
 
 
@@ -106,6 +110,7 @@ class TrafficObjective:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if len(mu) != grid.n_paths:
             raise ValueError(f"got {len(mu)} path weights for {grid.n_paths} paths")
+        _check_path_weights(np.asarray(mu, dtype=float))
         self.grid = grid
         self.mu = tuple(mu)
         self.model = model
@@ -160,6 +165,7 @@ class ExperimentConfig(JsonRecord):
             n_paths = self.traffic.rows + self.traffic.cols
             if len(mu) != n_paths:
                 raise ValueError(f"mu must have {n_paths} entries")
+            _check_path_weights(np.asarray(mu), "mu")
             object.__setattr__(self, "mu", mu)
 
     def path_weights(self) -> tuple[float, ...]:

@@ -191,6 +191,8 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
         ("experiment", "--config", '{"include_top": "no", ' + QUICK_RUN + "}",
          "ExperimentConfig.include_top must be a JSON bool"),
         ("experiment", "--config", '{"master_seed": 3,}', "Expecting property name"),
+        ("experiment", "--config", '{"mu": [1, 1, 1, 1], ' + QUICK_RUN + "}",
+         "mu must be nonnegative and sum to 1"),
     ],
 )
 def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys, monkeypatch):
@@ -208,3 +210,55 @@ def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys,
     assert captured.err.startswith(f"cptopt {command}: error: ")
     assert message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--model"],
+        ["optimize", "--model"],
+        ["optimize", "--env", "traffic-2x2", "--env-config"],
+        ["experiment", "--config"],
+    ],
+    ids=["estimate-model", "optimize-model", "optimize-env-config", "experiment-config"],
+)
+def test_missing_file_exits_2(argv, tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "out"
+    argv = argv + [str(missing)]
+    if argv[0] == "estimate":
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n2\n"))
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cptopt {argv[0]}: error: ")
+    assert "No such file or directory" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0\nabc\n", "could not convert string 'abc'"),
+        ("1.0 2.0\n3.0\n", "the number of columns changed"),
+        ("1.0\n", "need at least 2 samples, got 1"),
+        ("1.0\nnan\n", "samples must be finite"),
+    ],
+    ids=["not-a-number", "ragged", "one-sample", "nan"],
+)
+def test_bad_samples_file_exits_2(text, message, tmp_path, capsys):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(text)
+    assert main(["estimate", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cptopt estimate: error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_missing_samples_file_exits_2(tmp_path, capsys):
+    assert main(["estimate", str(tmp_path / "missing.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cptopt estimate: error: ")
+    assert "missing.txt not found" in captured.err

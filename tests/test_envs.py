@@ -155,6 +155,22 @@ class TestSspEpisode:
                 features=(((1.0,),),),
             )
 
+    def test_non_finite_features_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="state 1 action 0: features must be finite"):
+            SspMdp(
+                transitions=(((1.0, 0.0), (0.5, 0.5)),),
+                rewards=((0.0, 1.0),),
+                features=(((np.inf,), (0.0,)),),
+            )
+
+    def test_nan_kernel_entry_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="state 1 action 1: kernel row must be a distribution"):
+            SspMdp(
+                transitions=(((1.0, 0.0), (np.nan, 1.0)),),
+                rewards=((0.0, 1.0),),
+                features=(((1.0,), (0.0,)),),
+            )
+
     def test_identity_cpt_matches_expected_return(self):
         # with identity utilities/weights the estimated value of the return
         # distribution is the expected return

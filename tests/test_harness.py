@@ -120,6 +120,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(mu=(0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "mu",
+        [(1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5, -0.5), (0.25, 0.25, 0.25, 0.2499), (np.nan,) * 4],
+    )
+    def test_mu_must_be_a_distribution(self, mu):
+        with pytest.raises(ValueError, match="mu must be nonnegative and sum to 1"):
+            ExperimentConfig(mu=mu)
+
+    def test_mu_checked_on_load(self):
+        with pytest.raises(ValueError, match="mu must be nonnegative and sum to 1"):
+            ExperimentConfig.from_dict({"mu": [1, 1, 1, 1]})
+        assert ExperimentConfig.from_dict({"mu": [0.1, 0.2, 0.3, 0.4]}).mu == (0.1, 0.2, 0.3, 0.4)
+
 
 class TestTrafficObjective:
     @pytest.mark.parametrize("horizon", [0, -3])
@@ -132,6 +145,12 @@ class TestTrafficObjective:
     def test_path_weight_count_must_match_grid(self, mu):
         grid = TrafficGrid(TrafficConfig())
         with pytest.raises(ValueError, match="path weights"):
+            TrafficObjective(grid, mu, IDENTITY, EstimatorConfig(), 100)
+
+    @pytest.mark.parametrize("mu", [(0.5,) * 4, (0.5, 0.5, 0.5, -0.5)])
+    def test_path_weights_must_be_a_distribution(self, mu):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(ValueError, match="path weights must be nonnegative and sum to 1"):
             TrafficObjective(grid, mu, IDENTITY, EstimatorConfig(), 100)
 
 
