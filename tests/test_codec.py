@@ -97,7 +97,12 @@ def schedules(draw):
 def experiment_configs(draw):
     traffic = draw(traffic_configs())
     n = traffic.rows + traffic.cols
-    mu = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(tuple)
+    # path weights: nonnegative, summing to 1
+    mu = (
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        .filter(lambda w: sum(w) > 0.0)
+        .map(lambda w: tuple(v / sum(w) for v in w))
+    )
     return ExperimentConfig(
         traffic=traffic,
         master_seed=draw(st.integers(0, 2**31)),
