@@ -95,7 +95,7 @@ class SspMdp:
                         f"state {s} action {a}: kernel row must be a distribution, "
                         f"sums to {total!r}"
                     )
-                if not np.isfinite(self.rewards[s - 1][a]):
+                if not np.all(np.isfinite(self.rewards[s - 1][a])):
                     raise ValueError(f"state {s} action {a}: reward must be finite")
                 if not np.isfinite(self.features[s - 1][a]).all():
                     raise ValueError(f"state {s} action {a}: features must be finite")

@@ -1,5 +1,7 @@
 """Return environments: determinism, episode mechanics, policy invariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,20 @@ class TestSspSamplerEquivalence:
     )
     def test_chains(self, mdp, theta):
         _assert_same_draws(mdp, theta, 2000, 3)
+
+    def test_unvisited_state_is_never_evaluated(self):
+        # state 2 is unreachable from state 1; its scores overflow at this theta
+        mdp = SspMdp(
+            transitions=(((1.0, 0.0, 0.0),), ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
+            rewards=((1.0,), (0.0, 0.0)),
+            features=(((0.0,),), ((10.0,), (0.0,))),
+        )
+        env = SspReturnEnv(mdp)
+        assert env.sample_returns([1e308], 5, substream(0)).tolist() == [1.0] * 5
+        started_in_2 = SspReturnEnv(dataclasses.replace(mdp, start=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Probabilities contain NaN"):
+                started_in_2.sample_returns([1e308], 5, substream(0))
 
     def test_overflowing_scores_raise(self):
         base = two_state_chain()
