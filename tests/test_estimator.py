@@ -348,6 +348,29 @@ LOSS_GAIN_DIST = DiscreteDist.from_outcomes(
 )
 
 
+def _merge_loop(support, probs):
+    """Duplicate atoms merged as first written: one pass over the stably sorted
+    atoms, keeping each value's first spelling (so -0.0 before 0.0 stays -0.0)."""
+    xs = np.asarray(support, dtype=float)
+    ps = np.asarray(probs, dtype=float)
+    order = np.argsort(xs, kind="stable")
+    keep_x, keep_p = [], []
+    for x, p in zip(xs[order], ps[order]):
+        if keep_x and x == keep_x[-1]:
+            keep_p[-1] += p
+        else:
+            keep_x.append(float(x))
+            keep_p.append(float(p))
+    return keep_x, keep_p
+
+
+def _assert_merge_matches_loop(support, probs):
+    dist = DiscreteDist(tuple(support), tuple(probs), 0)
+    want_x, want_p = _merge_loop(support, probs)
+    assert [x.hex() for x in dist.support] == [x.hex() for x in want_x]
+    assert [p.hex() for p in dist.probs] == [p.hex() for p in want_p]
+
+
 class TestDiscreteEstimator:
     def test_two_gain_atoms_identity(self):
         dist = DiscreteDist.from_outcomes((10.0, 20.0), (0.5, 0.5))
@@ -412,6 +435,31 @@ class TestDiscreteEstimator:
         dist = DiscreteDist.from_outcomes((1.0, 1.0, 2.0), (0.25, 0.25, 0.5))
         assert dist.support == (1.0, 2.0)
         assert dist.probs == (0.5, 0.5)
+
+    @given(
+        support=st.lists(
+            st.sampled_from((-0.0, 0.0, 1.0, -1.0, 0.5)) | st.floats(-10.0, 10.0),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_merge_matches_loop(self, support, data):
+        weights = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=len(support), max_size=len(support))
+            .filter(lambda w: sum(w) > 0.0)
+        )
+        _assert_merge_matches_loop(support, np.asarray(weights) / sum(weights))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merge_matches_loop_on_large_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1_000, 5_000))
+        pool = np.concatenate(([-0.0, 0.0], np.round(rng.normal(size=200), 1)))
+        probs = rng.random(n)
+        _assert_merge_matches_loop(rng.choice(pool, size=n), probs / probs.sum())
+
 
     def test_identity_exact_value_is_shifted_mean(self):
         model = CptModel.identity()
