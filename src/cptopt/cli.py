@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envs import GaussianMeanEnv, SspReturnEnv
+from .envs import GaussianMeanEnv, ReturnEnv, SspReturnEnv
 from .envs.ssp import two_state_chain
 from .envs.traffic import TrafficConfig, TrafficGrid
 from .estimator import EstimatorConfig, estimate_cpt
@@ -66,18 +67,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedules:
-    """Schedules from the flags; alpha is ``--alpha`` or the model's Holder order."""
-    overrides = dict(
-        a0=args.a0,
-        a_offset=args.a_offset,
-        delta0=args.delta0,
-        delta_exp=args.delta_exp,
-        m0=args.m0,
-        nu=args.nu,
-    )
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    elif model.holder_order is None:
+    """``SpsaSchedules`` defaults overridden by the schedule flags given; alpha
+    is ``--alpha`` or the model's Holder order."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(SpsaSchedules)
+        if getattr(args, f.name) is not None
+    }
+    if "alpha" not in overrides and model.holder_order is None:
         raise ValueError(
             "the model's weights (e.g. prelec) have no positive Holder order "
             "to take alpha from; pass --alpha"
@@ -85,14 +82,14 @@ def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedul
     return SpsaSchedules.for_model(model, **overrides)
 
 
-def _gaussian_mean(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
-    env = GaussianMeanEnv(optimum=2.0, curvatures=2.0, noise_std=0.1)
-    return return_evaluator(env, model, EstimatorConfig()), env.dim
+def _sampled_returns(make_env: Callable[[], ReturnEnv]) -> Callable[..., tuple[Evaluator, int]]:
+    """Builder valuing ``make_env()``'s sampled returns with the default estimator."""
 
+    def build(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
+        env = make_env()
+        return return_evaluator(env, model, EstimatorConfig()), env.dim
 
-def _ssp_chain(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
-    env = SspReturnEnv(two_state_chain())
-    return return_evaluator(env, model, EstimatorConfig()), env.dim
+    return build
 
 
 def _traffic_2x2(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
@@ -116,8 +113,8 @@ class EnvEntry(NamedTuple):
 
 
 ENVS = {
-    "gaussian-mean": EnvEntry(_gaussian_mean, (0.0, 4.0)),
-    "ssp-chain": EnvEntry(_ssp_chain, (0.1, 10.0)),
+    "gaussian-mean": EnvEntry(_sampled_returns(GaussianMeanEnv), (0.0, 4.0)),
+    "ssp-chain": EnvEntry(_sampled_returns(lambda: SspReturnEnv(two_state_chain())), (0.1, 10.0)),
     "traffic-2x2": EnvEntry(_traffic_2x2, (0.1, 10.0), ("env_config", "horizon")),
 }
 
@@ -189,12 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--box-lo", type=float, default=None, dest="box_lo",
                        help="override the environment's default box")
     p_opt.add_argument("--box-hi", type=float, default=None, dest="box_hi")
-    p_opt.add_argument("--a0", type=float, default=1.0)
-    p_opt.add_argument("--a-offset", type=float, default=50.0, dest="a_offset")
-    p_opt.add_argument("--delta0", type=float, default=1.9)
-    p_opt.add_argument("--delta-exp", type=float, default=0.101, dest="delta_exp")
-    p_opt.add_argument("--m0", type=float, default=10.0)
-    p_opt.add_argument("--nu", type=float, default=1.0)
+    # schedule flags; one not given keeps the SpsaSchedules default
+    for f in dataclasses.fields(SpsaSchedules):
+        if f.name != "alpha":
+            p_opt.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=None)
     p_opt.add_argument("--alpha", type=float, default=None,
                        help="Holder order of the weights for the schedule checks "
                             "(default: the model's; required for prelec weights)")

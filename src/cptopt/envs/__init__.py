@@ -52,16 +52,7 @@ class GaussianMeanEnv(ReturnEnv):
     def dim(self) -> int:
         return self._optimum.size
 
-    @property
-    def optimum(self) -> np.ndarray:
-        return self._optimum.copy()
-
-    def mean_value(self, theta) -> float:
-        return self._mean(self._check_theta(theta))
-
-    def _mean(self, theta: np.ndarray) -> float:
-        gap = theta - self._optimum
-        return float(-0.5 * np.dot(self._curvatures, gap * gap))
-
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self._mean(theta), self._noise_std, m)
+        gap = theta - self._optimum
+        mean = float(-0.5 * np.dot(self._curvatures, gap * gap))
+        return rng.normal(mean, self._noise_std, m)

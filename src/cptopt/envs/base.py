@@ -21,18 +21,14 @@ class ReturnEnv:
         self, theta: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Draw ``m`` i.i.d. returns at parameter ``theta``."""
-        theta = self._check_theta(theta)
-        if m < 1:
-            raise ValueError("need at least one sample")
-        return self._sample(theta, int(m), rng)
-
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
         if not np.isfinite(theta).all():
             raise ValueError("theta must be finite")
-        return theta
+        if m < 1:
+            raise ValueError("need at least one sample")
+        return self._sample(theta, int(m), rng)
 
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError

@@ -139,11 +139,8 @@ class BoltzmannPolicy:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "_action_cdfs", {})
 
-    def probs(self, state: int) -> np.ndarray:
-        return boltzmann_probs(self, state)
-
     def action_cdf(self, state: int) -> tuple[float, ...]:
-        """The state's action cdf, built from ``probs`` on first use."""
+        """The state's action cdf, built from ``boltzmann_probs`` on first use."""
         cdf = self._action_cdfs.get(state)  # type: ignore[attr-defined]
         if cdf is None:
             cdf = _choice_cdf(boltzmann_probs(self, state))
@@ -155,10 +152,7 @@ def boltzmann_probs(policy: BoltzmannPolicy, state: int) -> np.ndarray:
     """Softmax over the state's actions, stabilized by max-subtraction."""
     if not 1 <= state < policy.mdp.n_states:
         raise ValueError(f"state {state} has no actions")
-    phi = policy.mdp.action_features(state)
-    if phi.shape[0] == 0:
-        raise ValueError(f"state {state} has an empty action set")
-    scores = phi @ np.asarray(policy.theta)
+    scores = policy.mdp.action_features(state) @ np.asarray(policy.theta)
     scores -= scores.max()
     weights = np.exp(scores)
     return weights / weights.sum()

@@ -144,18 +144,14 @@ class TrafficGrid:
         for c in range(config.cols):
             hops.append(tuple(self.lane_id(r * config.cols + c, NS) for r in range(config.rows)))
         self.path_hops: tuple[tuple[int, ...], ...] = tuple(hops)
-        # routing tables for the simulator: where a path's vehicles enter,
-        # the lane a vehicle served on a lane moves to (-1: it departs), and
-        # the path each lane belongs to (each lane is on exactly one path)
+        # routing tables for the simulator: where a path's vehicles enter, and
+        # the lane a vehicle served on a lane moves to (-1: it departs)
         self.first_lane: tuple[int, ...] = tuple(lanes[0] for lanes in self.path_hops)
         next_lane = [-1] * self.n_lanes
-        lane_of_path = [-1] * self.n_lanes
-        for p, lanes in enumerate(self.path_hops):
+        for lanes in self.path_hops:
             for lane, nxt in zip(lanes, lanes[1:] + (-1,)):
                 next_lane[lane] = nxt
-                lane_of_path[lane] = p
         self.next_lane: tuple[int, ...] = tuple(next_lane)
-        self.lane_of_path: tuple[int, ...] = tuple(lane_of_path)
         self._baseline: Optional[tuple[float, ...]] = None
 
     @staticmethod
@@ -305,8 +301,8 @@ class TrafficSim:
 
     No vehicle is stored.  A path is a chain of FIFO lanes and no vehicle
     overtakes, so the k-th vehicle to leave a path is the k-th to enter it;
-    the sim keeps the arrival rows and, per path, the steps and sizes of its
-    departures, and ``raw_delays`` rebuilds every delay from them.
+    the sim keeps the arrival rows and, per path's last lane, the steps and
+    sizes of its departures, and ``raw_delays`` rebuilds every delay from them.
 
     Randomness is drawn per 256-step block: the arrival counts, then the
     policy's uniforms for the block's steps inside the horizon.  ``run``
@@ -338,8 +334,8 @@ class TrafficSim:
         self._blocks: list[np.ndarray] = []
         self._rows: list[list[int]] = []
         self._draws: Sequence[Sequence[float]] = []
-        self._left_at: list[list[int]] = [[] for _ in range(grid.n_paths)]
-        self._left_n: list[list[int]] = [[] for _ in range(grid.n_paths)]
+        self._left_at: list[list[int]] = [[] for _ in range(grid.n_lanes)]
+        self._left_n: list[list[int]] = [[] for _ in range(grid.n_lanes)]
 
     @property
     def queued(self) -> int:
@@ -369,7 +365,7 @@ class TrafficSim:
         rate = cfg.service_rate
         switched_rate = rate - cfg.switch_loss
         queues, timers, p_ns = self.queues, self.timers, self._p_ns
-        first_lane, next_lane, lane_of_path = grid.first_lane, grid.next_lane, grid.lane_of_path
+        first_lane, next_lane = grid.first_lane, grid.next_lane
         left_at, left_n = self._left_at, self._left_n
         # junction j's EW lane is 2j, its NS lane 2j+1 and its table starts at 36j
         junctions = [(j, 2 * j, 2 * j + 1, 36 * j) for j in reversed(range(grid.n_junctions))]
@@ -409,9 +405,8 @@ class TrafficSim:
                         queues[green] = queue - served
                         nxt = next_lane[green]
                         if nxt < 0:
-                            path = lane_of_path[green]
-                            left_at[path].append(t)
-                            left_n[path].append(served)
+                            left_at[green].append(t)
+                            left_n[green].append(served)
                             departed += served
                         else:
                             queues[nxt] += served
@@ -430,7 +425,7 @@ class TrafficSim:
         out = []
         for path, hops in enumerate(self.grid.path_hops):
             entered = np.repeat(np.arange(t), arrivals[:t, path])
-            left = np.repeat(np.asarray(self._left_at[path], dtype=int), self._left_n[path])
+            left = np.repeat(np.asarray(self._left_at[hops[-1]], dtype=int), self._left_n[hops[-1]])
             queued, end = [], entered.size
             for lane in hops:
                 queued.append(entered[end - self.queues[lane] : end])
@@ -447,9 +442,6 @@ class TrafficEpisode:
     injected: int
     departed: int
     queued: int
-
-    def as_lists(self) -> list[list[float]]:
-        return [list(s) for s in self.samples]
 
 
 def traffic_episode(

@@ -72,16 +72,18 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class CptEstimate:
-    """Estimate split into its gain and loss contributions."""
+    """Estimate split into its gain and loss contributions.
 
-    value: float
+    ``value`` is ``positive_part - negative_part``, computed on each read.
+    """
+
     n: int
     positive_part: float
     negative_part: float
 
-    def __post_init__(self) -> None:
-        if self.value != self.positive_part - self.negative_part:
-            raise ValueError("value must equal positive_part - negative_part")
+    @property
+    def value(self) -> float:
+        return self.positive_part - self.negative_part
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,9 @@ class DiscreteDist:
 
     ``split`` is the number of support points on the loss side:
     ``support[split-1] <= reference <= support[split]``.  Duplicate support
-    points are merged (probabilities summed) at construction.
+    points are merged at construction: the support is sorted stably, each
+    value keeps its first spelling (``-0.0`` before ``0.0`` stays ``-0.0``),
+    and its probabilities are summed in that order.
     """
 
     support: tuple[float, ...]
@@ -110,18 +114,13 @@ class DiscreteDist:
             raise ValueError(f"probabilities must sum to 1, got {ps.sum()!r}")
         order = np.argsort(xs, kind="stable")
         xs, ps = xs[order], ps[order]
-        keep_x: list[float] = []
-        keep_p: list[float] = []
-        for x, p in zip(xs, ps):
-            if keep_x and x == keep_x[-1]:
-                keep_p[-1] += p
-            else:
-                keep_x.append(float(x))
-                keep_p.append(float(p))
-        object.__setattr__(self, "support", tuple(keep_x))
-        object.__setattr__(self, "probs", tuple(keep_p))
-        if not 0 <= self.split <= len(keep_x):
-            raise ValueError(f"split must lie in [0, {len(keep_x)}], got {self.split}")
+        first = np.concatenate(([True], xs[1:] != xs[:-1]))
+        object.__setattr__(self, "support", tuple(xs[first].tolist()))
+        # bincount adds each value's probabilities one by one, in sorted order
+        merged = np.bincount(np.cumsum(first) - 1, weights=ps)
+        object.__setattr__(self, "probs", tuple(merged.tolist()))
+        if not 0 <= self.split <= self.size:
+            raise ValueError(f"split must lie in [0, {self.size}], got {self.split}")
 
     @classmethod
     def from_outcomes(
@@ -211,7 +210,7 @@ def estimate_cpt(
         pos += gain * (model.weight_plus(1.0 / n) - model.weight_plus(0.0))
         neg += loss * (model.weight_minus(1.0) - model.weight_minus((n - 1) / n))
 
-    return CptEstimate(value=pos - neg, n=n, positive_part=pos, negative_part=neg)
+    return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
 def _distorted_sum(
@@ -273,7 +272,7 @@ def estimate_cpt_discrete(
     if n < 1:
         raise ValueError("need at least one sample")
     pos, neg = _distorted_sum(arr / n, dist, model)
-    return CptEstimate(value=pos - neg, n=n, positive_part=pos, negative_part=neg)
+    return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
 def exact_cpt_discrete(dist: DiscreteDist, model: CptModel) -> float:

@@ -254,7 +254,6 @@ class IterationRecord:
 class RunTrace:
     """Append-only record of one optimization run."""
 
-    seed: int
     records: list[IterationRecord] = field(default_factory=list)
     final_theta: Optional[np.ndarray] = None
     newton: Optional[NewtonState] = None
@@ -357,12 +356,6 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _trace_seed(seed: RootSeed) -> int:
-    if isinstance(seed, int):
-        return seed
-    return seed.entropy if isinstance(seed.entropy, int) else -1
-
-
 def _validate_start(box: BoxConstraint, theta0: np.ndarray) -> np.ndarray:
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (box.dim,):
@@ -410,7 +403,7 @@ def _climb(
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     theta = _validate_start(box, theta0)
-    trace = RunTrace(seed=_trace_seed(seed), newton=newton)
+    trace = RunTrace(newton=newton)
     for n in range(1, iters + 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
         rng_perturb = substream(seed, n, _PERTURB)

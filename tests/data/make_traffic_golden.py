@@ -116,7 +116,7 @@ def main() -> None:
         "injected": episode.injected,
         "departed": episode.departed,
         "queued": episode.queued,
-        "samples": episode.as_lists(),
+        "samples": [list(s) for s in episode.samples],
     }
     out.write_text(json.dumps(doc) + "\n")
     print(f"wrote {out}")
