@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,7 +51,10 @@ def _load_model(path: str | None) -> CptModel:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         model = _load_model(args.model)
-        samples = np.loadtxt(sys.stdin if args.samples == "-" else args.samples, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is reported by estimate_cpt, as too few samples
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            samples = np.loadtxt(sys.stdin if args.samples == "-" else args.samples, ndmin=1)
         cfg = EstimatorConfig(include_top_order_stat=args.include_top)
         est = estimate_cpt(samples, model, cfg)
     except (OSError, ValueError) as exc:

@@ -17,6 +17,7 @@ a state that is never visited is never evaluated.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -136,6 +137,8 @@ class BoltzmannPolicy:
                 f"theta has length {len(theta)}, features have length "
                 f"{self.mdp.feature_dim}"
             )
+        if not all(map(math.isfinite, theta)):
+            raise ValueError("theta must be finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "_action_cdfs", {})
 

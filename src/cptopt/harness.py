@@ -160,6 +160,14 @@ class ExperimentConfig(JsonRecord):
             raise ValueError("horizons must be >= 1")
         if not self.box_lo < self.theta_init < self.box_hi:
             raise ValueError("theta_init must lie strictly inside the box")
+        # the cpt variant's weights set the Holder order the schedule's bias
+        # condition (delta_exp < nu * alpha / 2) must be checked against
+        order = min(self.eta_gain, self.eta_loss)
+        if self.schedules.alpha > order:
+            raise ValueError(
+                f"schedules.alpha {self.schedules.alpha!r} exceeds the cpt weights' "
+                f"Holder order min(eta_gain, eta_loss) = {order!r}"
+            )
         if self.mu is not None:
             mu = tuple(float(v) for v in self.mu)
             n_paths = self.traffic.rows + self.traffic.cols

@@ -1,12 +1,18 @@
 """Command-line interface."""
 
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cptopt.cli import ENVS, build_parser, main
+import cptopt
+from cptopt.cli import ENVS, _default_schedules, build_parser, main
 from cptopt.models import CptModel
 from cptopt.spsa import BoxConstraint, SpsaSchedules, ascend, ascend_newton
 
@@ -153,6 +159,23 @@ def test_cli_trace_equals_direct_call(env, algo, tmp_path, model_file):
     assert out.read_text() == expected.getvalue()
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SpsaSchedules)])
+def test_schedule_flag_per_field_defaults_to_none(field):
+    """Each schedule value has one source: an unset flag leaves the dataclass default."""
+    parser = build_parser()
+    assert getattr(parser.parse_args(["optimize"]), field) is None
+    flag = "--" + field.replace("_", "-")
+    assert getattr(parser.parse_args(["optimize", flag, "0.25"]), field) == 0.25
+
+
+@pytest.mark.parametrize(
+    "model", [CptModel.identity(), CptModel.tversky_kahneman()], ids=["identity", "tk"]
+)
+def test_no_schedule_flags_give_the_model_defaults(model):
+    args = build_parser().parse_args(["optimize"])
+    assert _default_schedules(model, args) == SpsaSchedules.for_model(model)
+
+
 class TestExperimentCommand:
     def test_writes_outputs(self, capsys, tmp_path):
         config = {
@@ -193,6 +216,10 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
         ("experiment", "--config", '{"master_seed": 3,}', "Expecting property name"),
         ("experiment", "--config", '{"mu": [1, 1, 1, 1], ' + QUICK_RUN + "}",
          "mu must be nonnegative and sum to 1"),
+        ("experiment", "--config",
+         '{"eta_gain": 0.35, "schedules": {"alpha": 0.61, "m0": 15, "nu": 0.5}, '
+         + QUICK_RUN + "}",
+         "exceeds the cpt weights' Holder order min(eta_gain, eta_loss) = 0.35"),
     ],
 )
 def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys, monkeypatch):
@@ -262,3 +289,20 @@ def test_missing_samples_file_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("cptopt estimate: error: ")
     assert "missing.txt not found" in captured.err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_empty_samples_file_reports_only_its_error(text, tmp_path):
+    """numpy's no-data warning stays off stderr; the sample count is the error."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text(text)
+    env = dict(os.environ)
+    src = str(Path(cptopt.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-m", "cptopt.cli", "estimate", str(samples)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "cptopt estimate: error: need at least 2 samples, got 0\n"
+    assert run.stdout == ""

@@ -78,6 +78,11 @@ class TestBoltzmannPolicy:
         policy = BoltzmannPolicy((np.log(3.0), 0.0), mdp)
         assert boltzmann_probs(policy, 1) == pytest.approx([0.75, 0.25])
 
+    @pytest.mark.parametrize("theta", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)])
+    def test_non_finite_theta_rejected_at_construction(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            BoltzmannPolicy(theta, two_state_chain())
+
     def test_probabilities_sum_to_one(self):
         mdp = two_state_chain()
         rng = np.random.default_rng(0)

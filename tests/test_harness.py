@@ -20,6 +20,7 @@ from cptopt.harness import (
     run_experiment,
 )
 from cptopt.rng import substream
+from cptopt.spsa import SpsaSchedules
 
 IDENTITY = CptModel.identity()
 
@@ -132,6 +133,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="mu must be nonnegative and sum to 1"):
             ExperimentConfig.from_dict({"mu": [1, 1, 1, 1]})
         assert ExperimentConfig.from_dict({"mu": [0.1, 0.2, 0.3, 0.4]}).mu == (0.1, 0.2, 0.3, 0.4)
+
+    @pytest.mark.parametrize(
+        "etas, alpha",
+        [((0.35, 0.69), 0.61), ((0.61, 0.5), 0.61), ((0.61, 0.69), 1.0)],
+    )
+    def test_schedule_alpha_above_the_weights_holder_order_rejected(self, etas, alpha):
+        # at alpha 0.61 the bias condition holds (0.101 < 0.1525) although at
+        # the weights' true order 0.35 it fails (0.101 >= 0.0875)
+        schedules = SpsaSchedules(alpha=alpha, m0=15.0, nu=0.5)
+        with pytest.raises(ValueError, match=r"Holder order min\(eta_gain, eta_loss\)"):
+            ExperimentConfig(eta_gain=etas[0], eta_loss=etas[1], schedules=schedules)
+
+    def test_schedule_alpha_at_the_weights_holder_order_accepted(self):
+        schedules = SpsaSchedules(alpha=0.35, m0=15.0, delta_exp=0.05)
+        assert ExperimentConfig(eta_gain=0.35, schedules=schedules).schedules.alpha == 0.35
 
 
 class TestTrafficObjective:
