@@ -161,8 +161,9 @@ class ExperimentConfig(JsonRecord):
         if not self.box_lo < self.theta_init < self.box_hi:
             raise ValueError("theta_init must lie strictly inside the box")
         # the cpt variant's weights set the Holder order the schedule's bias
-        # condition (delta_exp < nu * alpha / 2) must be checked against
-        order = min(self.eta_gain, self.eta_loss)
+        # condition (delta_exp < nu * alpha / 2) must be checked against;
+        # building the models also checks sigma, lambda and the etas
+        order = self.variant_models()["cpt"].holder_order
         if self.schedules.alpha > order:
             raise ValueError(
                 f"schedules.alpha {self.schedules.alpha!r} exceeds the cpt weights' "

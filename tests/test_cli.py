@@ -220,6 +220,8 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
          '{"eta_gain": 0.35, "schedules": {"alpha": 0.61, "m0": 15, "nu": 0.5}, '
          + QUICK_RUN + "}",
          "exceeds the cpt weights' Holder order min(eta_gain, eta_loss) = 0.35"),
+        ("experiment", "--config", '{"eta_gain": 1.5, ' + QUICK_RUN + "}",
+         "tversky_kahneman eta must lie in [0.3, 1]"),
     ],
 )
 def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys, monkeypatch):
