@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, IO, Optional, Union
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import LinAlgError, lapack
 
 from .estimator import EstimatorConfig, estimate_cpt
 from .models import CptModel
@@ -389,6 +389,23 @@ def _evaluate(
     return value
 
 
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(a, lower=True), b)`` without scipy's wrappers.
+
+    The same LAPACK routines (``dpotrf``, then ``dpotrs``) on the same
+    arrays, so the bits are the same; the wrappers' finiteness checks and
+    their not-positive-definite error are kept, in the wrappers' order.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = lapack.dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return lapack.dpotrs(c, b, lower=1)[0]
+
+
 def _climb(
     evaluate: Evaluator,
     schedules: SpsaSchedules,
@@ -445,8 +462,7 @@ def _climb(
             xi = newton.schedule.xi(n)
             newton.h_bar = (1.0 - xi) * newton.h_bar + xi * sym
             # condition the curvature of the climb (-h_bar) and solve for the step
-            conditioned = psd_project(-newton.h_bar, newton.pd_floor)
-            step = linalg.cho_solve(linalg.cho_factor(conditioned, lower=True), grad)
+            step = _cholesky_solve(psd_project(-newton.h_bar, newton.pd_floor), grad)
         theta = box.project(theta + gamma * step)
     trace.final_theta = theta
     return trace

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from cptopt import (
     BoxConstraint,
@@ -29,6 +30,7 @@ from cptopt import (
 )
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
+from cptopt.spsa import _cholesky_solve
 
 IDENTITY = CptModel.identity()
 
@@ -252,6 +254,42 @@ class TestPsdProject:
             psd_project(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
         with pytest.raises(ValueError):
             psd_project(np.eye(2), 0.0)
+
+
+class TestCholeskySolve:
+    """The Newton step's solve equals scipy's cho_factor/cho_solve bit for bit."""
+
+    def test_matches_scipy_wrappers(self):
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 3, 5):
+            for _ in range(50):
+                a = psd_project(rng.normal(size=(dim, dim)) * 3.0, 0.05)
+                b = rng.normal(size=dim) * 10.0
+                want = linalg.cho_solve(linalg.cho_factor(a, lower=True), b)
+                assert _cholesky_solve(a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2)),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), np.ones(2)),
+            (np.eye(2), np.array([1.0, np.inf])),
+            (np.eye(2), np.array([np.nan, 0.0])),
+        ],
+    )
+    def test_non_finite_input_rejected(self, a, b):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.cho_solve(linalg.cho_factor(a, lower=True), b)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _cholesky_solve(a, b)
+
+    @pytest.mark.parametrize("b", [np.ones(2), np.array([np.nan, 1.0])])
+    def test_not_positive_definite_rejected(self, b):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(linalg.LinAlgError, match="2-th leading minor"):
+            linalg.cho_solve(linalg.cho_factor(a, lower=True), b)
+        with pytest.raises(linalg.LinAlgError, match="2-th leading minor"):
+            _cholesky_solve(a, b)
 
 
 SCHEDULES = SpsaSchedules(alpha=1.0)
