@@ -7,10 +7,15 @@ model).  Each case holds its inputs next to the run's records, final theta
 and (SPSA-N) running curvature matrix.  Every float is stored as
 ``float.hex`` so the comparison is exact.
 
-Run with ``PYTHONPATH=src python tests/data/make_spsa_golden.py``.
+Run with ``PYTHONPATH=src python tests/data/make_spsa_golden.py``.  With
+``--check`` the file is regenerated in memory and compared with the
+committed bytes instead: nothing is written, and the script exits 1 naming
+the first case that differs (or the file, if no single case does).
 """
 
+import argparse
 import json
+import sys
 from pathlib import Path
 
 from cptopt.envs import GaussianMeanEnv, SspReturnEnv
@@ -87,12 +92,40 @@ def encode(trace) -> dict:
     }
 
 
-def main() -> None:
+def render() -> str:
     doc = [dict(case, trace=encode(run_case(case))) for case in CASES]
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def first_difference(text: str, committed: bytes) -> str:
+    """The first case whose entry differs, else the file itself."""
+    try:
+        old = {case["name"]: case for case in json.loads(committed)}
+    except ValueError:
+        return "spsa_golden.json (not JSON)"
+    for case in json.loads(text):
+        if old.get(case["name"]) != case:
+            return f"spsa_golden.json case {case['name']!r}"
+    return "spsa_golden.json"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare, write nothing")
+    args = parser.parse_args(argv)
+    text = render()
     out = HERE / "spsa_golden.json"
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {out}")
+    if not args.check:
+        out.write_text(text)
+        print(f"wrote {out}")
+        return 0
+    committed = out.read_bytes() if out.exists() else b""
+    if committed == text.encode():
+        print(f"{out.name}: unchanged")
+        return 0
+    print(f"differs: {first_difference(text, committed)}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,12 +15,17 @@ Three frozen files:
   ``random()``, so a change in random-number consumption shows too.  The file
   holds the matrix axes next to the digests.
 
-Run with ``PYTHONPATH=src python tests/data/make_traffic_golden.py``.
+Run with ``PYTHONPATH=src python tests/data/make_traffic_golden.py``.  With
+``--check`` the three files are regenerated in memory and compared with the
+committed bytes instead: nothing is written, and the script exits 1 naming
+the first file that differs (for the digest matrix, its first case).
 """
 
+import argparse
 import hashlib
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,22 +97,21 @@ def matrix_cases(matrix: dict):
             yield f"{rows}x{cols}/{burst!r}/{name}/{horizon}/{seed}", grid, name, horizon, seed
 
 
-def main() -> None:
+def render() -> dict[str, str]:
+    """File name -> text of each golden file, in the order they are checked."""
     grid = TrafficGrid(TrafficConfig())
     policy = BoltzmannSignPolicy(np.ones(grid.feature_dim), grid)
     episode = traffic_episode(grid, policy, 120, substream(2024))
-    out = HERE / "traffic_golden.csv"
-    with open(out, "w", newline="") as fh:
-        fh.write("path,sample\n")
-        for path, samples in enumerate(episode.samples):
-            for sample in samples:
-                fh.write(f"{path},{sample!r}\n")
-    print(f"wrote {out}")
+    rows = [
+        f"{path},{sample!r}\n"
+        for path, samples in enumerate(episode.samples)
+        for sample in samples
+    ]
+    files = {"traffic_golden.csv": "path,sample\n" + "".join(rows)}
 
     grid = TrafficGrid(GRID_2X3)
     policy = BoltzmannSignPolicy(theta_2x3(grid), grid)
     episode = traffic_episode(grid, policy, HORIZON_2X3, substream(EPISODE_SEED_2X3))
-    out = HERE / "traffic_golden_2x3.json"
     doc = {
         "config": GRID_2X3.to_dict(),
         "theta": [float(v) for v in policy.theta],
@@ -118,8 +122,7 @@ def main() -> None:
         "queued": episode.queued,
         "samples": [list(s) for s in episode.samples],
     }
-    out.write_text(json.dumps(doc) + "\n")
-    print(f"wrote {out}")
+    files["traffic_golden_2x3.json"] = json.dumps(doc) + "\n"
 
     digests = {
         case_id: matrix_digest(
@@ -127,10 +130,40 @@ def main() -> None:
         )
         for case_id, grid, name, horizon, seed in matrix_cases(MATRIX)
     }
-    out = HERE / "traffic_digest_matrix.json"
-    out.write_text(json.dumps({**MATRIX, "digests": digests}, indent=1) + "\n")
-    print(f"wrote {out}")
+    files["traffic_digest_matrix.json"] = json.dumps({**MATRIX, "digests": digests}, indent=1) + "\n"
+    return files
+
+
+def first_difference(name: str, text: str, committed: bytes) -> str:
+    """The first differing digest-matrix case, else the file itself."""
+    if name == "traffic_digest_matrix.json":
+        try:
+            old = json.loads(committed)["digests"]
+        except (ValueError, KeyError):
+            return name
+        for case_id, digest in json.loads(text)["digests"].items():
+            if old.get(case_id) != digest:
+                return f"{name} case {case_id}"
+    return name
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare, write nothing")
+    args = parser.parse_args(argv)
+    for name, text in render().items():
+        out = HERE / name
+        if not args.check:
+            out.write_text(text)
+            print(f"wrote {out}")
+            continue
+        committed = out.read_bytes() if out.exists() else b""
+        if committed != text.encode():
+            print(f"differs: {first_difference(name, text, committed)}")
+            return 1
+        print(f"{name}: unchanged")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
