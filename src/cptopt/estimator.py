@@ -108,6 +108,8 @@ class DiscreteDist:
             raise ValueError("support and probs must be matching nonempty 1-d sequences")
         if not np.all(np.isfinite(xs)):
             raise ValueError("support must be finite")
+        if np.isnan(ps).any():
+            raise ValueError(f"probabilities must not be NaN, got {tuple(ps.tolist())}")
         if np.any(ps < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(ps.sum() - 1.0) > _PROB_ATOL:
