@@ -461,7 +461,8 @@ def _climb(
             sym = hessian_scale * (hess + hess.T) / 2.0
             xi = newton.schedule.xi(n)
             newton.h_bar = (1.0 - xi) * newton.h_bar + xi * sym
-            # condition the curvature of the climb (-h_bar) and solve for the step
+            # condition the curvature of the climb (-h_bar) and solve for the
+            # step with LAPACK's dpotrf/dpotrs, the calls cho_factor/cho_solve make
             step = _cholesky_solve(psd_project(-newton.h_bar, newton.pd_floor), grad)
         theta = box.project(theta + gamma * step)
     trace.final_theta = theta
