@@ -129,21 +129,24 @@ def _prefix_state(entropy, prefix: tuple[int, ...]) -> tuple[tuple, int]:
     return state
 
 
-# (hash constant before, hash constant after) of each state word; the
-# constants do not depend on the pool
-_STATE_HASHES: list[tuple[int, int]] = []
+# hash constants (before, after) of numpy's generate_state, one pair of
+# 32-bit words per 64-bit state word; they do not depend on the pool
+_STATE_HASHES: list[tuple[int, int, int, int]] = []
 
 
-def _state_words(pool: tuple, n: int) -> list[int]:
-    """The first ``n`` 32-bit words of numpy's ``generate_state`` from ``pool``."""
-    h = _STATE_HASHES[-1][1] if _STATE_HASHES else _INIT_B
+def _state_words64(pool: tuple, n: int) -> list[int]:
+    """numpy's ``generate_state(n, np.uint64)`` from a mixed pool, as ints."""
+    h = _STATE_HASHES[-1][3] if _STATE_HASHES else _INIT_B
     while len(_STATE_HASHES) < n:
-        _STATE_HASHES.append((h, (h * _MULT_B) & _MASK32))
-        h = _STATE_HASHES[-1][1]
+        h1 = (h * _MULT_B) & _MASK32
+        h2 = (h1 * _MULT_B) & _MASK32
+        _STATE_HASHES.append((h, h1, h1, h2))
+        h = h2
     out = []
-    for i, (before, after) in enumerate(_STATE_HASHES[:n]):
-        v = ((pool[i % _POOL_SIZE] ^ before) * after) & _MASK32
-        out.append(v ^ (v >> _XSHIFT))
+    for i, (lo_before, lo_after, hi_before, hi_after) in enumerate(_STATE_HASHES[:n]):
+        lo = ((pool[(2 * i) % _POOL_SIZE] ^ lo_before) * lo_after) & _MASK32
+        hi = ((pool[(2 * i + 1) % _POOL_SIZE] ^ hi_before) * hi_after) & _MASK32
+        out.append((lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32))
     return out
 
 
@@ -179,11 +182,13 @@ class _StreamSeed(ISpawnableSeedSequence):
         self._spawner: Optional[np.random.SeedSequence] = None
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if dtype is np.uint64 or np.dtype(dtype) == np.uint64:
-            words = _state_words(self._pool, 2 * n_words)
-            return np.array([lo | (hi << 32) for lo, hi in zip(words[0::2], words[1::2])], np.uint64)
-        if np.dtype(dtype) == np.uint32:
-            return np.array(_state_words(self._pool, n_words), np.uint32)
+        dtype = np.dtype(dtype)
+        if dtype == np.uint64:
+            return np.array(_state_words64(self._pool, n_words), np.uint64)
+        if dtype == np.uint32:
+            wide = _state_words64(self._pool, (n_words + 1) // 2)
+            words = [w for x in wide for w in (x & _MASK32, x >> 32)]
+            return np.array(words[:n_words], np.uint32)
         raise ValueError("only support uint32 or uint64")
 
     def spawn(self, n_children):

@@ -106,3 +106,14 @@ def test_subseed_is_a_seed_sequence():
     assert isinstance(ss, np.random.SeedSequence)
     assert ss.entropy == 9 and ss.spawn_key == (1, 2, 3)
     assert_same_stream(substream(ss), reference_rng(9, (1,), (2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+@pytest.mark.parametrize("path", [(), (3,), (3, 2**33)])
+def test_seed_seq_generate_state_matches_numpy(path, dtype):
+    seed_seq = substream(np.random.SeedSequence(4, spawn_key=(1,)), *path).bit_generator.seed_seq
+    want = np.random.SeedSequence(4, spawn_key=(1,) + path)
+    for n in range(10):
+        assert seed_seq.generate_state(n, dtype).tolist() == want.generate_state(n, dtype).tolist()
+    with pytest.raises(ValueError):
+        seed_seq.generate_state(2, np.float64)
