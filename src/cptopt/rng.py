@@ -48,7 +48,9 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
-# (entropy, key prefix) -> (pool, hash constant) after mixing both in
+# (entropy, key prefix) -> (pool, hash constant) after mixing both in.  An
+# entry is a pure function of its key, so threads racing on the dict can only
+# recompute an entry, never read a wrong one.
 _PREFIXES: dict = {}
 _PREFIXES_MAX = 256
 
@@ -86,6 +88,14 @@ def _absorb(pool: tuple, h: int, word: int) -> tuple[tuple, int]:
     return tuple(out), h
 
 
+def _extend(state: tuple[tuple, int], element: int) -> tuple[tuple, int]:
+    """Mix the words of one key element into a (pool, hash constant) state."""
+    pool, h = state
+    for w in _words(element):
+        pool, h = _absorb(pool, h, w)
+    return pool, h
+
+
 def _root_state(words: tuple[int, ...]) -> tuple[tuple, int]:
     """Pool and hash constant after mixing the (zero-padded) entropy words."""
     words = words + (0,) * (_POOL_SIZE - len(words))
@@ -117,10 +127,7 @@ def _prefix_state(entropy, prefix: tuple[int, ...]) -> tuple[tuple, int]:
     state = _PREFIXES.get(ck)
     if state is None:
         if prefix:
-            pool, h = _prefix_state(entropy, prefix[:-1])
-            for w in _words(prefix[-1]):
-                pool, h = _absorb(pool, h, w)
-            state = pool, h
+            state = _extend(_prefix_state(entropy, prefix[:-1]), prefix[-1])
         else:
             state = _root_state(_entropy_words(entropy))
         if len(_PREFIXES) >= _PREFIXES_MAX:
@@ -129,21 +136,26 @@ def _prefix_state(entropy, prefix: tuple[int, ...]) -> tuple[tuple, int]:
     return state
 
 
-# hash constants (before, after) of numpy's generate_state, one pair of
-# 32-bit words per 64-bit state word; they do not depend on the pool
-_STATE_HASHES: list[tuple[int, int, int, int]] = []
+# hash constants of numpy's generate_state, (before, after) for the low and
+# the high half of each 64-bit word; they do not depend on the pool.  The
+# table grows by rebinding a new tuple, so no thread sees it half built.
+_STATE_HASHES: tuple[tuple[int, int, int, int], ...] = ()
 
 
 def _state_words64(pool: tuple, n: int) -> list[int]:
     """numpy's ``generate_state(n, np.uint64)`` from a mixed pool, as ints."""
-    h = _STATE_HASHES[-1][3] if _STATE_HASHES else _INIT_B
-    while len(_STATE_HASHES) < n:
-        h1 = (h * _MULT_B) & _MASK32
-        h2 = (h1 * _MULT_B) & _MASK32
-        _STATE_HASHES.append((h, h1, h1, h2))
-        h = h2
+    global _STATE_HASHES
+    hashes = _STATE_HASHES
+    if len(hashes) < n:
+        table, h = [], _INIT_B
+        for _ in range(n):
+            h1 = (h * _MULT_B) & _MASK32
+            h2 = (h1 * _MULT_B) & _MASK32
+            table.append((h, h1, h1, h2))
+            h = h2
+        _STATE_HASHES = hashes = tuple(table)
     out = []
-    for i, (lo_before, lo_after, hi_before, hi_after) in enumerate(_STATE_HASHES[:n]):
+    for i, (lo_before, lo_after, hi_before, hi_after) in enumerate(hashes[:n]):
         lo = ((pool[(2 * i) % _POOL_SIZE] ^ lo_before) * lo_after) & _MASK32
         hi = ((pool[(2 * i + 1) % _POOL_SIZE] ^ hi_before) * hi_after) & _MASK32
         out.append((lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32))
@@ -172,13 +184,10 @@ class _StreamSeed(ISpawnableSeedSequence):
     def __init__(self, entropy, spawn_key: tuple[int, ...]):
         self.entropy = entropy
         self.spawn_key = spawn_key
+        state = _prefix_state(entropy, spawn_key[:-1])
         if spawn_key:
-            pool, h = _prefix_state(entropy, spawn_key[:-1])
-            for w in _words(spawn_key[-1]):
-                pool, h = _absorb(pool, h, w)
-        else:
-            pool, h = _prefix_state(entropy, ())
-        self._pool = pool
+            state = _extend(state, spawn_key[-1])
+        self._pool = state[0]
         self._spawner: Optional[np.random.SeedSequence] = None
 
     def generate_state(self, n_words, dtype=np.uint32):

@@ -6,11 +6,15 @@ the reference stream id is the ``SeedSequence``-based string the package
 has always recorded in run traces.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cptopt import rng
 from cptopt.rng import stream_id, subseed, substream
 
 # word-boundary values: one, two and three 32-bit words
@@ -117,3 +121,36 @@ def test_seed_seq_generate_state_matches_numpy(path, dtype):
         assert seed_seq.generate_state(n, dtype).tolist() == want.generate_state(n, dtype).tolist()
     with pytest.raises(ValueError):
         seed_seq.generate_state(2, np.float64)
+
+
+def test_threads_sharing_the_caches_draw_numpys_streams(monkeypatch):
+    # every draw starts from an empty state-hash table and every fourth from
+    # an empty prefix dict, so the threads keep racing to rebuild both; a
+    # lost, duplicated or half-seen update would change a stream
+    monkeypatch.setattr(rng, "_STATE_HASHES", ())
+    monkeypatch.setattr(rng, "_PREFIXES", {})
+    paths = [(seed, n, role) for seed in range(5) for n in range(60) for role in range(4)]
+    want = {p: reference_rng(p[0], (), p[1:]).bit_generator.state for p in paths}
+    bad, start = [], threading.Barrier(8)
+
+    def work(offset):
+        start.wait(timeout=10)
+        for i, p in enumerate(paths[offset:] + paths[:offset]):
+            rng._STATE_HASHES = ()
+            if i % 4 == 0:
+                rng._PREFIXES.clear()
+            if substream(*p).bit_generator.state != want[p]:
+                bad.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
