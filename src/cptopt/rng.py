@@ -179,8 +179,6 @@ def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
 class _StreamSeed(ISpawnableSeedSequence):
     """Mixed pool of one substream, in the role numpy's SeedSequence plays."""
 
-    __slots__ = ("entropy", "spawn_key", "_pool", "_spawner")
-
     def __init__(self, entropy, spawn_key: tuple[int, ...]):
         self.entropy = entropy
         self.spawn_key = spawn_key

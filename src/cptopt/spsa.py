@@ -394,14 +394,16 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The same LAPACK routines (``dpotrf``, then ``dpotrs``) on the same
     arrays, so the bits are the same; the wrappers' finiteness checks and
-    their not-positive-definite error are kept, in the wrappers' order.
+    their not-positive-definite error are kept, in the wrappers' order.  (The
+    factor of a finite positive-definite matrix is finite, so ``cho_solve``'s
+    check of it is left out.)
     """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     c, info = lapack.dpotrf(a, lower=1, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     return lapack.dpotrs(c, b, lower=1)[0]
 
