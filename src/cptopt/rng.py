@@ -14,12 +14,12 @@ is the algorithm numpy documents as stable across versions (the hashmix and
 mix constants, a pool of four words, and the entropy zero-padded to the pool
 size when a spawn key follows).  The mixing is sequential: after the first
 four words the pool absorbs one word at a time, so the pool and hash
-constant reached after the entropy and all but the last key word are shared
-by every sibling stream.  They are kept in a small dict (cleared when full),
-and a stream costs one word's mixing plus the eight state words that numpy's
-``PCG64`` seeds itself from.
+constant reached after the entropy and all but the last key element are
+shared by every sibling stream.  They are kept in a small dict (cleared when
+full), and a stream costs the last element's mixing plus the eight state
+words that numpy's ``PCG64`` seeds itself from.
 
-``substream(...).bit_generator.seed_seq`` is therefore not a
+``substream(...).bit_generator.seed_seq`` is not a
 ``SeedSequence`` but a lighter :class:`numpy.random.bit_generator.
 ISpawnableSeedSequence` with the same ``entropy``, ``spawn_key`` and
 ``generate_state``; its ``spawn`` delegates to one ``SeedSequence`` built on
