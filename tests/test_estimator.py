@@ -301,6 +301,51 @@ class TestEstimateCpt:
         assert est_tied == manual
 
 
+UTILITY = UtilitySpec.piecewise_power(0.88, 0.88, 2.25)
+ORACLE_MODELS = {
+    "identity": CptModel.identity(),
+    "tk": CptModel(
+        UTILITY, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
+    ),
+    "prelec": CptModel(UTILITY, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
+}
+
+
+class TestEmpiricalDistributionOracles:
+    """The estimate is the model value of the samples' empirical distribution."""
+
+    @pytest.mark.parametrize("n", [2, 3, 100])
+    @pytest.mark.parametrize("c", [1.0, 3.5, -1.0, -0.25])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_constant_outcome_is_its_utility(self, name, c, n):
+        # every weight telescopes from w(0) = 0 to w(1) = 1, so the value of a
+        # point mass is the utility of the point
+        model = ORACLE_MODELS[name]
+        gain, loss = model.utility.gain_values(c), model.utility.loss_values(c)
+        est = estimate_cpt([c] * n, model)
+        assert est.value == pytest.approx(float(gain - loss), rel=1e-14, abs=0.0)
+
+    @given(
+        data=st.data(),
+        atoms=st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True),
+        n=st.integers(2, 80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tied_samples_match_the_discrete_estimator(self, data, atoms, n):
+        model = data.draw(models(families=("identity", "eu", "tk", "prelec", "power")))
+        ref = model.utility.reference
+        support = [ref + a / 4 for a in atoms]
+        picks = data.draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
+        dist = DiscreteDist.from_outcomes(support, [1.0 / len(support)] * len(support), ref)
+        expected = estimate_cpt_discrete(counts_from_samples(picks, dist), dist, model)
+        est = estimate_cpt(picks, model)
+        scale = 1.0 + float(np.max(
+            model.utility.gain_values(np.asarray(support))
+            + model.utility.loss_values(np.asarray(support))
+        ))
+        assert est.value == pytest.approx(expected.value, rel=0.0, abs=1e-12 * scale)
+
+
 class TestEstimateConsistency:
     def test_uniform_tk_consistency_at_1e5(self):
         model = tk_model(0.61)
