@@ -16,7 +16,6 @@ from .envs import GaussianMeanEnv, ReturnEnv
 from .estimator import (
     CptEstimate,
     DiscreteDist,
-    EstimatorConfig,
     counts_from_samples,
     estimate_cpt,
     estimate_cpt_discrete,
@@ -65,7 +64,6 @@ __all__ = [
     "CptEstimate",
     "CptModel",
     "DiscreteDist",
-    "EstimatorConfig",
     "ExperimentConfig",
     "Exponential",
     "Gaussian",

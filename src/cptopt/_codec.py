@@ -9,10 +9,10 @@ spellings of one field in one object are an error.
 
 Reading is strict, as these documents come from files: an unknown key, or a
 value whose JSON type does not fit the field's annotation, raises ValueError
-naming the key.  ``bool`` takes a JSON bool, ``int`` an integer, ``float`` any
-number (neither takes a bool), ``str`` a string, ``Optional`` also ``null``, a
-tuple an array of its length (any length for ``tuple[X, ...]``), a dataclass an
-object.  Nothing is coerced: an integer read for a float field is written back
+naming the key.  ``int`` takes an integer, ``float`` any number (neither
+takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple an array
+of its length (any length for ``tuple[X, ...]``), a dataclass an object.
+Nothing is coerced: an integer read for a float field is written back
 as an integer.  Keys left out take the field's default.
 """
 
@@ -27,7 +27,6 @@ R = TypeVar("R", bound="JsonRecord")
 
 # field type -> (its name in errors, the JSON value types it takes)
 _SCALARS = {
-    bool: ("a JSON bool", bool),
     int: ("an integer", int),
     float: ("a number", (int, float)),
     str: ("a string", str),
@@ -101,7 +100,7 @@ def _decode_value(tp: Any, value: Any, where: str) -> Any:
             _decode_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))
         )
     expected, accepted = _SCALARS[tp]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ValueError(f"{where} must be {expected}, got {value!r}")
     return value
 

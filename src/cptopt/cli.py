@@ -23,7 +23,7 @@ import numpy as np
 from .envs import GaussianMeanEnv, ReturnEnv, SspReturnEnv
 from .envs.ssp import two_state_chain
 from .envs.traffic import TrafficConfig, TrafficGrid
-from .estimator import EstimatorConfig, estimate_cpt
+from .estimator import estimate_cpt
 from .harness import ExperimentConfig, TrafficObjective, run_experiment
 from .models import CptModel
 from .spsa import (
@@ -55,8 +55,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             # an empty file is reported by estimate_cpt, as too few samples
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             samples = np.loadtxt(sys.stdin if args.samples == "-" else args.samples, ndmin=1)
-        cfg = EstimatorConfig(include_top_order_stat=args.include_top)
-        est = estimate_cpt(samples, model, cfg)
+        est = estimate_cpt(samples, model)
     except (OSError, ValueError) as exc:
         return _error("estimate", exc)
     out = {
@@ -72,7 +71,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedules:
     """``SpsaSchedules`` defaults overridden by the schedule flags given; alpha
-    is ``--alpha`` or the model's Holder order."""
+    is ``--alpha`` (at most the model's Holder order) or that order."""
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(SpsaSchedules)
@@ -87,11 +86,11 @@ def _default_schedules(model: CptModel, args: argparse.Namespace) -> SpsaSchedul
 
 
 def _sampled_returns(make_env: Callable[[], ReturnEnv]) -> Callable[..., tuple[Evaluator, int]]:
-    """Builder valuing ``make_env()``'s sampled returns with the default estimator."""
+    """Builder valuing ``make_env()``'s sampled returns."""
 
     def build(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, int]:
         env = make_env()
-        return return_evaluator(env, model, EstimatorConfig()), env.dim
+        return return_evaluator(env, model), env.dim
 
     return build
 
@@ -107,7 +106,7 @@ def _traffic_2x2(args: argparse.Namespace, model: CptModel) -> tuple[Evaluator, 
         raise ValueError(f"--horizon must be positive, got {horizon}")
     grid = TrafficGrid(traffic)
     mu = (1.0 / grid.n_paths,) * grid.n_paths
-    return TrafficObjective(grid, mu, model, EstimatorConfig(), horizon), grid.feature_dim
+    return TrafficObjective(grid, mu, model, horizon), grid.feature_dim
 
 
 class EnvEntry(NamedTuple):
@@ -173,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("samples", nargs="?", default="-",
                        help="sample file (one value per line) or '-' for stdin")
     p_est.add_argument("--model", help="model JSON file (default: identity)")
-    p_est.add_argument("--include-top", action="store_true",
-                       help="give the top order statistic its telescoped weight")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_opt = sub.add_parser("optimize", help="maximize an environment's value")

@@ -2,18 +2,20 @@
 
 Two schemes:
 
-* :func:`estimate_cpt` works on raw i.i.d. samples.  Sort ascending as
+* :func:`estimate_cpt` works on raw i.i.d. samples: it is the model value
+  of their empirical distribution.  Sort ascending as
   ``X[1] <= ... <= X[n]``; then
 
-      pos = sum_{i=1}^{n-1} u+(X[i]) * (w+((n-i)/n) - w+((n-i-1)/n))
-      neg = sum_{i=1}^{n-1} u-(X[i]) * (w-(i/n)   - w-((i-1)/n))
+      pos = sum_{i=1}^{n} u+(X[i]) * (w+((n+1-i)/n) - w+((n-i)/n))
+      neg = sum_{i=1}^{n} u-(X[i]) * (w-(i/n)     - w-((i-1)/n))
 
   and the estimate is ``pos - neg``.  Each order statistic stands in for a
   quantile of the transformed outcome, and the weight increments discretize
-  the distorted tail integral.  Note the top order statistic carries no
-  weight; ``EstimatorConfig(include_top_order_stat=True)`` opts into adding
-  its telescoped share, which makes the identity-weight estimate equal the
-  sample mean exactly.
+  the distorted tail integral.  The increments on each side telescope from
+  ``w(0)`` to ``w(1)``, so, up to rounding, a constant sample ``c``
+  estimates ``u(c)``, tied samples give the value of
+  :func:`estimate_cpt_discrete` on their tallies, and under identity weights
+  and utilities the estimate is the sample mean.
 
   Each sum runs only over its own side of the reference (``u+`` vanishes at
   and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
@@ -39,10 +41,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .models import CptModel, eval_utility
+from .models import CptModel
 
 __all__ = [
-    "EstimatorConfig",
     "CptEstimate",
     "DiscreteDist",
     "counts_from_samples",
@@ -54,20 +55,6 @@ __all__ = [
 ]
 
 _PROB_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimator variants.
-
-    ``include_top_order_stat`` adds ``u+(X[n]) * (w+(1/n) - w+(0))`` to the
-    gain sum and ``u-(X[n]) * (w-(1) - w-((n-1)/n))`` to the loss sum, so the
-    weight increments on each side telescope across all n samples.  Off by
-    default: the plain scheme leaves a deterministic O(u(X[n])/n) deficit but
-    is the canonical form.
-    """
-
-    include_top_order_stat: bool = False
 
 
 @dataclass(frozen=True)
@@ -179,11 +166,7 @@ def _validate_samples(samples) -> np.ndarray:
     return arr
 
 
-def estimate_cpt(
-    samples: Sequence[float],
-    model: CptModel,
-    cfg: EstimatorConfig = EstimatorConfig(),
-) -> CptEstimate:
+def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     """Order-statistics estimate of the model value from i.i.d. samples.
 
     Input order never affects the result.  Each side's utility and weight
@@ -195,23 +178,17 @@ def estimate_cpt(
     xs = np.sort(arr)
     ref = model.utility.reference
     k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
-    m = min(int(xs.searchsorted(ref, "left")), n - 1)  # xs[:m] are the losses
-    grid = np.arange(max(n - k, m + 1)) / n  # exact rationals j/n
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
 
-    # gain term i (0-based, k <= i <= n-2) pairs with w+((n-1-i)/n) - w+((n-2-i)/n)
-    w_plus = model.weight_plus.apply(grid[: n - k])
+    # gain term i (0-based, k <= i < n) pairs with w+((n-i)/n) - w+((n-1-i)/n)
+    w_plus = model.weight_plus.apply(grid[: n - k + 1])
     d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
-    pos = float(np.add.reduce(model.utility.gain_values(xs[k : n - 1]) * d_plus))
+    pos = float(np.add.reduce(model.utility.gain_values(xs[k:]) * d_plus))
     # loss term i (0 <= i < m) pairs with w-((i+1)/n) - w-(i/n)
     w_minus = model.weight_minus.apply(grid[: m + 1])
     d_minus = w_minus[1:] - w_minus[:-1]
     neg = float(np.add.reduce(model.utility.loss_values(xs[:m]) * d_minus))
-
-    if cfg.include_top_order_stat:
-        gain, loss = eval_utility(xs[-1], model.utility)
-        pos += gain * (model.weight_plus(1.0 / n) - model.weight_plus(0.0))
-        neg += loss * (model.weight_minus(1.0) - model.weight_minus((n - 1) / n))
-
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 

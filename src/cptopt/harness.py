@@ -16,6 +16,7 @@ distorted-value model, so the variants are compared on one axis.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._codec import JsonRecord
-from .estimator import EstimatorConfig, estimate_cpt
+from .estimator import estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
 from .rng import RootSeed, stream_id, subseed, substream
@@ -54,9 +55,7 @@ def _check_path_weights(mu: np.ndarray, name: str = "path weights") -> None:
 
 
 def path_cpt_scores(
-    path_samples: Sequence[Sequence[float]],
-    model: CptModel,
-    cfg: EstimatorConfig = EstimatorConfig(),
+    path_samples: Sequence[Sequence[float]], model: CptModel
 ) -> list[float]:
     """Per-path estimates; paths with fewer than two samples score 0 (flagged)."""
     scores = []
@@ -69,7 +68,7 @@ def path_cpt_scores(
             )
             scores.append(0.0)
         else:
-            scores.append(estimate_cpt(samples, model, cfg).value)
+            scores.append(estimate_cpt(samples, model).value)
     return scores
 
 
@@ -77,7 +76,6 @@ def composite_cpt(
     path_samples: Sequence[Sequence[float]],
     mu: Sequence[float],
     model: CptModel,
-    cfg: EstimatorConfig = EstimatorConfig(),
 ) -> float:
     """Traffic-wide objective: user-proportion-weighted sum of per-path values."""
     mu = np.asarray(mu, dtype=float)
@@ -86,7 +84,7 @@ def composite_cpt(
             f"got {len(path_samples)} sample lists for {mu.size} path weights"
         )
     _check_path_weights(mu)
-    return float(np.dot(mu, path_cpt_scores(path_samples, model, cfg)))
+    return float(np.dot(mu, path_cpt_scores(path_samples, model)))
 
 
 class TrafficObjective:
@@ -103,9 +101,9 @@ class TrafficObjective:
         grid: TrafficGrid,
         mu: Sequence[float],
         model: CptModel,
-        cfg: EstimatorConfig,
         horizon: int,
     ):
+        horizon = operator.index(horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if len(mu) != grid.n_paths:
@@ -114,7 +112,6 @@ class TrafficObjective:
         self.grid = grid
         self.mu = tuple(mu)
         self.model = model
-        self.cfg = cfg
         self.horizon = horizon
 
     def __call__(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
@@ -125,7 +122,7 @@ class TrafficObjective:
             episode = traffic_episode(self.grid, policy, self.horizon, rng)
             for path, samples in enumerate(episode.samples):
                 pooled[path].extend(samples)
-        return composite_cpt(pooled, self.mu, self.model, self.cfg)
+        return composite_cpt(pooled, self.mu, self.model)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,6 @@ class ExperimentConfig(JsonRecord):
     schedules: SpsaSchedules = field(
         default_factory=lambda: SpsaSchedules(alpha=0.61, m0=15.0)
     )
-    include_top: bool = False
     mu: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
@@ -210,7 +206,6 @@ def _test_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """CPT-axis scores of a frozen policy over shared test substreams."""
     mu = config.path_weights()
-    cfg = EstimatorConfig(include_top_order_stat=config.include_top)
     policy = BoltzmannSignPolicy(theta, grid)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", _SHORT_PATH, RuntimeWarning)
@@ -220,7 +215,6 @@ def _test_scores(
                     grid, policy, config.test_horizon, substream(master, _TEST, rep)
                 ).samples,
                 score_model,
-                cfg,
             )
             for rep in range(config.test_reps)
         ])
@@ -241,7 +235,6 @@ def run_experiment(
     master = config.master_seed
     grid = TrafficGrid(config.traffic)
     mu = config.path_weights()
-    est_cfg = EstimatorConfig(include_top_order_stat=config.include_top)
     models = config.variant_models()
     score_model = models["cpt"]
     box = BoxConstraint.cube(config.box_lo, config.box_hi, grid.feature_dim)
@@ -255,7 +248,7 @@ def run_experiment(
         "variants": {},
     }
     for name in VARIANTS:
-        objective = TrafficObjective(grid, mu, models[name], est_cfg, config.train_horizon)
+        objective = TrafficObjective(grid, mu, models[name], config.train_horizon)
         # one training stream for all variants: common random numbers make the
         # comparison a paired one, exactly as with the shared test streams
         train_seed = subseed(master, _TRAIN)

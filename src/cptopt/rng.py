@@ -8,7 +8,8 @@ evaluated in any order or in parallel without changing results.
 
 The stream of ``substream(root, *path)`` is, bit for bit, numpy's
 ``default_rng(SeedSequence(entropy, spawn_key=key + path))``, where
-``entropy`` and ``key`` are the root's (an int root has an empty key).  The
+``entropy`` and ``key`` are the root's (an int root, taken through
+``operator.index`` as path elements are, has an empty key).  The
 seed sequence's mixing is done here, in Python, on 32-bit integer words; it
 is the algorithm numpy documents as stable across versions (the hashmix and
 mix constants, a pool of four words, and the entropy zero-padded to the pool
@@ -167,7 +168,7 @@ def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
     if isinstance(root, np.random.SeedSequence):
         entropy, key = root.entropy, root.spawn_key
     else:
-        entropy, key = int(root), ()
+        entropy, key = operator.index(root), ()
         if entropy < 0:
             raise ValueError("expected non-negative integer")
     path = tuple(map(operator.index, path))
@@ -209,7 +210,7 @@ def subseed(root: RootSeed, *path: int) -> np.random.SeedSequence:
     if isinstance(root, np.random.SeedSequence):
         key = tuple(root.spawn_key) + tuple(path)
         return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
-    return np.random.SeedSequence(entropy=int(root), spawn_key=tuple(path))
+    return np.random.SeedSequence(entropy=operator.index(root), spawn_key=tuple(path))
 
 
 def substream(root: RootSeed, *path: int) -> np.random.Generator:

@@ -48,7 +48,7 @@ from typing import Callable, IO, Optional, Union
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .estimator import EstimatorConfig, estimate_cpt
+from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, stream_id, substream
 
@@ -160,8 +160,8 @@ class SpsaSchedules:
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive, got {v!r}")
-        if self.a_offset < 0.0:
-            raise ValueError("a_offset must be nonnegative")
+        if not (math.isfinite(self.a_offset) and self.a_offset >= 0.0):
+            raise ValueError(f"a_offset must be nonnegative and finite, got {self.a_offset!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if not 0.0 < self.delta_exp < 0.5:
@@ -177,14 +177,17 @@ class SpsaSchedules:
 
     @classmethod
     def for_model(cls, model: CptModel, **overrides) -> "SpsaSchedules":
-        """Defaults with alpha taken from the model's weight functions."""
+        """Defaults with alpha taken from the model's weight functions; an
+        explicit alpha may not exceed their Holder order."""
         alpha = model.holder_order
         if alpha is None and "alpha" not in overrides:
             raise ValueError(
                 "model weights have no Holder order; pass alpha explicitly"
             )
         overrides.setdefault("alpha", alpha)
-        return cls(**overrides)
+        schedules = cls(**overrides)
+        _check_alpha(schedules, model)
+        return schedules
 
     def gamma(self, n: int) -> float:
         return self.a0 / (n + self.a_offset)
@@ -194,6 +197,16 @@ class SpsaSchedules:
 
     def batch(self, n: int) -> int:
         return int(math.ceil(self.m0 * n**self.nu))
+
+
+def _check_alpha(schedules: SpsaSchedules, model: CptModel) -> None:
+    """The bias condition holds only at or below the weights' Holder order."""
+    order = model.holder_order
+    if order is not None and schedules.alpha > order:
+        raise ValueError(
+            f"schedules.alpha {schedules.alpha!r} exceeds the model weights' "
+            f"Holder order {order!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -233,8 +246,8 @@ class NewtonState:
             raise ValueError("h_bar must be square")
         if not np.array_equal(self.h_bar, self.h_bar.T):
             raise ValueError("h_bar must be symmetric")
-        if self.pd_floor <= 0.0:
-            raise ValueError("pd_floor must be positive")
+        if not (math.isfinite(self.pd_floor) and self.pd_floor > 0.0):
+            raise ValueError(f"pd_floor must be positive and finite, got {self.pd_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -495,19 +508,19 @@ def ascend_newton(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Newton-style ascent with a fast-timescale running curvature average."""
-    if hessian_scale <= 0.0:
-        raise ValueError("hessian_scale must be positive")
+    if not (math.isfinite(hessian_scale) and hessian_scale > 0.0):
+        raise ValueError(f"hessian_scale must be positive and finite, got {hessian_scale!r}")
     newton = NewtonState(
         h_bar=np.zeros((box.dim, box.dim)), schedule=hessian, pd_floor=pd_floor
     )
     return _climb(evaluate, schedules, box, theta0, iters, seed, newton, hessian_scale)
 
 
-def return_evaluator(env, model: CptModel, cfg: EstimatorConfig) -> Evaluator:
+def return_evaluator(env, model: CptModel) -> Evaluator:
     """Evaluator estimating the model value of ``env``'s sampled returns."""
 
     def evaluate(theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
-        return estimate_cpt(env.sample_returns(theta, m, rng), model, cfg).value
+        return estimate_cpt(env.sample_returns(theta, m, rng), model).value
 
     return evaluate
 
@@ -520,16 +533,15 @@ def optimize_spsa_g(
     theta0: np.ndarray,
     iters: int,
     seed: RootSeed,
-    estimator_cfg: EstimatorConfig = EstimatorConfig(),
 ) -> RunTrace:
     """Maximize the model value of an environment's return distribution.
 
     Per iteration, ``m_n`` returns are sampled at each of the two perturbed
     parameters and fed through the order-statistics estimator.
+    ``schedules.alpha`` may not exceed the model weights' Holder order.
     """
-    return ascend(
-        return_evaluator(env, model, estimator_cfg), schedules, box, theta0, iters, seed
-    )
+    _check_alpha(schedules, model)
+    return ascend(return_evaluator(env, model), schedules, box, theta0, iters, seed)
 
 
 def optimize_spsa_n(
@@ -541,13 +553,13 @@ def optimize_spsa_n(
     iters: int,
     seed: RootSeed,
     hessian: HessianSchedule = HessianSchedule(),
-    estimator_cfg: EstimatorConfig = EstimatorConfig(),
     pd_floor: float = 1e-4,
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Second-order variant of :func:`optimize_spsa_g` (three trajectories)."""
+    _check_alpha(schedules, model)
     return ascend_newton(
-        return_evaluator(env, model, estimator_cfg),
+        return_evaluator(env, model),
         schedules,
         box,
         theta0,

@@ -32,22 +32,31 @@ class TestEstimateCommand:
         assert main(["estimate"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {
-            "value": 1.5,
-            "positive_part": 1.5,
+            "value": 2.5,
+            "positive_part": 2.5,
             "negative_part": 0.0,
             "n": 4,
         }
 
-    def test_file_with_model_and_include_top(self, capsys, tmp_path, model_file):
+    def test_file_with_model(self, capsys, tmp_path, model_file):
         samples = tmp_path / "samples.txt"
         samples.write_text("1.0\n2.0\n3.0\n4.0\n")
-        assert main(["estimate", str(samples), "--model", str(model_file),
-                     "--include-top"]) == 0
+        assert main(["estimate", str(samples), "--model", str(model_file)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 4
         assert out["value"] == pytest.approx(
             out["positive_part"] - out["negative_part"]
         )
+
+    def test_include_top_flag_is_rejected(self, capsys, tmp_path):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("1.0\n2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(samples), "--include-top"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --include-top" in captured.err
+        assert captured.out == ""
 
 
 class TestOptimizeCommand:
@@ -97,6 +106,17 @@ class TestOptimizeCommand:
         # ... and runs once the check holds
         assert main(args + ["--alpha", "0.5"]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+    def test_alpha_above_the_models_holder_order_rejected(self, capsys, tmp_path, model_file):
+        out = tmp_path / "trace.csv"
+        args = ["optimize", "--env", "ssp-chain", "--model", str(model_file),
+                "--iters", "1", "--nu", "0.5", "--out", str(out)]
+        assert main(args + ["--alpha", "1.0"]) == 2
+        assert "schedules.alpha 1.0 exceeds the model weights' Holder order 0.61" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        assert main(args + ["--alpha", "0.61"]) == 0
 
     @pytest.mark.parametrize("env", ["gaussian-mean", "ssp-chain"])
     def test_env_config_rejected_off_traffic(self, env, capsys, tmp_path):
@@ -212,7 +232,7 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
         ("optimize", "--model", "{not json", "Expecting property name"),
         ("experiment", "--config", '{"train_iter": 5}', "'train_iter'"),
         ("experiment", "--config", '{"include_top": "no", ' + QUICK_RUN + "}",
-         "ExperimentConfig.include_top must be a JSON bool"),
+         "unknown ExperimentConfig key(s) 'include_top'"),
         ("experiment", "--config", '{"master_seed": 3,}', "Expecting property name"),
         ("experiment", "--config", '{"mu": [1, 1, 1, 1], ' + QUICK_RUN + "}",
          "mu must be nonnegative and sum to 1"),

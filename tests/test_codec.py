@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize(
     "cls, doc, where",
     [
-        (ExperimentConfig, {"include_top": "no"}, "include_top"),
+        (ExperimentConfig, {"sigma": "0.88"}, "sigma"),
         (ExperimentConfig, {"master_seed": 1.5}, "master_seed"),
         (ExperimentConfig, {"train_iters": None}, "train_iters"),
         (ExperimentConfig, {"traffic": {"rows": 2.5}}, "traffic.rows"),
@@ -37,6 +37,12 @@ DATA = Path(__file__).parent / "data"
 def test_wrongly_typed_value_names_the_key(cls, doc, where):
     with pytest.raises(ValueError, match=rf"{cls.__name__}\.{re.escape(where)} must be "):
         cls.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [False, True, "no"])
+def test_removed_include_top_key_is_unknown(value):
+    with pytest.raises(ValueError, match=r"unknown ExperimentConfig key\(s\) 'include_top'"):
+        ExperimentConfig.from_dict({"include_top": value})
 
 
 def test_integers_stay_valid_and_uncoerced_for_float_fields():
@@ -111,7 +117,6 @@ def experiment_configs(draw):
         loss_aversion=draw(st.floats(1.0, 4.0)),
         theta_init=draw(st.floats(0.2, 9.9)),
         schedules=draw(schedules()),
-        include_top=draw(st.booleans()),
         mu=draw(st.none() | mu),
     )
 

@@ -15,7 +15,6 @@ import cptopt
 from cptopt import (
     CptModel,
     DiscreteDist,
-    EstimatorConfig,
     Uniform,
     UtilitySpec,
     WeightSpec,
@@ -29,7 +28,6 @@ from cptopt import (
 )
 
 IDENTITY = CptModel.identity()
-INCLUDE_TOP = EstimatorConfig(include_top_order_stat=True)
 
 # ceil(ln(20) * 4 * 2**2 * 10**2 / 0.1**2) by high-precision arithmetic
 N_LIPSCHITZ_ORACLE = 479_318
@@ -46,7 +44,7 @@ def fit_loglog_slope(ns, errors):
     return np.polyfit(np.log(ns), np.log(errors), 1)[0]
 
 
-def _reference_estimate(samples, model, cfg=EstimatorConfig()):
+def _reference_estimate(samples, model):
     """The full-grid, two-sided order-statistics formula, summed exactly.
 
     Both sides run over every order statistic (the utility of the wrong side
@@ -60,12 +58,9 @@ def _reference_estimate(samples, model, cfg=EstimatorConfig()):
     losses = model.utility.loss_values(xs)
     w_plus = model.weight_plus.apply(np.arange(n + 1) / n)
     w_minus = model.weight_minus.apply(np.arange(n + 1) / n)
-    # 0-based gain term i pairs with w+((n-1-i)/n) - w+((n-2-i)/n)
-    pos = [gains[i] * (w_plus[n - 1 - i] - w_plus[n - 2 - i]) for i in range(n - 1)]
-    neg = [losses[i] * (w_minus[i + 1] - w_minus[i]) for i in range(n - 1)]
-    if cfg.include_top_order_stat:
-        pos.append(gains[-1] * (w_plus[1] - w_plus[0]))
-        neg.append(losses[-1] * (w_minus[n] - w_minus[n - 1]))
+    # 0-based gain term i pairs with w+((n-i)/n) - w+((n-1-i)/n)
+    pos = [gains[i] * (w_plus[n - i] - w_plus[n - 1 - i]) for i in range(n)]
+    neg = [losses[i] * (w_minus[i + 1] - w_minus[i]) for i in range(n)]
     scale = 1.0 + math.fsum(gains) + math.fsum(losses)
     return math.fsum(pos) - math.fsum(neg), scale
 
@@ -115,25 +110,22 @@ def batches(draw, ref):
 
 
 class TestEstimateCpt:
-    def test_identity_drops_top_order_statistic(self):
+    def test_include_top_recovers_sample_mean(self):
+        # the top order statistic carries weight w+(1/n) - w+(0)
         est = estimate_cpt([1.0, 2.0, 3.0, 4.0], IDENTITY)
-        assert est.value == pytest.approx(1.5, abs=1e-15)
+        assert est.value == pytest.approx(2.5, abs=1e-15)
         assert est.n == 4
         assert est.negative_part == 0.0
 
-    def test_include_top_recovers_sample_mean(self):
-        est = estimate_cpt([1.0, 2.0, 3.0, 4.0], IDENTITY, INCLUDE_TOP)
-        assert est.value == pytest.approx(2.5, abs=1e-15)
-
     def test_all_loss_hand_value(self):
         est = estimate_cpt([-1.0, -2.0], IDENTITY)
-        assert est.negative_part == pytest.approx(1.0, abs=1e-15)
+        assert est.negative_part == pytest.approx(1.5, abs=1e-15)
         assert est.positive_part == 0.0
-        assert est.value == pytest.approx(-1.0, abs=1e-15)
+        assert est.value == pytest.approx(-1.5, abs=1e-15)
 
     def test_include_top_mean_with_mixed_signs(self):
         samples = [-3.0, -1.0, 0.5, 2.0, 4.5]
-        est = estimate_cpt(samples, IDENTITY, INCLUDE_TOP)
+        est = estimate_cpt(samples, IDENTITY)
         assert est.value == pytest.approx(np.mean(samples), abs=1e-12)
 
     def test_value_decomposition_exact(self):
@@ -178,17 +170,16 @@ class TestEstimateCpt:
         after = estimate_cpt([x + shift for x in data], model).value
         assert after >= before - 1e-12
 
-    @given(data=st.data(), include_top=st.booleans())
+    @given(data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_matches_reference_formula(self, data, include_top):
+    def test_matches_reference_formula(self, data):
         model = data.draw(models())
         samples = data.draw(batches(model.utility.reference))
-        cfg = EstimatorConfig(include_top_order_stat=include_top)
-        expected, scale = _reference_estimate(samples, model, cfg)
-        est = estimate_cpt(samples, model, cfg)
+        expected, scale = _reference_estimate(samples, model)
+        est = estimate_cpt(samples, model)
         assert est.value == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
 
-    @pytest.mark.parametrize("include_top", [False, True])
+    @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize(
         "offsets",
         [
@@ -204,8 +195,7 @@ class TestEstimateCpt:
         ids=["n2-at-ref", "n2-ref-gain", "n2-loss-ref", "n2-gains", "n2-losses",
              "ties-at-ref", "gains-from-ref", "losses-to-ref"],
     )
-    def test_edge_batches_match_reference(self, offsets, include_top):
-        cfg = EstimatorConfig(include_top_order_stat=include_top)
+    def test_edge_batches_match_reference(self, offsets, descending):
         utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25, reference=1.25)
         for model in (
             CptModel.identity(1.25),
@@ -216,33 +206,30 @@ class TestEstimateCpt:
             CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
             CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
         ):
-            samples = [1.25 + x for x in offsets]
-            expected, scale = _reference_estimate(samples, model, cfg)
-            est = estimate_cpt(samples, model, cfg)
+            samples = sorted((1.25 + x for x in offsets), reverse=descending)
+            expected, scale = _reference_estimate(samples, model)
+            est = estimate_cpt(samples, model)
             assert est.value == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
 
     @given(
         data=st.data(),
         offsets=st.lists(st.integers(-400, 400), min_size=2, max_size=60),
         shift=st.integers(-400, 400),
-        include_top=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_translation_invariance(self, data, offsets, shift, include_top):
+    def test_translation_invariance(self, data, offsets, shift):
         # quarter-integers keep every shifted sample and difference exact
         model = data.draw(models())
         u = model.utility
         moved = UtilitySpec(u.kind, u.sigma_plus, u.sigma_minus, u.loss_aversion,
                             u.reference + shift / 4)
         samples = [u.reference + x / 4 for x in offsets]
-        cfg = EstimatorConfig(include_top_order_stat=include_top)
-        before = estimate_cpt(samples, model, cfg)
+        before = estimate_cpt(samples, model)
         after = estimate_cpt(
             [x + shift / 4 for x in samples],
             CptModel(moved, model.weight_plus, model.weight_minus),
-            cfg,
         )
-        _, scale = _reference_estimate(samples, model, cfg)
+        _, scale = _reference_estimate(samples, model)
         assert after.value == pytest.approx(before.value, rel=0.0, abs=1e-12 * scale)
 
     @given(
@@ -251,21 +238,19 @@ class TestEstimateCpt:
         side=st.sampled_from((1.0, -1.0)),
         magnitude=st.floats(0.0, 50.0),
         raise_by=st.floats(1e-6, 60.0),
-        include_top=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
     def test_raising_one_sample_never_lowers_the_value(
-        self, data, others, side, magnitude, raise_by, include_top
+        self, data, others, side, magnitude, raise_by
     ):
         # first-order stochastic dominance: the raised sample may be a gain
         # or a loss, and may cross the reference
         model = data.draw(models(families=("eu", "tk", "prelec")))
         ref = model.utility.reference
-        cfg = EstimatorConfig(include_top_order_stat=include_top)
         x = ref + side * magnitude
-        before = estimate_cpt(others + [x], model, cfg)
-        after = estimate_cpt(others + [x + raise_by], model, cfg)
-        _, scale = _reference_estimate(others + [x + raise_by], model, cfg)
+        before = estimate_cpt(others + [x], model)
+        after = estimate_cpt(others + [x + raise_by], model)
+        _, scale = _reference_estimate(others + [x + raise_by], model)
         assert after.value >= before.value - 1e-12 * scale
 
     @pytest.mark.parametrize("n", [20_000, 200_000])
@@ -332,7 +317,7 @@ class TestEmpiricalDistributionOracles:
     )
     @settings(max_examples=300, deadline=None)
     def test_tied_samples_match_the_discrete_estimator(self, data, atoms, n):
-        model = data.draw(models(families=("identity", "eu", "tk", "prelec", "power")))
+        model = data.draw(models())
         ref = model.utility.reference
         support = [ref + a / 4 for a in atoms]
         picks = data.draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))

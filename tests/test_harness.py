@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptopt import CptModel, EstimatorConfig, composite_cpt, estimate_cpt, harness
+from cptopt import CptModel, composite_cpt, estimate_cpt, harness
 from cptopt.envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from cptopt.harness import (
     ExperimentConfig,
@@ -46,16 +46,16 @@ class TestCompositeCpt:
         assert value == pytest.approx(estimate_cpt(samples, IDENTITY).value, abs=1e-15)
 
     def test_hand_weighted_sum(self):
-        # per-path values 1.5 and -1.0, weights 0.25/0.75
+        # per-path values 2.5 and -1.5, weights 0.25/0.75
         value = composite_cpt(
             [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0]], [0.25, 0.75], IDENTITY
         )
-        assert value == pytest.approx(-0.375, abs=1e-15)
+        assert value == pytest.approx(-0.5, abs=1e-15)
 
     def test_short_path_contributes_zero_and_warns(self):
         with pytest.warns(RuntimeWarning):
             value = composite_cpt([[1.0, 2.0, 3.0, 4.0], [5.0]], [0.5, 0.5], IDENTITY)
-        assert value == pytest.approx(0.75, abs=1e-15)
+        assert value == pytest.approx(1.25, abs=1e-15)
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -64,20 +64,17 @@ class TestCompositeCpt:
             composite_cpt([[1.0, 2.0], [3.0, 4.0]], [0.9, 0.3], IDENTITY)
 
     def test_identity_model_matches_order_statistic_identity(self):
-        # with identity utilities/weights each path's estimate equals the sum
-        # of its lowest n-1 order statistics divided by n, exactly
+        # with identity utilities/weights each path's estimate is its sample mean
         rng = np.random.default_rng(5)
         paths = [rng.normal(size=n).tolist() for n in (5, 9, 17)]
         mu = (0.2, 0.3, 0.5)
-        expected = sum(
-            w * np.sort(p)[:-1].sum() / len(p) for w, p in zip(mu, paths)
-        )
+        expected = sum(w * np.mean(p) for w, p in zip(mu, paths))
         assert composite_cpt(paths, mu, IDENTITY) == pytest.approx(expected, abs=1e-12)
 
     def test_path_scores_align(self):
         paths = [[1.0, 2.0, 3.0, 4.0], [-1.0, -2.0]]
         scores = path_cpt_scores(paths, IDENTITY)
-        assert scores == pytest.approx([1.5, -1.0], abs=1e-15)
+        assert scores == pytest.approx([2.5, -1.5], abs=1e-15)
 
 
 class TestExperimentConfig:
@@ -155,19 +152,25 @@ class TestTrafficObjective:
     def test_nonpositive_horizon_rejected(self, horizon):
         grid = TrafficGrid(TrafficConfig())
         with pytest.raises(ValueError, match="horizon"):
-            TrafficObjective(grid, (0.25,) * 4, IDENTITY, EstimatorConfig(), horizon)
+            TrafficObjective(grid, (0.25,) * 4, IDENTITY, horizon)
+
+    @pytest.mark.parametrize("horizon", [2.5, 100.0])
+    def test_non_integer_horizon_rejected(self, horizon):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(TypeError):
+            TrafficObjective(grid, (0.25,) * 4, IDENTITY, horizon)
 
     @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])
     def test_path_weight_count_must_match_grid(self, mu):
         grid = TrafficGrid(TrafficConfig())
         with pytest.raises(ValueError, match="path weights"):
-            TrafficObjective(grid, mu, IDENTITY, EstimatorConfig(), 100)
+            TrafficObjective(grid, mu, IDENTITY, 100)
 
     @pytest.mark.parametrize("mu", [(0.5,) * 4, (0.5, 0.5, 0.5, -0.5)])
     def test_path_weights_must_be_a_distribution(self, mu):
         grid = TrafficGrid(TrafficConfig())
         with pytest.raises(ValueError, match="path weights must be nonnegative and sum to 1"):
-            TrafficObjective(grid, mu, IDENTITY, EstimatorConfig(), 100)
+            TrafficObjective(grid, mu, IDENTITY, 100)
 
 
 class TestRunExperiment:

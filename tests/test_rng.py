@@ -105,6 +105,21 @@ def test_negative_root_rejected():
         substream(-3, 1)
 
 
+@pytest.mark.parametrize("root", [3.7, 3.0, np.float64(3.0)])
+def test_float_root_rejected(root):
+    for derive in (substream, stream_id, subseed):
+        with pytest.raises(TypeError):
+            derive(root, 1)
+
+
+@pytest.mark.parametrize("root", [3, np.int64(3), np.uint32(3), True])
+def test_integer_roots_address_their_int_value(root):
+    value = int(root)
+    assert stream_id(root, 1) == f"{value}:1"
+    assert_same_stream(substream(root, 1), reference_rng(value, (), (1,)))
+    assert subseed(root, 1).entropy == value
+
+
 def test_subseed_is_a_seed_sequence():
     ss = subseed(np.random.SeedSequence(9, spawn_key=(1,)), 2, 3)
     assert isinstance(ss, np.random.SeedSequence)

@@ -30,7 +30,7 @@ from cptopt import (
 )
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
-from cptopt.spsa import _cholesky_solve
+from cptopt.spsa import NewtonState, _cholesky_solve
 
 IDENTITY = CptModel.identity()
 
@@ -173,11 +173,21 @@ class TestSchedules:
         )
         assert SpsaSchedules.for_model(model).alpha == 0.61
 
+    def test_for_model_rejects_alpha_above_the_weight_order(self):
+        with pytest.raises(ValueError, match=r"schedules\.alpha 1\.0 exceeds"):
+            SpsaSchedules.for_model(CptModel.tversky_kahneman(), alpha=1.0)
+        assert SpsaSchedules.for_model(CptModel.tversky_kahneman(), alpha=0.5).alpha == 0.5
+
     def test_for_model_requires_alpha_for_prelec(self):
         model = CptModel(weight_plus=WeightSpec.prelec(0.65))
         with pytest.raises(ValueError):
             SpsaSchedules.for_model(model)
         assert SpsaSchedules.for_model(model, alpha=0.5).alpha == 0.5
+
+    @pytest.mark.parametrize("a_offset", [float("nan"), float("inf")])
+    def test_non_finite_a_offset_rejected(self, a_offset):
+        with pytest.raises(ValueError, match="a_offset"):
+            SpsaSchedules(a_offset=a_offset, alpha=0.61)
 
     def test_hessian_schedule_validation(self):
         assert HessianSchedule().xi(1) == 1.0
@@ -367,6 +377,20 @@ class TestAscendNewton:
         trace = ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 0, 0)
         assert trace.final_theta == pytest.approx([0.5])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_pd_floor_rejected(self, value):
+        with pytest.raises(ValueError, match="pd_floor"):
+            NewtonState(h_bar=np.zeros((1, 1)), pd_floor=value)
+        with pytest.raises(ValueError, match="pd_floor"):
+            ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 1, 0,
+                          pd_floor=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_hessian_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="hessian_scale"):
+            ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 1, 0,
+                          hessian_scale=value)
+
     def test_first_update_overwrites_running_hessian(self):
         seen = {}
 
@@ -429,6 +453,19 @@ class TestAscendNewton:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,theta_0,c_plus,c_minus,gamma,delta,m"
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize("optimize", [optimize_spsa_g, optimize_spsa_n])
+def test_schedule_alpha_above_the_models_holder_order_rejected(optimize):
+    env = SspReturnEnv(two_state_chain())
+    box = BoxConstraint.cube(0.1, 10.0, 2)
+    tk = CptModel.tversky_kahneman()  # Holder order min(0.61, 0.69)
+    with pytest.raises(ValueError, match=r"schedules\.alpha 1\.0 exceeds .* Holder order 0\.61"):
+        optimize(env, tk, SpsaSchedules(alpha=1.0), box, [1.0, 1.0], 1, 0)
+    assert len(optimize(env, tk, SpsaSchedules(alpha=0.61), box, [1.0, 1.0], 1, 0).records) == 1
+    # prelec weights have no Holder order, so any valid alpha is the caller's call
+    prelec = CptModel(weight_plus=WeightSpec.prelec(0.65), weight_minus=WeightSpec.prelec(0.65))
+    assert len(optimize(env, prelec, SpsaSchedules(alpha=1.0), box, [1.0, 1.0], 1, 0).records) == 1
 
 
 class TestTraceCsv:
