@@ -54,7 +54,7 @@ def theta_2x3(grid: TrafficGrid) -> np.ndarray:
 
 
 MATRIX = {
-    "grids": [[1, 1], [2, 2], [2, 3], [3, 2], [6, 6]],
+    "grids": [[1, 1], [2, 2], [2, 3], [3, 2], [6, 6], [1, 4], [4, 1]],
     "burst_probs": [0.0, 0.004, 0.02, 0.05],
     "policies": ["boltzmann-uniform", "boltzmann-random", "fixed-cycle-3", "constant-ns"],
     "horizons": [1, 255, 256, 257, 700],

@@ -5,11 +5,12 @@ import hashlib
 import itertools
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cptopt.envs.traffic import (
@@ -301,6 +302,191 @@ class TestTableDrivenProperties:
         assert pieces.rng.random() == whole.rng.random()
 
 
+def _step_major_sim(grid, policy, horizon, rng):
+    """State of the step-major reference simulator (``_step_major_run``).
+
+    It builds its own P(NS) table, from ``TrafficGrid.feature_index``, and
+    draws its own uniforms, so it shares no code with ``TrafficSim`` beyond
+    the grid's routing tables.
+    """
+    if isinstance(policy, BoltzmannSignPolicy):
+        scores = policy.theta.tolist()
+        p_ns = []
+        for j in range(grid.n_junctions):
+            for qb_ew, tb_ns, qb_ns, tb_ew in itertools.product(
+                range(3), range(2), range(3), range(2)
+            ):
+                gap = (
+                    scores[grid.feature_index(j, EW, qb_ew, tb_ns)]
+                    - scores[grid.feature_index(j, NS, qb_ns, tb_ew)]
+                )
+                try:
+                    p_ns.append(1.0 / (1.0 + math.exp(gap)))
+                except OverflowError:
+                    p_ns.append(0.0)
+    else:
+        p_ns = [0.5] * (36 * grid.n_junctions)
+    return types.SimpleNamespace(
+        grid=grid, policy=policy, horizon=horizon, rng=rng, t=0,
+        queues=[0] * grid.n_lanes, timers=[0] * grid.n_lanes,
+        injected=0, departed=0, p_ns=tuple(p_ns), blocks=[], rows=[], draws=[],
+        left_at=[[] for _ in range(grid.n_lanes)],
+        left_n=[[] for _ in range(grid.n_lanes)],
+    )
+
+
+def _step_major_draws(policy, t0, k, n_junctions, rng):
+    if isinstance(policy, BoltzmannSignPolicy):
+        return rng.random((k, n_junctions)).tolist()
+    if isinstance(policy, FixedCyclePolicy):
+        ew, ns = [1.0] * n_junctions, [0.0] * n_junctions
+        return [ns if (t // policy.cycle) % 2 else ew for t in range(t0, t0 + k)]
+    return [[0.0 if policy.config == NS else 1.0] * n_junctions] * k
+
+
+def _step_major_run(sim, until):
+    """The simulator loop as it was before it went junction-major: one step
+    at a time, junctions last to first, each decision made in the same pass
+    that serves the junction."""
+    grid = sim.grid
+    cfg = grid.config
+    lo, hi = cfg.queue_bins
+    timer_bin = cfg.timer_bin
+    rate = cfg.service_rate
+    switched_rate = rate - cfg.switch_loss
+    queues, timers, p_ns = sim.queues, sim.timers, sim.p_ns
+    first_lane, next_lane = grid.first_lane, grid.next_lane
+    left_at, left_n = sim.left_at, sim.left_n
+    junctions = [(j, 2 * j, 2 * j + 1, 36 * j) for j in reversed(range(grid.n_junctions))]
+    injected, departed = sim.injected, sim.departed
+    t = sim.t
+    while t < until:
+        offset = t % 256
+        if offset == 0:
+            shape = (256, grid.n_paths)
+            counts = sim.rng.poisson(cfg.rates, shape)
+            if cfg.burst_prob > 0.0:
+                bursts = sim.rng.random(shape) < cfg.burst_prob
+                counts = counts + bursts * cfg.burst_size
+            sim.blocks.append(counts)
+            sim.rows = counts.tolist()
+            k = min(256, sim.horizon - t)
+            sim.draws = _step_major_draws(sim.policy, t, k, grid.n_junctions, sim.rng)
+        stop = offset + min(until - t, 256 - offset)
+        for arrivals, draws in zip(sim.rows[offset:stop], sim.draws[offset:stop]):
+            for lane, k in zip(first_lane, arrivals):
+                if k:
+                    queues[lane] += k
+                    injected += k
+            for j, ew, ns, base in junctions:
+                q_ew, q_ns, t_ew, t_ns = queues[ew], queues[ns], timers[ew], timers[ns]
+                state = (
+                    (0 if q_ew < lo else 12 if q_ew < hi else 24)
+                    + (6 if t_ns >= timer_bin else 0)
+                    + (0 if q_ns < lo else 2 if q_ns < hi else 4)
+                    + (t_ew >= timer_bin)
+                )
+                if draws[j] < p_ns[base + state]:
+                    green, queue, served = ns, q_ns, switched_rate if t_ns else rate
+                    timers[ns] = 0
+                    timers[ew] = t_ew + 1
+                else:
+                    green, queue, served = ew, q_ew, switched_rate if t_ew else rate
+                    timers[ew] = 0
+                    timers[ns] = t_ns + 1
+                if served > queue:
+                    served = queue
+                if served:
+                    queues[green] = queue - served
+                    nxt = next_lane[green]
+                    if nxt < 0:
+                        left_at[green].append(t)
+                        left_n[green].append(served)
+                        departed += served
+                    else:
+                        queues[nxt] += served
+            t += 1
+    sim.t, sim.injected, sim.departed = t, injected, departed
+
+
+def _step_major_delays(sim):
+    t = sim.t
+    arrivals = np.concatenate(sim.blocks or [np.zeros((0, sim.grid.n_paths), int)])
+    out = []
+    for path, hops in enumerate(sim.grid.path_hops):
+        entered = np.repeat(np.arange(t), arrivals[:t, path])
+        left = np.repeat(np.asarray(sim.left_at[hops[-1]], dtype=int), sim.left_n[hops[-1]])
+        queued, end = [], entered.size
+        for lane in hops:
+            queued.append(entered[end - sim.queues[lane] : end])
+            end -= sim.queues[lane]
+        out.append(np.concatenate([left - entered[: left.size], t - np.concatenate(queued)]))
+    return out
+
+
+def _delays_or_error(raw_delays):
+    """Delays as lists, or the error's type: overwritten queues can hold more
+    vehicles than ever entered, and then both simulators must fail alike."""
+    try:
+        return [d.tolist() for d in raw_delays()]
+    except (IndexError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def step_major_cases(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    burst = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=burst))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["uniform", "random", "fixed-cycle", "constant"]))
+    if kind == "uniform":
+        policy = uniform_policy(grid)
+    elif kind == "random":
+        # a scale of 400 puts many score gaps beyond math.exp's range
+        scale = draw(st.sampled_from([0.5, 3.0, 400.0]))
+        policy = BoltzmannSignPolicy(substream(seed, 1).normal(0.0, scale, grid.feature_dim), grid)
+    elif kind == "fixed-cycle":
+        policy = FixedCyclePolicy(draw(st.integers(1, 4)))
+    else:
+        policy = ConstantPolicy(draw(st.sampled_from([EW, NS])))
+    horizon = draw(st.integers(1, 700))
+    cuts = sorted(draw(st.lists(st.integers(0, horizon), max_size=4))) + [horizon]
+    lanes = st.lists(st.integers(0, 30), min_size=grid.n_lanes, max_size=grid.n_lanes)
+    # state written into both simulators before each run(until) call, or None
+    states = [draw(st.none() | st.tuples(lanes, lanes)) for _ in cuts]
+    return grid, policy, horizon, seed, cuts, states
+
+
+def _uniform_case(rows, cols, horizon, cuts):
+    grid = TrafficGrid(TrafficConfig(rows=rows, cols=cols, burst_prob=0.1))
+    return grid, uniform_policy(grid), horizon, 3, cuts, [None] * len(cuts)
+
+
+class TestStepMajorEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(step_major_cases())
+    @example(_uniform_case(1, 4, horizon=257, cuts=[256, 257]))
+    @example(_uniform_case(4, 1, horizon=700, cuts=[1, 700]))
+    def test_matches_step_major_loop(self, case):
+        grid, policy, horizon, seed, cuts, states = case
+        sim = TrafficSim(grid, policy, horizon, substream(seed))
+        ref = _step_major_sim(grid, policy, horizon, substream(seed))
+        for until, state in zip(cuts, states):
+            if state is not None:
+                sim.queues, sim.timers = list(state[0]), list(state[1])
+                ref.queues, ref.timers = list(state[0]), list(state[1])
+            sim.run(until)
+            _step_major_run(ref, until)
+            assert (sim.t, sim.queues, sim.timers) == (ref.t, ref.queues, ref.timers)
+            assert (sim.injected, sim.departed) == (ref.injected, ref.departed)
+            assert sim.queued == sum(ref.queues)
+        assert _delays_or_error(sim.raw_delays) == _delays_or_error(
+            lambda: _step_major_delays(ref)
+        )
+        assert sim.rng.random() == ref.rng.random()
+
+
 class TestGoldenMaster:
     def test_default_grid_uniform_policy_regression(self):
         """Frozen reference output of the default configuration.
@@ -370,5 +556,5 @@ class TestGoldenMaster:
                     digest.update(("%d %d %d\n" % counters).encode())
                 digest.update(float.hex(rng.random()).encode())
                 got[f"{rows}x{cols}/{burst!r}/{name}/{horizon}/{seed}"] = digest.hexdigest()
-        assert len(got) == len(doc["digests"]) == 400
+        assert len(got) == len(doc["digests"]) == 560
         assert [k for k in got if got[k] != doc["digests"][k]] == []
