@@ -18,10 +18,10 @@ The baseline table is simulated once per grid from a dedicated seed.
 
 The simulator stores no vehicles.  Its state is a queue count and a red timer
 per lane; lanes on a path are FIFO and no vehicle overtakes, so the delays are
-rebuilt at episode end from the arrival counts and each path's departure
-steps.  A signal policy hands the simulator a table of P(NS) per junction and
-queue/timer-bin state (the Boltzmann policy computes its softmax once) and one
-block of uniform draws per 256-step arrival block.
+rebuilt at episode end from the arrival counts and each path's per-step
+outflow.  A signal policy hands the simulator a table of P(NS) per junction
+and queue/timer-bin state (the Boltzmann policy computes its softmax once) and
+one array of uniform draws per 256-step arrival block.
 """
 
 from __future__ import annotations
@@ -87,11 +87,13 @@ class TrafficConfig(JsonRecord):
         n_paths = self.rows + self.cols
         if self.arrival_rates is not None:
             rates = tuple(float(r) for r in self.arrival_rates)
-            if len(rates) != n_paths or any(r < 0 for r in rates):
-                raise ValueError(f"need {n_paths} nonnegative arrival rates")
+            if len(rates) != n_paths or not all(0.0 <= r < math.inf for r in rates):
+                raise ValueError(f"arrival_rates: need {n_paths} finite nonnegative rates")
             object.__setattr__(self, "arrival_rates", rates)
-        if self.ew_rate < 0 or self.ns_rate < 0:
-            raise ValueError("arrival rates must be nonnegative")
+        for name in ("ew_rate", "ns_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
         if not 0.0 <= self.burst_prob <= 1.0:
             raise ValueError("burst_prob must lie in [0, 1]")
         if self.burst_size < 0 or self.service_rate < 1:
@@ -116,17 +118,17 @@ class SignPolicy(Protocol):
     """Signal controller, read by the simulator as a table plus uniform draws.
 
     Junction ``j`` picks NS at step ``t`` exactly when
-    ``draws[t - t0][j] < p_ns[36 * j + state]``, else EW.  ``state`` indexes
+    ``draws[t - t0, j] < p_ns[36 * j + state]``, else EW.  ``state`` indexes
     the junction's (EW queue bin, NS timer bin, NS queue bin, EW timer bin),
     3 x 2 x 3 x 2 entries in that order.  ``draws`` is asked once per arrival
-    block for its ``k`` rows of ``n_junctions`` values each.
+    block for a ``(k, n_junctions)`` array, one row per step.
     """
 
     def p_ns_table(self, n_junctions: int) -> Sequence[float]: ...
 
     def draws(
         self, t0: int, k: int, n_junctions: int, rng: np.random.Generator
-    ) -> Sequence[Sequence[float]]: ...
+    ) -> np.ndarray: ...
 
 
 class TrafficGrid:
@@ -170,7 +172,8 @@ class TrafficGrid:
     def timer_bin(self, t: int) -> int:
         return 0 if t < self.config.timer_bin else 1
 
-    def feature_index(self, junction: int, config: int, qbin: int, tbin: int) -> int:
+    @staticmethod
+    def feature_index(junction: int, config: int, qbin: int, tbin: int) -> int:
         return (junction * 2 + config) * 6 + qbin * 2 + tbin
 
     def active_feature(
@@ -209,6 +212,14 @@ class TrafficGrid:
         return self._baseline
 
 
+# (EW, NS) indicator offsets inside a junction's 12 features, over the 36
+# (EW queue bin, NS timer bin, NS queue bin, EW timer bin) states in table order
+_INDICATOR_PAIRS = tuple(
+    (TrafficGrid.feature_index(0, EW, qb_ew, tb_ns), TrafficGrid.feature_index(0, NS, qb_ns, tb_ew))
+    for qb_ew, tb_ns, qb_ns, tb_ew in itertools.product(range(3), range(2), range(3), range(2))
+)
+
+
 class BoltzmannSignPolicy:
     """Softmax choice per junction with per-(junction, config) indicator scores.
 
@@ -234,16 +245,10 @@ class BoltzmannSignPolicy:
         self.grid = grid
         scores = theta.tolist()
         table = []
-        for j in range(grid.n_junctions):
-            for qb_ew, tb_ns, qb_ns, tb_ew in itertools.product(
-                range(3), range(2), range(3), range(2)
-            ):
-                gap = (
-                    scores[grid.feature_index(j, EW, qb_ew, tb_ns)]
-                    - scores[grid.feature_index(j, NS, qb_ns, tb_ew)]
-                )
+        for j0 in range(0, grid.feature_dim, 12):
+            for ew, ns in _INDICATOR_PAIRS:
                 try:
-                    table.append(1.0 / (1.0 + math.exp(gap)))
+                    table.append(1.0 / (1.0 + math.exp(scores[j0 + ew] - scores[j0 + ns])))
                 except OverflowError:
                     table.append(0.0)
         self._p_ns = tuple(table)
@@ -255,8 +260,8 @@ class BoltzmannSignPolicy:
             )
         return self._p_ns
 
-    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
-        return rng.random((k, n_junctions)).tolist()
+    def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
+        return rng.random((k, n_junctions))
 
 
 class FixedCyclePolicy:
@@ -273,9 +278,9 @@ class FixedCyclePolicy:
     def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
         return (0.5,) * (36 * n_junctions)
 
-    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
-        ew, ns = [1.0] * n_junctions, [0.0] * n_junctions
-        return [ns if (t // self.cycle) % 2 else ew for t in range(t0, t0 + k)]
+    def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
+        ew = 1.0 - np.arange(t0, t0 + k) // self.cycle % 2  # 1.0 on EW steps
+        return np.broadcast_to(ew[:, None], (k, n_junctions))
 
 
 class ConstantPolicy:
@@ -289,8 +294,8 @@ class ConstantPolicy:
     def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
         return (0.5,) * (36 * n_junctions)
 
-    def draws(self, t0, k, n_junctions, rng) -> list[list[float]]:
-        return [[0.0 if self.config == NS else 1.0] * n_junctions] * k
+    def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
+        return np.full((k, n_junctions), 0.0 if self.config == NS else 1.0)
 
 
 _ARRIVAL_BLOCK = 256
@@ -301,15 +306,16 @@ class TrafficSim:
 
     No vehicle is stored.  A path is a chain of FIFO lanes and no vehicle
     overtakes, so the k-th vehicle to leave a path is the k-th to enter it;
-    the sim keeps the arrival rows and, per path's last lane, the steps and
-    sizes of its departures, and ``raw_delays`` rebuilds every delay from them.
+    the sim keeps the arrival blocks and each path's outflow (what its last
+    lane served at each step), and ``raw_delays`` rebuilds every delay.
 
     Randomness is drawn per 256-step block: the arrival counts, then the
-    policy's uniforms for the block's steps inside the horizon.  ``run``
-    serves junctions last to first and makes each junction's signal decision
-    in the same pass: a served vehicle only moves to a later junction, so a
-    junction's lanes still hold their post-arrival state when it decides,
-    and a moved vehicle joins a queue already served this step.
+    policy's uniforms for the block's steps inside the horizon.  A decision
+    at step t reads only the junction's own queues and timers, that step's
+    arrivals and what upstream junctions served at t - 1, and no draw depends
+    on state.  So ``run`` takes the steps up to the next block edge (or
+    ``until``) one junction at a time, upstream first, each from four local
+    counters, and feeds a junction's per-step service downstream a step later.
     """
 
     def __init__(
@@ -332,10 +338,11 @@ class TrafficSim:
         self.departed = 0
         self._p_ns = policy.p_ns_table(grid.n_junctions)
         self._blocks: list[np.ndarray] = []
-        self._rows: list[list[int]] = []
-        self._draws: Sequence[Sequence[float]] = []
-        self._left_at: list[list[int]] = [[] for _ in range(grid.n_lanes)]
-        self._left_n: list[list[int]] = [[] for _ in range(grid.n_lanes)]
+        # the current block by column: arrivals per path, uniforms per junction
+        self._arrivals: list[list[int]] = []
+        self._uniforms: list[list[float]] = []
+        # per path: what its last lane served at each simulated step
+        self._outflow: list[list[int]] = [[] for _ in range(grid.n_paths)]
 
     @property
     def queued(self) -> int:
@@ -349,9 +356,9 @@ class TrafficSim:
             bursts = self.rng.random(shape) < cfg.burst_prob
             counts = counts + bursts * cfg.burst_size
         self._blocks.append(counts)
-        self._rows = counts.tolist()
+        self._arrivals = counts.T.tolist()
         k = min(_ARRIVAL_BLOCK, self.horizon - t0)
-        self._draws = self.policy.draws(t0, k, self.grid.n_junctions, self.rng)
+        self._uniforms = self.policy.draws(t0, k, self.grid.n_junctions, self.rng).T.tolist()
 
     def run(self, until: Optional[int] = None) -> None:
         """Simulate up to step ``until`` (default: the horizon)."""
@@ -365,24 +372,32 @@ class TrafficSim:
         rate = cfg.service_rate
         switched_rate = rate - cfg.switch_loss
         queues, timers, p_ns = self.queues, self.timers, self._p_ns
-        first_lane, next_lane = grid.first_lane, grid.next_lane
-        left_at, left_n = self._left_at, self._left_n
-        # junction j's EW lane is 2j, its NS lane 2j+1 and its table starts at 36j
-        junctions = [(j, 2 * j, 2 * j + 1, 36 * j) for j in reversed(range(grid.n_junctions))]
+        # a lane's inflow: its path's arrivals (first lanes) or what its
+        # upstream lane served one step earlier
+        entry = {lane: path for path, lane in enumerate(grid.first_lane)}
+        upstream = {nxt: lane for lane, nxt in enumerate(grid.next_lane) if nxt >= 0}
         injected, departed = self.injected, self.departed
         t = self.t
         while t < until:
             offset = t % _ARRIVAL_BLOCK
             if offset == 0:
                 self._draw_block(t)
-            stop = offset + min(until - t, _ARRIVAL_BLOCK - offset)
-            for arrivals, draws in zip(self._rows[offset:stop], self._draws[offset:stop]):
-                for lane, k in zip(first_lane, arrivals):
-                    if k:
-                        queues[lane] += k
-                        injected += k
-                for j, ew, ns, base in junctions:
-                    q_ew, q_ns, t_ew, t_ns = queues[ew], queues[ns], timers[ew], timers[ns]
+            n = min(until - t, _ARRIVAL_BLOCK - offset)
+            arrivals = [column[offset : offset + n] for column in self._arrivals]
+            injected += sum(map(sum, arrivals))
+            out: list[list[int]] = [[]] * grid.n_lanes  # vehicles served per lane and step
+            for j, uniforms in enumerate(self._uniforms):
+                ew, ns = 2 * j, 2 * j + 1
+                in_ew, in_ns = (
+                    arrivals[entry[lane]] if lane in entry else [0, *out[upstream[lane]][:-1]]
+                    for lane in (ew, ns)
+                )
+                p = p_ns[36 * j : 36 * j + 36]  # P(NS) per queue/timer-bin state
+                q_ew, q_ns, t_ew, t_ns = queues[ew], queues[ns], timers[ew], timers[ns]
+                out[ew], out[ns] = out_ew, out_ns = [0] * n, [0] * n
+                for i, a_ew, a_ns, u in zip(range(n), in_ew, in_ns, uniforms[offset : offset + n]):
+                    q_ew += a_ew
+                    q_ns += a_ns
                     state = (
                         (0 if q_ew < lo else 12 if q_ew < hi else 24)
                         + (6 if t_ns >= timer_bin else 0)
@@ -391,26 +406,28 @@ class TrafficSim:
                     )
                     # a lane that was red last step (timer > 0) just turned
                     # green and loses switch_loss of its service
-                    if draws[j] < p_ns[base + state]:
-                        green, queue, served = ns, q_ns, switched_rate if t_ns else rate
-                        timers[ns] = 0
-                        timers[ew] = t_ew + 1
+                    if u < p[state]:
+                        served = switched_rate if t_ns else rate
+                        if served > q_ns:
+                            served = q_ns
+                        q_ns -= served
+                        out_ns[i] = served
+                        t_ns, t_ew = 0, t_ew + 1
                     else:
-                        green, queue, served = ew, q_ew, switched_rate if t_ew else rate
-                        timers[ew] = 0
-                        timers[ns] = t_ns + 1
-                    if served > queue:
-                        served = queue
-                    if served:
-                        queues[green] = queue - served
-                        nxt = next_lane[green]
-                        if nxt < 0:
-                            left_at[green].append(t)
-                            left_n[green].append(served)
-                            departed += served
-                        else:
-                            queues[nxt] += served
-                t += 1
+                        served = switched_rate if t_ew else rate
+                        if served > q_ew:
+                            served = q_ew
+                        q_ew -= served
+                        out_ew[i] = served
+                        t_ew, t_ns = 0, t_ns + 1
+                queues[ew], queues[ns], timers[ew], timers[ns] = q_ew, q_ns, t_ew, t_ns
+            # what a lane served on the chunk's last step now waits downstream
+            for lane, up in upstream.items():
+                queues[lane] += out[up][-1]
+            for outflow, hops in zip(self._outflow, grid.path_hops):
+                outflow += out[hops[-1]]
+                departed += sum(out[hops[-1]])
+            t += n
         self.t, self.injected, self.departed = t, injected, departed
 
     def raw_delays(self) -> list[np.ndarray]:
@@ -425,7 +442,7 @@ class TrafficSim:
         out = []
         for path, hops in enumerate(self.grid.path_hops):
             entered = np.repeat(np.arange(t), arrivals[:t, path])
-            left = np.repeat(np.asarray(self._left_at[hops[-1]], dtype=int), self._left_n[hops[-1]])
+            left = np.repeat(np.arange(t), self._outflow[path])
             queued, end = [], entered.size
             for lane in hops:
                 queued.append(entered[end - self.queues[lane] : end])

@@ -59,7 +59,8 @@ class TestTopology:
         assert grid.first_lane == tuple(hops[0] for hops in grid.path_hops)
         for hops in grid.path_hops:
             assert [grid.next_lane[lane] for lane in hops] == list(hops[1:]) + [-1]
-        # TrafficSim.run serves junctions last to first, which relies on this
+        # TrafficSim.run simulates junctions in index order, each after the
+        # upstream junctions whose service it takes in; this order relies on it
         for lane, nxt in enumerate(grid.next_lane):
             assert nxt < 0 or nxt // 2 > lane // 2
 
