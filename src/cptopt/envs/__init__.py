@@ -42,10 +42,12 @@ class GaussianMeanEnv(ReturnEnv):
         self._curvatures = np.broadcast_to(
             np.asarray(curvatures, dtype=float), self._optimum.shape
         ).copy()
-        if np.any(self._curvatures <= 0.0):
-            raise ValueError("curvatures must be positive")
-        if noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+        if not np.all(np.isfinite(self._optimum)):
+            raise ValueError("optimum must be finite")
+        if not np.all((self._curvatures > 0.0) & (self._curvatures < np.inf)):
+            raise ValueError("curvatures must be positive and finite")
+        if not 0.0 <= noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
         self._noise_std = float(noise_std)
 
     @property

@@ -318,8 +318,8 @@ def spsa_gradient(
     c_plus: float, c_minus: float, delta: float, perturb: np.ndarray
 ) -> np.ndarray:
     """Two-point gradient estimate (c_plus - c_minus) / (2 delta perturb_i)."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     perturb = _check_perturbation(perturb)
     return (c_plus - c_minus) / (2.0 * delta) * perturb  # 1/(+-1) == +-1
 
@@ -353,8 +353,8 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     is continuous and leaves inputs whose spectrum already clears the floor
     unchanged (exactly).
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")

@@ -19,6 +19,33 @@ from cptopt.envs.ssp import (
     ssp_episode,
     two_state_chain,
 )
+from cptopt.envs.traffic import TrafficConfig
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: TrafficConfig(ew_rate=NAN), "ew_rate"),
+        (lambda: TrafficConfig(ns_rate=INF), "ns_rate"),
+        (lambda: TrafficConfig(arrival_rates=(NAN,) * 4), "arrival_rates"),
+        (lambda: TrafficConfig(arrival_rates=(0.5, INF, 0.2, 0.2)), "arrival_rates"),
+        (lambda: GaussianMeanEnv(optimum=NAN), "optimum"),
+        (lambda: GaussianMeanEnv(optimum=(2.0, INF), curvatures=1.0), "optimum"),
+        (lambda: GaussianMeanEnv(curvatures=NAN), "curvatures"),
+        (lambda: GaussianMeanEnv(curvatures=INF), "curvatures"),
+        (lambda: GaussianMeanEnv(noise_std=NAN), "noise_std"),
+    ],
+    ids=[
+        "traffic-ew-nan", "traffic-ns-inf", "traffic-rates-nan", "traffic-rates-inf",
+        "gaussian-optimum-nan", "gaussian-optimum-inf", "gaussian-curvature-nan",
+        "gaussian-curvature-inf", "gaussian-noise-nan",
+    ],
+)
+def test_non_finite_parameters_rejected_at_construction(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 class TestGaussianMeanEnv:

@@ -122,6 +122,11 @@ class TestSpsaGradient:
         with pytest.raises(ValueError):
             spsa_gradient(1.0, 0.0, 0.1, np.array([0.5]))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_raises(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            spsa_gradient(1.0, 0.0, delta, np.array([1.0, -1.0]))
+
 
 class TestProjectBox:
     BOX = BoxConstraint.cube(0.1, 10.0, 2)
@@ -264,6 +269,11 @@ class TestPsdProject:
             psd_project(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
         with pytest.raises(ValueError):
             psd_project(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_raises(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            psd_project(np.eye(2), kappa)
 
 
 class TestCholeskySolve:
