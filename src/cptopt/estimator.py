@@ -193,23 +193,30 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
 
 
 def _distorted_sum(
-    p: np.ndarray, dist: DiscreteDist, model: CptModel
+    p: np.ndarray, dist: DiscreteDist, model: CptModel, total: float = 1.0
 ) -> tuple[float, float]:
-    """Gain and loss parts of the discrete formula for atom probabilities p."""
+    """Gain and loss parts of the discrete formula for atom masses p of sum
+    ``total``.
+
+    Integer counts with their total keep every cumulated probability one
+    rounding from exact, so a full side weighs ``w(1.0)``: under a weight
+    with an unbounded slope at 1 (Tversky-Kahneman eta < 1), a cumulated
+    ``1 - 2**-53`` moves the estimate by about 1e-8.
+    """
     xs = np.asarray(dist.support)
     l = dist.split
     k = dist.size
 
     neg = 0.0
     if l > 0:
-        f_loss = np.cumsum(p[:l])  # cumulated from the worst loss upward
+        f_loss = np.cumsum(p[:l]) / total  # cumulated from the worst loss upward
         w = model.weight_minus.apply(np.clip(f_loss, 0.0, 1.0))
         increments = np.diff(np.concatenate(([0.0], w)))
         neg = float(np.dot(model.utility.loss_values(xs[:l]), increments))
 
     pos = 0.0
     if l < k:
-        f_gain = np.cumsum(p[l:][::-1])[::-1]  # cumulated from the best gain downward
+        f_gain = np.cumsum(p[l:][::-1])[::-1] / total  # from the best gain downward
         w = model.weight_plus.apply(np.clip(f_gain, 0.0, 1.0))
         increments = np.diff(np.concatenate((w, [0.0]))) * -1.0
         pos = float(np.dot(model.utility.gain_values(xs[l:]), increments))
@@ -250,7 +257,7 @@ def estimate_cpt_discrete(
     n = int(arr.sum())
     if n < 1:
         raise ValueError("need at least one sample")
-    pos, neg = _distorted_sum(arr / n, dist, model)
+    pos, neg = _distorted_sum(arr, dist, model, n)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 

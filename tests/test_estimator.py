@@ -330,6 +330,22 @@ class TestEmpiricalDistributionOracles:
         ))
         assert est.value == pytest.approx(expected.value, rel=0.0, abs=1e-12 * scale)
 
+    def test_counts_reach_a_full_side_exactly(self):
+        # 1/27 + 16/27 + 10/27 sums to 1 - 2**-53 in floats, and TK eta = 0.5
+        # is so steep at 1 that w there is off by 5e-9; the counts' own
+        # cumulated fractions end at 1.0, as the sample estimator's grid does
+        model = CptModel(
+            UtilitySpec.piecewise_power(1.0, 1.0, 1.0),
+            WeightSpec.tversky_kahneman(1.0),
+            WeightSpec.tversky_kahneman(0.5),
+        )
+        picks = [-0.75] + [-0.5] * 16 + [-0.25] * 10
+        dist = DiscreteDist.from_outcomes([-0.75, -0.5, -0.25], [1 / 3] * 3, 0.0)
+        expected = estimate_cpt_discrete(counts_from_samples(picks, dist), dist, model)
+        assert estimate_cpt(picks, model).value == pytest.approx(
+            expected.value, rel=0.0, abs=1e-15
+        )
+
 
 class TestEstimateConsistency:
     def test_uniform_tk_consistency_at_1e5(self):
