@@ -346,9 +346,8 @@ def _step_major_draws(policy, t0, k, n_junctions, rng):
 
 
 def _step_major_run(sim, until):
-    """The simulator loop as it was before it went junction-major: one step
-    at a time, junctions last to first, each decision made in the same pass
-    that serves the junction."""
+    """Step-major reference loop: one step at a time, junctions last to
+    first, each decision made in the same pass that serves the junction."""
     grid = sim.grid
     cfg = grid.config
     lo, hi = cfg.queue_bins
