@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cptopt
 from cptopt import (
+    CptEstimate,
     CptModel,
     DiscreteDist,
     Uniform,
@@ -65,6 +66,29 @@ def _reference_estimate(samples, model):
     return math.fsum(pos) - math.fsum(neg), scale
 
 
+def _per_sample_estimate(samples, model):
+    """The estimator as it was before tied order statistics were telescoped:
+    ``estimate_cpt``'s body verbatim, one weight increment per sample.  On
+    tie-free input the estimator must still match it bit for bit."""
+    arr = np.asarray(samples, dtype=float)
+    n = arr.size
+    xs = np.sort(arr)
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
+
+    # gain term i (0-based, k <= i < n) pairs with w+((n-i)/n) - w+((n-1-i)/n)
+    w_plus = model.weight_plus.apply(grid[: n - k + 1])
+    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
+    pos = float(np.add.reduce(model.utility.gain_values(xs[k:]) * d_plus))
+    # loss term i (0 <= i < m) pairs with w-((i+1)/n) - w-(i/n)
+    w_minus = model.weight_minus.apply(grid[: m + 1])
+    d_minus = w_minus[1:] - w_minus[:-1]
+    neg = float(np.add.reduce(model.utility.loss_values(xs[:m]) * d_minus))
+    return CptEstimate(n=n, positive_part=pos, negative_part=neg)
+
+
 REFERENCES = st.integers(-20, 20).map(lambda r: r / 4)
 SIGMAS = st.floats(0.2, 1.0)
 LOSS_AVERSIONS = st.floats(1.0, 3.0)
@@ -107,6 +131,58 @@ def batches(draw, ref):
     elif side == "losses":
         offsets = [-abs(x) for x in offsets]
     return [ref + x for x in offsets]
+
+
+def _tie_free(samples):
+    """The batch with each value kept once, in first-seen order (-0.0 and 0.0
+    are one value)."""
+    return list(dict.fromkeys(samples))
+
+
+@st.composite
+def tied_batches(draw, ref):
+    """2..80 samples with at least one tie: picks from a few atoms (the
+    reference among them, and both zeros around a zero reference), a constant
+    batch, or long runs at both ends around distinct middle values."""
+    kind = draw(st.sampled_from(("atoms", "constant", "long_ends")))
+    if kind == "constant":
+        x = draw(st.sampled_from((ref, ref + 0.25, ref - 0.25)) | st.floats(-100.0, 100.0))
+        return [x] * draw(st.integers(2, 80))
+    if kind == "atoms":
+        atoms = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True))
+        support = [ref + a / 4 for a in atoms] + [ref]
+        if ref == 0.0:
+            support += [-0.0, 0.0]
+        picks = draw(st.lists(st.sampled_from(support), min_size=2, max_size=80))
+        picks += [picks[0]]
+        return picks
+    low = ref - draw(st.floats(0.0, 50.0))
+    high = ref + draw(st.floats(0.0, 50.0))
+    middle = draw(st.lists(st.floats(-50.0, 50.0), max_size=30))
+    batch = (
+        [low] * draw(st.integers(2, 40))
+        + [ref + x for x in middle]
+        + [high] * draw(st.integers(2, 40))
+    )
+    return draw(st.permutations(batch))
+
+
+def _bits(est):
+    return est.n, est.positive_part.hex(), est.negative_part.hex()
+
+
+def _assert_matches_per_sample(samples, model):
+    """Bit for bit on tie-free batches; within the reference tolerance on tied ones."""
+    est = estimate_cpt(samples, model)
+    want = _per_sample_estimate(samples, model)
+    if len(_tie_free(samples)) == len(samples):
+        assert _bits(est) == _bits(want)
+        return
+    _, scale = _reference_estimate(samples, model)
+    assert est.n == want.n
+    for got, expected in ((est.positive_part, want.positive_part),
+                          (est.negative_part, want.negative_part)):
+        assert got == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
 
 
 class TestEstimateCpt:
@@ -178,6 +254,47 @@ class TestEstimateCpt:
         expected, scale = _reference_estimate(samples, model)
         est = estimate_cpt(samples, model)
         assert est.value == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_free_batches_match_per_sample_estimate_bit_for_bit(self, data):
+        model = data.draw(models())
+        samples = _tie_free(data.draw(batches(model.utility.reference)))
+        if len(samples) < 2:
+            samples.append(max(samples) + 1.0)
+        _assert_matches_per_sample(samples, model)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_tied_batches_match_per_sample_estimate(self, data):
+        model = data.draw(models())
+        _assert_matches_per_sample(data.draw(tied_batches(model.utility.reference)), model)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [-0.0, 0.0, 0.0, -0.0],
+            [0.0, -0.0, 1.0, -1.0, -0.0],
+            [-0.0, 0.0, 2.5, 2.5, 2.5],
+            [-3.0, -3.0, -3.0, 0.0, -0.0],
+            [-2.0] * 7 + [0.5, 1.5] + [4.0] * 9,
+        ],
+        ids=["zeros", "zeros-mixed", "zeros-gains", "losses-zeros", "long-ends"],
+    )
+    @pytest.mark.parametrize("family", ["identity", "eu", "tk", "prelec", "power"])
+    def test_signed_zeros_at_a_zero_reference_match_per_sample_estimate(self, samples, family):
+        utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25)
+        model = {
+            "identity": CptModel.identity(),
+            "eu": CptModel(utility),
+            "tk": CptModel(
+                utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
+            ),
+            "prelec": CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
+            "power": CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
+        }[family]
+        _assert_matches_per_sample(samples, model)
+        _assert_matches_per_sample(samples[::-1], model)
 
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize(
