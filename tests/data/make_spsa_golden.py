@@ -10,7 +10,9 @@ and (SPSA-N) running curvature matrix.  Every float is stored as
 Run with ``PYTHONPATH=src python tests/data/make_spsa_golden.py``.  With
 ``--check`` the file is regenerated in memory and compared with the
 committed bytes instead: nothing is written, and the script exits 1 naming
-the first case that differs (or the file, if no single case does).
+each case that differs (or the file, if no single case does) with the number
+of float fields that differ and their largest relative difference, so a
+rounding-level change shows as such.
 """
 
 import argparse
@@ -97,16 +99,54 @@ def render() -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def first_difference(text: str, committed: bytes) -> str:
-    """The first case whose entry differs, else the file itself."""
+def float_differences(new, old) -> tuple[int, float, bool]:
+    """Count the ``float.hex`` fields that differ between two case entries and
+    their largest relative difference; the flag is set when anything other
+    than a float value differs (keys, lengths, counts, names)."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        if new.keys() != old.keys():
+            return 0, 0.0, True
+        pairs = [(new[key], old[key]) for key in new]
+    elif isinstance(new, list) and isinstance(old, list):
+        if len(new) != len(old):
+            return 0, 0.0, True
+        pairs = list(zip(new, old))
+    elif isinstance(new, str) and isinstance(old, str) and "0x" in new and "0x" in old:
+        if new == old:
+            return 0, 0.0, False
+        a, b = float.fromhex(new), float.fromhex(old)
+        return 1, abs(a - b) / max(abs(a), abs(b)), False
+    else:
+        return 0, 0.0, new != old
+    count, largest, other = 0, 0.0, False
+    for a, b in pairs:
+        c, r, o = float_differences(a, b)
+        count, largest, other = count + c, max(largest, r), other or o
+    return count, largest, other
+
+
+def differences(text: str, committed: bytes) -> list[str]:
+    """One line per case whose entry differs, with the size of the change;
+    the file itself if no single case does."""
     try:
         old = {case["name"]: case for case in json.loads(committed)}
     except ValueError:
-        return "spsa_golden.json (not JSON)"
+        return ["spsa_golden.json (not JSON)"]
+    lines = []
     for case in json.loads(text):
-        if old.get(case["name"]) != case:
-            return f"spsa_golden.json case {case['name']!r}"
-    return "spsa_golden.json"
+        before = old.get(case["name"])
+        if before == case:
+            continue
+        line = f"spsa_golden.json case {case['name']!r}"
+        if before is not None:
+            count, largest, other = float_differences(case, before)
+            line += (
+                f": {count} float fields differ, largest relative difference {largest:.3g}"
+            )
+            if other:
+                line += "; non-float fields differ too"
+        lines.append(line)
+    return lines or ["spsa_golden.json"]
 
 
 def main(argv=None) -> int:
@@ -123,7 +163,8 @@ def main(argv=None) -> int:
     if committed == text.encode():
         print(f"{out.name}: unchanged")
         return 0
-    print(f"differs: {first_difference(text, committed)}")
+    for line in differences(text, committed):
+        print(f"differs: {line}")
     return 1
 
 
