@@ -21,6 +21,13 @@ Two schemes:
   and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
   not a BLAS dot product, so no result depends on the BLAS thread count.
 
+  Within a run of tied order statistics ``X[a+1] = ... = X[b]`` the terms
+  share one utility and their weight increments telescope, so the run
+  contributes ``u-(X[b]) * (w-(b/n) - w-(a/n))`` (and the gain side
+  likewise with the tail shares ``(n-a)/n`` and ``(n-b)/n``): the weights
+  and utilities are evaluated once per distinct value, on the same j/n grid
+  points.  Tie-free input keeps the per-sample j/n grid, term by term.
+
 * :func:`estimate_cpt_discrete` works on per-atom counts for a known finite
   support, distorting cumulated-from-the-tail probabilities:
   ``F_k`` cumulates from below over losses (k <= split) and from above over
@@ -161,8 +168,6 @@ def _validate_samples(samples) -> np.ndarray:
         raise ValueError("samples must be one-dimensional")
     if arr.size < 2:
         raise ValueError(f"need at least 2 samples, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError("samples must be finite")
     return arr
 
 
@@ -170,25 +175,42 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     """Order-statistics estimate of the model value from i.i.d. samples.
 
     Input order never affects the result.  Each side's utility and weight
-    grid prefix are evaluated on its own order statistics only; the pairwise
-    sums' O(eps log n) rounding is negligible at n = 1e6.
+    grid prefix are evaluated on its own order statistics only, once per
+    distinct value; the pairwise sums' O(eps log n) rounding is negligible
+    at n = 1e6.
     """
     arr = _validate_samples(samples)
     n = arr.size
     xs = np.sort(arr)
+    # NaN sorts last and infinities to the ends, so the ends show them all
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        raise ValueError("samples must be finite")
+    first = np.empty(n + 1, dtype=bool)  # first[j]: j == n or xs[j] opens a run
+    first[0] = first[n] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:n])
+    if np.count_nonzero(first) == n + 1:  # no ties
+        below, values = None, xs
+    else:
+        below = first.nonzero()[0]  # samples under each run, ending at n
+        values = xs[below[:-1]]
     ref = model.utility.reference
-    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
-    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
-    grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
+    k = int(values.searchsorted(ref, "right"))  # values[k:] are the gains
+    m = int(values.searchsorted(ref, "left"))  # values[:m] are the losses
+    if below is None:
+        grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
+        gain_grid, loss_grid = grid[: n - k + 1], grid[: m + 1]
+    else:
+        # a run's per-sample increments telescope to one over the whole run
+        gain_grid, loss_grid = (n - below[k:][::-1]) / n, below[: m + 1] / n
 
-    # gain term i (0-based, k <= i < n) pairs with w+((n-i)/n) - w+((n-1-i)/n)
-    w_plus = model.weight_plus.apply(grid[: n - k + 1])
+    # gain run i (0-based, k <= i) pairs with w+(P(X >= x_i)) - w+(P(X > x_i))
+    w_plus = model.weight_plus.apply(gain_grid)
     d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
-    pos = float(np.add.reduce(model.utility.gain_values(xs[k:]) * d_plus))
-    # loss term i (0 <= i < m) pairs with w-((i+1)/n) - w-(i/n)
-    w_minus = model.weight_minus.apply(grid[: m + 1])
+    pos = float(np.add.reduce(model.utility.gain_values(values[k:]) * d_plus))
+    # loss run i (0 <= i < m) pairs with w-(P(X <= x_i)) - w-(P(X < x_i))
+    w_minus = model.weight_minus.apply(loss_grid)
     d_minus = w_minus[1:] - w_minus[:-1]
-    neg = float(np.add.reduce(model.utility.loss_values(xs[:m]) * d_minus))
+    neg = float(np.add.reduce(model.utility.loss_values(values[:m]) * d_minus))
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
