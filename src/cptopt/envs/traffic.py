@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -48,6 +49,19 @@ __all__ = [
 ]
 
 EW, NS = 0, 1
+
+
+_INT_FIELDS = (
+    "rows", "cols", "burst_size", "service_rate", "switch_loss",
+    "baseline_seed", "baseline_cycle", "baseline_horizon", "timer_bin",
+)
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,10 @@ class TrafficConfig(JsonRecord):
     timer_bin: int = 5
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        bins = tuple(_as_int("queue_bins", b) for b in self.queue_bins)
+        object.__setattr__(self, "queue_bins", bins)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         n_paths = self.rows + self.cols

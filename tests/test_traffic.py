@@ -83,6 +83,23 @@ class TestTopology:
         with pytest.raises(ValueError):
             TrafficConfig(service_rate=2, switch_loss=3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rows", 1.5), ("cols", 2.0), ("burst_size", 1.5), ("service_rate", 2.5),
+            ("switch_loss", 0.5), ("baseline_seed", 1.5), ("baseline_cycle", 3.0),
+            ("baseline_horizon", 2000.0), ("timer_bin", 2.5), ("queue_bins", (4.5, 12)),
+        ],
+    )
+    def test_non_integer_in_an_int_field_is_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            TrafficConfig(**{field: value})
+
+    def test_integer_like_fields_are_stored_as_int(self):
+        config = TrafficConfig(rows=np.int64(1), queue_bins=(np.int32(3), 9))
+        assert type(config.rows) is int and config.rows == 1
+        assert [type(b) for b in config.queue_bins] == [int, int]
+
     def test_config_json_round_trip(self):
         config = TrafficConfig(arrival_rates=(0.5, 0.5, 0.2, 0.2), burst_prob=0.01)
         again = TrafficConfig.from_json(config.to_json())
