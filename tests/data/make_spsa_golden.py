@@ -103,21 +103,18 @@ def float_differences(new, old) -> tuple[int, float, bool]:
     """Count the ``float.hex`` fields that differ between two case entries and
     their largest relative difference; the flag is set when anything other
     than a float value differs (keys, lengths, counts, names)."""
-    if isinstance(new, dict) and isinstance(old, dict):
-        if new.keys() != old.keys():
-            return 0, 0.0, True
+    if new == old:
+        return 0, 0.0, False
+    if isinstance(new, dict) and isinstance(old, dict) and new.keys() == old.keys():
         pairs = [(new[key], old[key]) for key in new]
-    elif isinstance(new, list) and isinstance(old, list):
-        if len(new) != len(old):
-            return 0, 0.0, True
+    elif isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
         pairs = list(zip(new, old))
     elif isinstance(new, str) and isinstance(old, str) and "0x" in new and "0x" in old:
-        if new == old:
-            return 0, 0.0, False
         a, b = float.fromhex(new), float.fromhex(old)
-        return 1, abs(a - b) / max(abs(a), abs(b)), False
+        scale = max(abs(a), abs(b))
+        return 1, abs(a - b) / scale if scale else 0.0, False
     else:
-        return 0, 0.0, new != old
+        return 0, 0.0, True
     count, largest, other = 0, 0.0, False
     for a, b in pairs:
         c, r, o = float_differences(a, b)

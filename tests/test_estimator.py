@@ -67,9 +67,9 @@ def _reference_estimate(samples, model):
 
 
 def _per_sample_estimate(samples, model):
-    """The estimator as it was before tied order statistics were telescoped:
-    ``estimate_cpt``'s body verbatim, one weight increment per sample.  On
-    tie-free input the estimator must still match it bit for bit."""
+    """The per-sample form of ``estimate_cpt``: one weight increment and one
+    utility per order statistic, ties or not.  ``estimate_cpt`` must match it
+    bit for bit on tie-free input and up to rounding on tied input."""
     arr = np.asarray(samples, dtype=float)
     n = arr.size
     xs = np.sort(arr)
@@ -165,6 +165,18 @@ def tied_batches(draw, ref):
         + [high] * draw(st.integers(2, 40))
     )
     return draw(st.permutations(batch))
+
+
+def _family_models(ref):
+    """One fixed model of each weight family at reference ``ref``."""
+    utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25, reference=ref)
+    return (
+        CptModel.identity(ref),
+        CptModel(utility),
+        CptModel(utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)),
+        CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
+        CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
+    )
 
 
 def _bits(est):
@@ -281,20 +293,10 @@ class TestEstimateCpt:
         ],
         ids=["zeros", "zeros-mixed", "zeros-gains", "losses-zeros", "long-ends"],
     )
-    @pytest.mark.parametrize("family", ["identity", "eu", "tk", "prelec", "power"])
-    def test_signed_zeros_at_a_zero_reference_match_per_sample_estimate(self, samples, family):
-        utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25)
-        model = {
-            "identity": CptModel.identity(),
-            "eu": CptModel(utility),
-            "tk": CptModel(
-                utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
-            ),
-            "prelec": CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
-            "power": CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
-        }[family]
-        _assert_matches_per_sample(samples, model)
-        _assert_matches_per_sample(samples[::-1], model)
+    def test_signed_zeros_at_a_zero_reference_match_per_sample_estimate(self, samples):
+        for model in _family_models(0.0):
+            _assert_matches_per_sample(samples, model)
+            _assert_matches_per_sample(samples[::-1], model)
 
     @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize(
@@ -313,16 +315,7 @@ class TestEstimateCpt:
              "ties-at-ref", "gains-from-ref", "losses-to-ref"],
     )
     def test_edge_batches_match_reference(self, offsets, descending):
-        utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25, reference=1.25)
-        for model in (
-            CptModel.identity(1.25),
-            CptModel(utility),
-            CptModel(
-                utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
-            ),
-            CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
-            CptModel(utility, WeightSpec.power(2.0), WeightSpec.power(0.5)),
-        ):
+        for model in _family_models(1.25):
             samples = sorted((1.25 + x for x in offsets), reverse=descending)
             expected, scale = _reference_estimate(samples, model)
             est = estimate_cpt(samples, model)

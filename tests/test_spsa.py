@@ -1,6 +1,7 @@
 """Perturbation machinery, schedules, and both optimizers."""
 
 import csv
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -553,3 +554,24 @@ def test_golden_master(case):
         assert trace.newton is None
     else:
         assert [[_hex(v) for v in row] for row in trace.newton.h_bar] == expected["h_bar"]
+
+
+def test_golden_check_reports_the_size_of_float_differences():
+    path = GOLDEN.parent / "make_spsa_golden.py"
+    spec = importlib.util.spec_from_file_location("make_spsa_golden", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    case = json.loads(GOLDEN.read_text())[0]
+    case["trace"]["final_theta"][0] = (1.0).hex()
+    moved = json.loads(json.dumps(case))
+    moved["trace"]["final_theta"][0] = (1.0 + 2.0**-52).hex()  # one ulp up
+    old, new = json.dumps([case]).encode(), json.dumps([moved])
+    assert tool.differences(new, old) == [
+        f"spsa_golden.json case {case['name']!r}: 1 float fields differ, "
+        "largest relative difference 2.22e-16"
+    ]
+    moved["trace"]["records"][0]["m"] += 1
+    assert tool.differences(json.dumps([moved]), old)[0].endswith(
+        "; non-float fields differ too"
+    )
+    assert tool.differences(json.dumps([case]), old) == ["spsa_golden.json"]
