@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -51,17 +51,13 @@ __all__ = [
 EW, NS = 0, 1
 
 
-_INT_FIELDS = (
-    "rows", "cols", "burst_size", "service_rate", "switch_loss",
-    "baseline_seed", "baseline_cycle", "baseline_horizon", "timer_bin",
-)
-
-
 def _as_int(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):  # bool passes operator.index
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,14 @@ class TrafficConfig(JsonRecord):
     timer_bin: int = 5
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        bins = tuple(_as_int("queue_bins", b) for b in self.queue_bins)
-        object.__setattr__(self, "queue_bins", bins)
+        # annotations are strings here (``from __future__ import annotations``)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                object.__setattr__(self, f.name, _as_int(f.name, value))
+            elif f.type == "tuple[int, int]":
+                ints = tuple(_as_int(f.name, v) for v in value)
+                object.__setattr__(self, f.name, ints)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         n_paths = self.rows + self.cols

@@ -89,6 +89,7 @@ class TestTopology:
             ("rows", 1.5), ("cols", 2.0), ("burst_size", 1.5), ("service_rate", 2.5),
             ("switch_loss", 0.5), ("baseline_seed", 1.5), ("baseline_cycle", 3.0),
             ("baseline_horizon", 2000.0), ("timer_bin", 2.5), ("queue_bins", (4.5, 12)),
+            ("rows", True), ("service_rate", np.True_), ("queue_bins", (4, True)),
         ],
     )
     def test_non_integer_in_an_int_field_is_rejected(self, field, value):
