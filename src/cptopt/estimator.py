@@ -188,18 +188,17 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     first = np.empty(n + 1, dtype=bool)  # first[j]: j == n or xs[j] opens a run
     first[0] = first[n] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:n])
-    if np.count_nonzero(first) == n + 1:  # no ties
-        below, values = None, xs
-    else:
-        below = first.nonzero()[0]  # samples under each run, ending at n
-        values = xs[below[:-1]]
     ref = model.utility.reference
-    k = int(values.searchsorted(ref, "right"))  # values[k:] are the gains
-    m = int(values.searchsorted(ref, "left"))  # values[:m] are the losses
-    if below is None:
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    if np.count_nonzero(first) == n + 1:  # no ties: each sample is a run
+        values = xs
         grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
         gain_grid, loss_grid = grid[: n - k + 1], grid[: m + 1]
     else:
+        below = first.nonzero()[0]  # samples under each run, ending at n
+        values = xs[below[:-1]]
+        k, m = int(below.searchsorted(k)), int(below.searchsorted(m))  # in runs
         # a run's per-sample increments telescope to one over the whole run
         gain_grid, loss_grid = (n - below[k:][::-1]) / n, below[: m + 1] / n
 

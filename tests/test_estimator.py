@@ -223,10 +223,12 @@ class TestEstimateCpt:
     def test_errors(self):
         with pytest.raises(ValueError):
             estimate_cpt([1.0], IDENTITY)
-        with pytest.raises(ValueError):
-            estimate_cpt([1.0, float("nan")], IDENTITY)
-        with pytest.raises(ValueError):
-            estimate_cpt([1.0, float("inf")], IDENTITY)
+        nan, inf = float("nan"), float("inf")
+        # the check reads the sorted ends, so place the bad value anywhere
+        for bad in ([1.0, nan], [nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, inf],
+                    [-inf, 1.0], [1.0, -inf, 2.0], [inf, -inf], [nan, nan]):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                estimate_cpt(bad, IDENTITY)
         with pytest.raises(ValueError):
             estimate_cpt([[1.0, 2.0]], IDENTITY)
 
