@@ -147,7 +147,8 @@ class DiscreteDist:
 
     def sample_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Multinomial tallies of ``n`` draws, aligned with ``support``."""
-        return rng.multinomial(n, np.asarray(self.probs))
+        # a merged atom may pass 1.0 by as much as the sum check allows
+        return rng.multinomial(n, np.minimum(self.probs, 1.0))
 
 
 def counts_from_samples(samples: Sequence[float], dist: DiscreteDist) -> np.ndarray:

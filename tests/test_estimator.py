@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cptopt
@@ -698,6 +698,10 @@ class TestDiscreteEstimator:
         ),
         stream=st.integers(0, 2**16),
     )
+    # merges to one atom of probability 1.0000000000000002
+    @example(
+        atoms=[(0.0, 0.625), (0.0, 0.99999), (0.0, 0.625)], model=CptModel.identity(), stream=0
+    )
     @settings(max_examples=150, deadline=None)
     def test_estimate_converges_to_exact_on_random_supports(self, atoms, model, stream):
         support, weights = zip(*atoms)
@@ -706,6 +710,22 @@ class TestDiscreteEstimator:
         counts = dist.sample_counts(cptopt.substream(DISCRETE_SEED, stream), n)
         error = estimate_cpt_discrete(counts, dist, model).value - exact_cpt_discrete(dist, model)
         assert abs(error) <= dkw_holder_tolerance(dist, model, n)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            DiscreteDist((1.0,), (1.0 + 5e-13,), 0),
+            DiscreteDist((1.0, 2.0), (1.0 + 5e-13, 0.0), 0),
+        ],
+    )
+    def test_probabilities_a_rounding_above_one_can_be_sampled(self, dist):
+        counts = dist.sample_counts(np.random.default_rng(0), 10)
+        assert counts.tolist() == [10] + [0] * (dist.size - 1)
+
+    def test_sample_counts_draw_as_multinomial_of_the_probabilities(self):
+        rng, want = np.random.default_rng(3), np.random.default_rng(3)
+        counts = LOSS_GAIN_DIST.sample_counts(rng, 1_000)
+        assert counts.tolist() == want.multinomial(1_000, LOSS_GAIN_DIST.probs).tolist()
 
     def test_dedup_merges_probabilities(self):
         dist = DiscreteDist.from_outcomes((1.0, 1.0, 2.0), (0.25, 0.25, 0.5))
