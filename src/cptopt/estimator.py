@@ -1,38 +1,35 @@
 """Sampling estimators for the rank-dependent value functional.
 
-Two schemes:
+:func:`estimate_cpt` works on raw i.i.d. samples: it is the model value of
+their empirical distribution.  Sort ascending as ``X[1] <= ... <= X[n]``; then
 
-* :func:`estimate_cpt` works on raw i.i.d. samples: it is the model value
-  of their empirical distribution.  Sort ascending as
-  ``X[1] <= ... <= X[n]``; then
+    pos = sum_{i=1}^{n} u+(X[i]) * (w+((n+1-i)/n) - w+((n-i)/n))
+    neg = sum_{i=1}^{n} u-(X[i]) * (w-(i/n)     - w-((i-1)/n))
 
-      pos = sum_{i=1}^{n} u+(X[i]) * (w+((n+1-i)/n) - w+((n-i)/n))
-      neg = sum_{i=1}^{n} u-(X[i]) * (w-(i/n)     - w-((i-1)/n))
+and the estimate is ``pos - neg``.  Each order statistic stands in for a
+quantile of the transformed outcome, and the weight increments discretize the
+distorted tail integral.  The increments on each side telescope from ``w(0)``
+to ``w(1)``, so, up to rounding, a constant sample ``c`` estimates ``u(c)``,
+and under identity weights and utilities the estimate is the sample mean.
 
-  and the estimate is ``pos - neg``.  Each order statistic stands in for a
-  quantile of the transformed outcome, and the weight increments discretize
-  the distorted tail integral.  The increments on each side telescope from
-  ``w(0)`` to ``w(1)``, so, up to rounding, a constant sample ``c``
-  estimates ``u(c)``, tied samples give the value of
-  :func:`estimate_cpt_discrete` on their tallies, and under identity weights
-  and utilities the estimate is the sample mean.
+Within a run of tied order statistics ``X[a+1] = ... = X[b]`` the terms share
+one utility and their increments telescope, so the run contributes
+``u-(X[b]) * (w-(b/n) - w-(a/n))`` (the gain side likewise with the tail
+shares ``(n-a)/n`` and ``(n-b)/n``).  The estimate is thus one rank-weighted
+sum over the distinct values: each value's utility times the weight increment
+across its share, cumulated from its side's tail.  Weights and utilities are
+evaluated once per distinct value; tie-free input keeps the per-sample j/n
+grid, term by term.
 
-  Each sum runs only over its own side of the reference (``u+`` vanishes at
-  and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
-  not a BLAS dot product, so no result depends on the BLAS thread count.
+:func:`estimate_cpt_discrete` is the same sum on per-atom tallies for a known
+finite support, the shares being the tallies cumulated from each side's tail
+and divided by n: on the samples' own support, samples and their tallies give
+the same bits.  :func:`exact_cpt_discrete` takes it at the true atom
+probabilities and is the estimator's consistency oracle.
 
-  Within a run of tied order statistics ``X[a+1] = ... = X[b]`` the terms
-  share one utility and their weight increments telescope, so the run
-  contributes ``u-(X[b]) * (w-(b/n) - w-(a/n))`` (and the gain side
-  likewise with the tail shares ``(n-a)/n`` and ``(n-b)/n``): the weights
-  and utilities are evaluated once per distinct value, on the same j/n grid
-  points.  Tie-free input keeps the per-sample j/n grid, term by term.
-
-* :func:`estimate_cpt_discrete` works on per-atom counts for a known finite
-  support, distorting cumulated-from-the-tail probabilities:
-  ``F_k`` cumulates from below over losses (k <= split) and from above over
-  gains (k > split).  :func:`exact_cpt_discrete` applies the same formula to
-  the true atom probabilities and is the estimator's consistency oracle.
+Each side's sum runs only over its own side of the reference (``u+`` vanishes
+at and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
+never a BLAS dot product, so no result depends on the BLAS thread count.
 
 :func:`required_samples_holder` and :func:`required_samples_lipschitz` give
 worst-case sample counts for an (eps, delta) accuracy target under Holder or
@@ -135,7 +132,7 @@ class DiscreteDist:
         return len(self.support)
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
+        return float(np.add.reduce(np.multiply(self.support, self.probs)))
 
     def split_consistent_with(self, reference: float) -> bool:
         left_ok = self.split == 0 or self.support[self.split - 1] <= reference
@@ -203,47 +200,37 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
         # a run's per-sample increments telescope to one over the whole run
         gain_grid, loss_grid = (n - below[k:][::-1]) / n, below[: m + 1] / n
 
-    # gain run i (0-based, k <= i) pairs with w+(P(X >= x_i)) - w+(P(X > x_i))
-    w_plus = model.weight_plus.apply(gain_grid)
-    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
-    pos = float(np.add.reduce(model.utility.gain_values(values[k:]) * d_plus))
-    # loss run i (0 <= i < m) pairs with w-(P(X <= x_i)) - w-(P(X < x_i))
-    w_minus = model.weight_minus.apply(loss_grid)
-    d_minus = w_minus[1:] - w_minus[:-1]
-    neg = float(np.add.reduce(model.utility.loss_values(values[:m]) * d_minus))
+    pos, neg = _rank_weighted_sum(values, k, m, gain_grid, loss_grid, model)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
-def _distorted_sum(
-    p: np.ndarray, dist: DiscreteDist, model: CptModel, total: float = 1.0
-) -> tuple[float, float]:
-    """Gain and loss parts of the discrete formula for atom masses p of sum
-    ``total``.
-
-    Integer counts with their total keep every cumulated probability one
-    rounding from exact, so a full side weighs ``w(1.0)``: under a weight
-    with an unbounded slope at 1 (Tversky-Kahneman eta < 1), a cumulated
-    ``1 - 2**-53`` moves the estimate by about 1e-8.
-    """
-    xs = np.asarray(dist.support)
-    l = dist.split
-    k = dist.size
-
-    neg = 0.0
-    if l > 0:
-        f_loss = np.cumsum(p[:l]) / total  # cumulated from the worst loss upward
-        w = model.weight_minus.apply(np.clip(f_loss, 0.0, 1.0))
-        increments = np.diff(np.concatenate(([0.0], w)))
-        neg = float(np.dot(model.utility.loss_values(xs[:l]), increments))
-
-    pos = 0.0
-    if l < k:
-        f_gain = np.cumsum(p[l:][::-1])[::-1] / total  # from the best gain downward
-        w = model.weight_plus.apply(np.clip(f_gain, 0.0, 1.0))
-        increments = np.diff(np.concatenate((w, [0.0]))) * -1.0
-        pos = float(np.dot(model.utility.gain_values(xs[l:]), increments))
-
+def _rank_weighted_sum(values, k, m, gain_grid, loss_grid, model) -> tuple[float, float]:
+    """Gain and loss parts over the ascending distinct ``values``, of which
+    ``values[k:]`` are gains and ``values[:m]`` losses; ``gain_grid`` and
+    ``loss_grid`` cumulate their shares from each side's tail, from 0."""
+    # gain i (0-based, k <= i) pairs with w+(P(X >= x_i)) - w+(P(X > x_i))
+    w_plus = model.weight_plus.apply(gain_grid)
+    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
+    pos = float(np.add.reduce(model.utility.gain_values(values[k:]) * d_plus))
+    # loss i (0 <= i < m) pairs with w-(P(X <= x_i)) - w-(P(X < x_i))
+    w_minus = model.weight_minus.apply(loss_grid)
+    d_minus = w_minus[1:] - w_minus[:-1]
+    neg = float(np.add.reduce(model.utility.loss_values(values[:m]) * d_minus))
     return pos, neg
+
+
+def _tally_sum(masses, total, dist, model) -> tuple[float, float]:
+    """Gain and loss parts for atom ``masses`` of sum ``total``; cumulating
+    before the division lets integer tallies reach a full side's 1.0 exactly."""
+    _check_split(dist, model)
+    xs = np.asarray(dist.support)
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    cum_gain = np.concatenate(([0.0], np.cumsum(masses[k:][::-1])))  # from the best gain down
+    cum_loss = np.concatenate(([0.0], np.cumsum(masses[:m])))  # from the worst loss up
+    grids = (np.minimum(cum / total, 1.0) for cum in (cum_gain, cum_loss))
+    return _rank_weighted_sum(xs, k, m, *grids, model)
 
 
 def _check_split(dist: DiscreteDist, model: CptModel) -> None:
@@ -260,7 +247,6 @@ def estimate_cpt_discrete(
     model: CptModel,
 ) -> CptEstimate:
     """Plug-in estimate from per-atom tallies on a known support."""
-    _check_split(dist, model)
     if isinstance(counts, Mapping):
         arr = np.zeros(dist.size)
         support = {x: i for i, x in enumerate(dist.support)}
@@ -279,14 +265,13 @@ def estimate_cpt_discrete(
     n = int(arr.sum())
     if n < 1:
         raise ValueError("need at least one sample")
-    pos, neg = _distorted_sum(arr, dist, model, n)
+    pos, neg = _tally_sum(arr, n, dist, model)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
 def exact_cpt_discrete(dist: DiscreteDist, model: CptModel) -> float:
     """The discrete formula at the true atom probabilities."""
-    _check_split(dist, model)
-    pos, neg = _distorted_sum(np.asarray(dist.probs), dist, model)
+    pos, neg = _tally_sum(np.asarray(dist.probs), 1.0, dist, model)
     return pos - neg
 
 

@@ -433,9 +433,15 @@ class TestEmpiricalDistributionOracles:
         ref = model.utility.reference
         support = [ref + a / 4 for a in atoms]
         picks = data.draw(st.lists(st.sampled_from(support), min_size=n, max_size=n))
+        est = estimate_cpt(picks, model)
+        # on the samples' own support, samples and tallies are one sum
+        own = sorted(set(picks))
+        dist = DiscreteDist.from_outcomes(own, [1.0 / len(own)] * len(own), ref)
+        tallied = estimate_cpt_discrete(counts_from_samples(picks, dist), dist, model)
+        assert _bits(tallied) == _bits(est)
+        # an unpicked atom adds a zero term, which may regroup the pairwise sums
         dist = DiscreteDist.from_outcomes(support, [1.0 / len(support)] * len(support), ref)
         expected = estimate_cpt_discrete(counts_from_samples(picks, dist), dist, model)
-        est = estimate_cpt(picks, model)
         scale = 1.0 + float(np.max(
             model.utility.gain_values(np.asarray(support))
             + model.utility.loss_values(np.asarray(support))
