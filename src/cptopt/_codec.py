@@ -19,7 +19,9 @@ as an integer.  Keys left out take the field's default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
 import typing
 from typing import Any, Iterable, TypeVar
 
@@ -51,6 +53,31 @@ def checked_keys(what: str, data: Any, allowed: Iterable[str]) -> dict:
     return dict(data)
 
 
+def as_int(name: str, value: Any) -> int:
+    """``operator.index(value)``; a bool or a non-integer raises TypeError naming ``name``."""
+    if not isinstance(value, bool):  # bool passes operator.index
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # per record class
+
+
+def check_int_fields(record: Any) -> None:
+    """Pass each ``int`` field of the frozen dataclass ``record``, and each
+    item of its tuple-of-int fields, through :func:`as_int`, in place."""
+    hints = _type_hints(type(record))
+    for f in dataclasses.fields(record):
+        tp, value = hints[f.name], getattr(record, f.name)
+        if tp is int:
+            object.__setattr__(record, f.name, as_int(f.name, value))
+        elif typing.get_origin(tp) is tuple and int in typing.get_args(tp):
+            object.__setattr__(record, f.name, tuple(as_int(f.name, v) for v in value))
+
+
 def _json_key(f: dataclasses.Field) -> str:
     return f.metadata.get("key", f.name)
 
@@ -66,7 +93,7 @@ def encode(value: Any) -> Any:
 
 def decode(cls: type, data: Any, what: str) -> Any:
     """Instance of the dataclass ``cls`` from the JSON object ``data``."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     by_key = {}
     for f in dataclasses.fields(cls):
         for key in (_json_key(f), *f.metadata.get("aliases", ())):

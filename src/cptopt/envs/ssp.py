@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .._codec import check_int_fields
 from .base import ReturnEnv
 
 __all__ = [
@@ -72,6 +73,7 @@ class SspMdp:
     t_max: int = 10_000
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         n_states = len(self.transitions) + 1
         if len(self.rewards) != n_states - 1 or len(self.features) != n_states - 1:
             raise ValueError("transitions, rewards and features must cover states 1..L")

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .._codec import JsonRecord
+from .._codec import JsonRecord, as_int, check_int_fields
 from ..rng import substream
 
 __all__ = [
@@ -49,15 +48,6 @@ __all__ = [
 ]
 
 EW, NS = 0, 1
-
-
-def _as_int(name: str, value) -> int:
-    if not isinstance(value, bool):  # bool passes operator.index
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,14 +82,7 @@ class TrafficConfig(JsonRecord):
     timer_bin: int = 5
 
     def __post_init__(self) -> None:
-        # annotations are strings here (``from __future__ import annotations``)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                object.__setattr__(self, f.name, _as_int(f.name, value))
-            elif f.type == "tuple[int, int]":
-                ints = tuple(_as_int(f.name, v) for v in value)
-                object.__setattr__(self, f.name, ints)
+        check_int_fields(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         n_paths = self.rows + self.cols
@@ -289,6 +272,7 @@ class FixedCyclePolicy:
     """
 
     def __init__(self, cycle: int = 2):
+        cycle = as_int("cycle", cycle)
         if cycle < 1:
             raise ValueError("cycle must be >= 1")
         self.cycle = cycle
@@ -343,6 +327,7 @@ class TrafficSim:
         horizon: int,
         rng: np.random.Generator,
     ):
+        horizon = as_int("horizon", horizon)
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.grid = grid

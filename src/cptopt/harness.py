@@ -16,7 +16,6 @@ distorted-value model, so the variants are compared on one axis.
 from __future__ import annotations
 
 import json
-import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._codec import JsonRecord
+from ._codec import JsonRecord, as_int, check_int_fields
 from .estimator import estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
@@ -103,7 +102,7 @@ class TrafficObjective:
         model: CptModel,
         horizon: int,
     ):
-        horizon = operator.index(horizon)
+        horizon = as_int("horizon", horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if len(mu) != grid.n_paths:
@@ -150,6 +149,7 @@ class ExperimentConfig(JsonRecord):
     mu: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.train_iters < 0 or self.test_reps < 1:
             raise ValueError("train_iters must be >= 0 and test_reps >= 1")
         if self.train_horizon < 1 or self.test_horizon < 1:

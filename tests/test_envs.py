@@ -181,6 +181,11 @@ class TestSspEpisode:
         assert result.truncated
         assert result.length == 3
 
+    @pytest.mark.parametrize("field, value", [("start", 1.0), ("start", True), ("t_max", 2.5)])
+    def test_non_integer_start_or_t_max_rejected_at_construction(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            dataclasses.replace(two_state_chain(), **{field: value})
+
     def test_malformed_kernel_rejected_at_construction(self):
         with pytest.raises(ValueError):
             SspMdp(

@@ -111,6 +111,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"'{key}'.*allowed: "):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("master_seed", 3.7), ("train_iters", 2.5), ("test_reps", 1.5),
+            ("train_horizon", True), ("test_horizon", 10.5),
+        ],
+    )
+    def test_non_integer_in_an_int_field_is_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+    def test_integer_like_fields_are_stored_as_int(self):
+        config = ExperimentConfig(master_seed=np.int64(3), test_reps=np.int32(2))
+        assert type(config.master_seed) is int and type(config.test_reps) is int
+
     def test_uniform_path_weights(self):
         assert SMALL.path_weights() == (0.25, 0.25, 0.25, 0.25)
 
@@ -154,10 +169,10 @@ class TestTrafficObjective:
         with pytest.raises(ValueError, match="horizon"):
             TrafficObjective(grid, (0.25,) * 4, IDENTITY, horizon)
 
-    @pytest.mark.parametrize("horizon", [2.5, 100.0])
+    @pytest.mark.parametrize("horizon", [2.5, 100.0, True])
     def test_non_integer_horizon_rejected(self, horizon):
         grid = TrafficGrid(TrafficConfig())
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="horizon must be an integer"):
             TrafficObjective(grid, (0.25,) * 4, IDENTITY, horizon)
 
     @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])

@@ -108,6 +108,19 @@ class TestTopology:
 
 
 class TestEpisode:
+    @pytest.mark.parametrize("cycle", [2.5, 3.0, True])
+    def test_non_integer_cycle_rejected(self, cycle):
+        with pytest.raises(TypeError, match="cycle must be an integer"):
+            FixedCyclePolicy(cycle)
+
+    @pytest.mark.parametrize("horizon", [2.5, 300.0, True])
+    def test_non_integer_horizon_rejected(self, horizon):
+        grid = TrafficGrid(TrafficConfig())
+        with pytest.raises(TypeError, match="horizon must be an integer"):
+            TrafficSim(grid, FixedCyclePolicy(3), horizon, substream(0))
+        with pytest.raises(TypeError, match="horizon must be an integer"):
+            traffic_episode(grid, FixedCyclePolicy(3), horizon, substream(0))
+
     def test_zero_arrivals_give_empty_samples(self):
         config = TrafficConfig(arrival_rates=(0.0, 0.0, 0.0, 0.0), burst_prob=0.0)
         grid = TrafficGrid(config)
