@@ -26,6 +26,7 @@ import typing
 from typing import Any, Iterable, TypeVar
 
 R = TypeVar("R", bound="JsonRecord")
+_type_hints = functools.cache(typing.get_type_hints)  # per record class
 
 # field type -> (its name in errors, the JSON value types it takes)
 _SCALARS = {
@@ -61,9 +62,6 @@ def as_int(name: str, value: Any) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-_type_hints = functools.cache(typing.get_type_hints)  # per record class
 
 
 def check_int_fields(record: Any) -> None:
