@@ -592,7 +592,7 @@ def _distorted_sum(
 # shared ``estimate_cpt``'s sum (copied verbatim above).  The two add each
 # side's terms in different orders, a BLAS dot product there and a pairwise
 # reduction now, so each part may move by a few roundings of its own size:
-# at most 4.3e-16 relative over 3000 random supports, 8.2e-16 over 260000
+# at most 4.3e-16 relative over 3000 random supports, 8.2e-16 over 310000
 # more.  The bound leaves room above that.
 DISTORTED_SUM_REL = 2e-15
 
