@@ -131,8 +131,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--{flag.replace('_', '-')} does not apply to --env {args.env}"
                 )
-        if args.iters < 0:
-            raise ValueError(f"--iters must be nonnegative, got {args.iters}")
+        for flag in ("iters", "seed"):
+            if getattr(args, flag) < 0:
+                raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
         schedules = _default_schedules(model, args)
         evaluate, dim = entry.build(args, model)
         lo = entry.box[0] if args.box_lo is None else args.box_lo

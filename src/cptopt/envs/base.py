@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._codec import as_int
+
 __all__ = ["ReturnEnv"]
 
 
@@ -26,9 +28,10 @@ class ReturnEnv:
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
         if not np.isfinite(theta).all():
             raise ValueError("theta must be finite")
+        m = as_int("m", m)
         if m < 1:
             raise ValueError("need at least one sample")
-        return self._sample(theta, int(m), rng)
+        return self._sample(theta, m, rng)
 
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError

@@ -289,6 +289,7 @@ class ConstantPolicy:
     """Always the same configuration at every junction (no rng use)."""
 
     def __init__(self, config: int):
+        config = as_int("config", config)
         if config not in (EW, NS):
             raise ValueError("config must be 0 (EW) or 1 (NS)")
         self.config = config

@@ -11,12 +11,22 @@ Each variant trains a signal policy with the first-order perturbation
 optimizer against its own objective, then the frozen policies are evaluated
 on shared test episodes and *all* of them are scored with the full
 distorted-value model, so the variants are compared on one axis.
+
+The trainings are independent, so with two or more usable CPUs and the
+``fork`` start method, forked worker processes train the later variants while
+the caller trains the first; the simulator is pure Python and holds the
+interpreter lock, so threads could not overlap them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
+import os
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -115,7 +125,7 @@ class TrafficObjective:
 
     def __call__(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
         policy = BoltzmannSignPolicy(theta, self.grid)
-        episodes = max(1, -(-int(m) // self.horizon))
+        episodes = max(1, -(-as_int("m", m) // self.horizon))
         pooled: list[list[float]] = [[] for _ in range(self.grid.n_paths)]
         for _ in range(episodes):
             episode = traffic_episode(self.grid, policy, self.horizon, rng)
@@ -150,6 +160,8 @@ class ExperimentConfig(JsonRecord):
 
     def __post_init__(self) -> None:
         check_int_fields(self)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.train_iters < 0 or self.test_reps < 1:
             raise ValueError("train_iters must be >= 0 and test_reps >= 1")
         if self.train_horizon < 1 or self.test_horizon < 1:
@@ -222,6 +234,49 @@ def _test_scores(
     return totals, per_path
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork_workers() -> bool:
+    """Whether forked workers can train variants beside the caller.
+
+    On one CPU they would only take turns with it.  Forking is unsafe while
+    other threads may hold locks, and a daemonic process (a
+    ``multiprocessing.Pool`` worker) may not have children.
+    """
+    return (
+        _usable_cpus() > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _train_variant(
+    config: ExperimentConfig, grid: TrafficGrid, model: CptModel
+) -> tuple[RunTrace, list[warnings.WarningMessage]]:
+    """Train a policy against ``model``'s objective; the caller or a worker runs this.
+
+    Returns the trace and the warnings raised meanwhile, bar the short-path
+    ones, for the caller to re-emit under its own filters.
+    """
+    objective = TrafficObjective(grid, config.path_weights(), model, config.train_horizon)
+    box = BoxConstraint.cube(config.box_lo, config.box_hi, grid.feature_dim)
+    theta0 = np.full(grid.feature_dim, config.theta_init)
+    # one training stream for all variants: common random numbers make the
+    # comparison a paired one, exactly as with the shared test streams
+    train_seed = subseed(config.master_seed, _TRAIN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", _SHORT_PATH, RuntimeWarning)
+        trace = ascend(
+            objective, config.schedules, box, theta0, config.train_iters, train_seed
+        )
+    return trace, caught
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: Optional[Path] = None
 ) -> ExperimentResult:
@@ -230,15 +285,19 @@ def run_experiment(
     When ``out_dir`` is given, writes ``summary.json``,
     ``scores_<variant>.csv`` (columns: replication, cpt_score, path scores)
     and ``trace_<variant>.csv``.  Outputs are a pure function of the config,
-    so reruns are byte-identical.
+    so reruns are byte-identical, whichever processes train the variants.
+
+    The caller trains ``VARIANTS[0]``; when :func:`_fork_workers` allows,
+    a pool of forked workers, open for this call only, trains the others
+    meanwhile.  Test scoring, file writing and the re-emission of each
+    variant's training warnings stay in the caller, in ``VARIANTS`` order.
     """
     master = config.master_seed
     grid = TrafficGrid(config.traffic)
+    grid.baseline_delays  # simulated once here rather than once per worker
     mu = config.path_weights()
     models = config.variant_models()
     score_model = models["cpt"]
-    box = BoxConstraint.cube(config.box_lo, config.box_hi, grid.feature_dim)
-    theta0 = np.full(grid.feature_dim, config.theta_init)
 
     traces: dict[str, RunTrace] = {}
     scores: dict[str, np.ndarray] = {}
@@ -247,38 +306,52 @@ def run_experiment(
         "config": config.to_dict(),
         "variants": {},
     }
-    for name in VARIANTS:
-        objective = TrafficObjective(grid, mu, models[name], config.train_horizon)
-        # one training stream for all variants: common random numbers make the
-        # comparison a paired one, exactly as with the shared test streams
-        train_seed = subseed(master, _TRAIN)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _SHORT_PATH, RuntimeWarning)
-            trace = ascend(
-                objective, config.schedules, box, theta0, config.train_iters, train_seed
+    # the "default" action's memory: a warning repeated while a variant
+    # trains is shown once
+    reemitted: dict = {}
+    with contextlib.ExitStack() as stack:
+        futures = {}
+        if _fork_workers():
+            pool = stack.enter_context(ProcessPoolExecutor(
+                len(VARIANTS) - 1, mp_context=multiprocessing.get_context("fork")
+            ))
+            futures = {
+                name: pool.submit(_train_variant, config, grid, models[name])
+                for name in VARIANTS[1:]
+            }
+        for name in VARIANTS:
+            trace, caught = (
+                futures[name].result() if name in futures
+                else _train_variant(config, grid, models[name])
             )
-        totals, per_path = _test_scores(config, grid, trace.final_theta, score_model, master)
-        traces[name] = trace
-        scores[name] = totals
-        summary["variants"][name] = {
-            "objective": name,
-            "train_stream": stream_id(master, _TRAIN),
-            "final_theta": [float(v) for v in trace.final_theta],
-            "mean_cpt_score": float(np.mean(totals)),
-            "median_cpt_score": float(np.median(totals)),
-        }
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
-                header = ["replication", "cpt_score"]
-                header += [f"path_{i}" for i in range(len(mu))]
-                fh.write(",".join(header) + "\n")
-                for rep in range(config.test_reps):
-                    row = [str(rep), repr(float(totals[rep]))]
-                    row += [repr(float(v)) for v in per_path[rep]]
-                    fh.write(",".join(row) + "\n")
-            traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
+            for w in caught:
+                warnings.warn_explicit(
+                    w.message, w.category, w.filename, w.lineno, registry=reemitted
+                )
+            totals, per_path = _test_scores(
+                config, grid, trace.final_theta, score_model, master
+            )
+            traces[name] = trace
+            scores[name] = totals
+            summary["variants"][name] = {
+                "objective": name,
+                "train_stream": stream_id(master, _TRAIN),
+                "final_theta": [float(v) for v in trace.final_theta],
+                "mean_cpt_score": float(np.mean(totals)),
+                "median_cpt_score": float(np.median(totals)),
+            }
+            if out_dir is not None:
+                out_dir = Path(out_dir)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
+                    header = ["replication", "cpt_score"]
+                    header += [f"path_{i}" for i in range(len(mu))]
+                    fh.write(",".join(header) + "\n")
+                    for rep in range(config.test_reps):
+                        row = [str(rep), repr(float(totals[rep]))]
+                        row += [repr(float(v)) for v in per_path[rep]]
+                        fh.write(",".join(row) + "\n")
+                traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
 
     if out_dir is not None:
         with open(Path(out_dir) / "summary.json", "w") as fh:

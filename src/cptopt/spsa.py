@@ -87,6 +87,10 @@ class OptimizationError(RuntimeError):
         self.trace = trace
         self.iteration = iteration
 
+    def __reduce__(self):
+        # BaseException's pickles only ``args``, which lack trace and iteration
+        return type(self), (self.args[0], self.trace, self.iteration)
+
 
 @dataclass(frozen=True)
 class BoxConstraint:

@@ -149,6 +149,15 @@ class TestOptimizeCommand:
         assert "cptopt optimize: error: --iters must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("iters", ["0", "2"])
+    def test_negative_seed_rejected(self, iters, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--seed", "-1", "--iters", iters, "--out", str(out)]) == 2
+        assert "cptopt optimize: error: --seed must be nonnegative, got -1" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_inverted_box_rejected(self, capsys, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["optimize", "--box-lo", "5", "--box-hi", "1",
@@ -244,6 +253,8 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
          "tversky_kahneman eta must lie in [0.3, 1]"),
         ("experiment", "--config", '{"traffic": {"ew_rate": NaN}, ' + QUICK_RUN + "}",
          "ew_rate must be finite and nonnegative, got nan"),
+        ("experiment", "--config", '{"master_seed": -1, ' + QUICK_RUN + "}",
+         "master_seed must be >= 0, got -1"),
     ],
 )
 def test_bad_config_file_exits_2(command, flag, text, message, tmp_path, capsys, monkeypatch):

@@ -75,6 +75,16 @@ class TestGaussianMeanEnv:
         with pytest.raises(ValueError):
             env.sample_returns([1.0], 0, substream(0))
 
+    @pytest.mark.parametrize("m", [2.5, 1.9, True, "3"])
+    def test_non_integer_batch_size_rejected(self, m):
+        env = GaussianMeanEnv()
+        with pytest.raises(TypeError, match="m must be an integer"):
+            env.sample_returns([1.0], m, substream(0))
+
+    def test_integer_like_batch_size_accepted(self):
+        env = GaussianMeanEnv()
+        assert env.sample_returns([1.0], np.int64(3), substream(0)).shape == (3,)
+
     def test_substream_batches_are_independent(self):
         # chi-square independence on paired batches from sibling substreams
         env = GaussianMeanEnv()

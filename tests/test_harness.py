@@ -1,8 +1,11 @@
 """Composite objective and the avg/eut/cpt experiment pipeline."""
 
 import json
+import multiprocessing
+import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from cptopt.harness import (
     run_experiment,
 )
 from cptopt.rng import substream
-from cptopt.spsa import SpsaSchedules
+from cptopt.spsa import OptimizationError, SpsaSchedules
 
 IDENTITY = CptModel.identity()
 
@@ -122,6 +125,10 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             ExperimentConfig(**{field: value})
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            ExperimentConfig(master_seed=-1)
+
     def test_integer_like_fields_are_stored_as_int(self):
         config = ExperimentConfig(master_seed=np.int64(3), test_reps=np.int32(2))
         assert type(config.master_seed) is int and type(config.test_reps) is int
@@ -174,6 +181,13 @@ class TestTrafficObjective:
         grid = TrafficGrid(TrafficConfig())
         with pytest.raises(TypeError, match="horizon must be an integer"):
             TrafficObjective(grid, (0.25,) * 4, IDENTITY, horizon)
+
+    @pytest.mark.parametrize("m", [2.5, 1.9, True])
+    def test_non_integer_batch_size_rejected(self, m):
+        objective = TrafficObjective(TrafficGrid(TrafficConfig()), (0.25,) * 4, IDENTITY, 10)
+        theta = np.ones(objective.grid.feature_dim)
+        with pytest.raises(TypeError, match="m must be an integer"):
+            objective(theta, m, substream(0))
 
     @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])
     def test_path_weight_count_must_match_grid(self, mu):
@@ -288,3 +302,150 @@ class TestRunExperiment:
             }
         for rep in order:
             assert rows[rep] == per_path[rep].tolist()
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Make ``run_experiment`` see ``cpus`` usable CPUs, so that two force the
+    worker path on any host."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+
+def _trains(objective, name):
+    return objective.model == SMALL.variant_models()[name]
+
+
+def _warn_while_cpt_trains(monkeypatch):
+    """Warn, naming the process, when the cpt variant starts training."""
+    real_ascend = harness.ascend
+
+    def warning_ascend(objective, *args, **kwargs):
+        if _trains(objective, "cpt"):
+            warnings.warn(f"cpt trained in process {os.getpid()}", UserWarning)
+        return real_ascend(objective, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ascend", warning_ascend)
+
+
+def _output_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestWorkerTraining:
+    """The variants after the first train in forked workers when CPUs allow."""
+
+    def test_worker_and_caller_paths_write_the_same_bytes(self, tmp_path, monkeypatch):
+        real_ascend = harness.ascend
+        pids = []
+
+        def recording_ascend(*args, **kwargs):
+            pids.append(os.getpid())  # appends in a worker stay in the worker
+            return real_ascend(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", recording_ascend)
+        _use_cpus(monkeypatch, 1)
+        caller = run_experiment(SMALL, tmp_path / "caller")
+        assert pids == [os.getpid()] * len(VARIANTS)
+        _use_cpus(monkeypatch, 2)
+        pids.clear()
+        workers = run_experiment(SMALL, tmp_path / "workers")
+        assert pids == [os.getpid()]
+        assert multiprocessing.active_children() == []
+        assert len(_output_bytes(tmp_path / "workers")) == 1 + 2 * len(VARIANTS)
+        assert _output_bytes(tmp_path / "workers") == _output_bytes(tmp_path / "caller")
+        assert workers.summary == caller.summary
+        for name in VARIANTS:
+            assert np.array_equal(workers.scores[name], caller.scores[name])
+            assert workers.traces[name].records == caller.traces[name].records
+
+    @pytest.mark.parametrize(
+        "cpus, methods, caller",
+        [
+            (1, ["fork", "spawn"], "main thread"),
+            (2, ["spawn"], "main thread"),
+            (2, ["fork"], "second thread"),
+            (2, ["fork"], "pool worker"),
+        ],
+    )
+    def test_no_pool_without_a_second_cpu_fork_or_a_lone_thread(
+        self, cpus, methods, caller, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was opened")
+
+        _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        config = ExperimentConfig(
+            master_seed=2, train_iters=1, test_reps=1, train_horizon=20, test_horizon=20
+        )
+        if caller == "second thread":
+            with ThreadPoolExecutor(1) as pool:
+                result = pool.submit(run_experiment, config).result(timeout=60)
+        elif caller == "pool worker":  # daemonic, so it may not have children
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                result = pool.apply_async(run_experiment, (config,)).get(timeout=60)
+        else:
+            result = run_experiment(config)
+        assert set(result.traces) == set(VARIANTS)
+
+    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+        _warn_while_cpt_trains(monkeypatch)
+        _use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(SMALL)
+        messages = [str(w.message) for w in caught if w.category is UserWarning]
+        assert len(messages) == 1
+        assert messages[0].startswith("cpt trained in process ")
+        assert messages[0] != f"cpt trained in process {os.getpid()}"
+
+    def test_caller_filters_apply_to_worker_warnings(self, monkeypatch):
+        _warn_while_cpt_trains(monkeypatch)
+        _use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "cpt trained in process", UserWarning)
+            with pytest.raises(UserWarning, match="cpt trained in process"):
+                run_experiment(SMALL)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_repeated_training_warning_shows_once_per_variant_by_default(
+        self, cpus, monkeypatch
+    ):
+        real_composite = harness.composite_cpt
+
+        def warning_composite(*args, **kwargs):
+            warnings.warn("every training evaluation", UserWarning)
+            return real_composite(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "composite_cpt", warning_composite)
+        _use_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_experiment(SMALL)
+        # once per variant: each variant's warning filters reset the memory
+        messages = [str(w.message) for w in caught]
+        assert messages == ["every training evaluation"] * len(VARIANTS)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", ["avg", "cpt"])
+    def test_training_error_reaches_the_caller(self, failing, cpus, monkeypatch):
+        real_ascend = harness.ascend
+
+        def failing_ascend(objective, *args, **kwargs):
+            if _trains(objective, failing):
+                calls = iter(range(1_000))
+
+                def objective(theta, m, rng, real=objective):
+                    # the third evaluation is iteration 2's first
+                    return float("nan") if next(calls) == 2 else real(theta, m, rng)
+
+            return real_ascend(objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", failing_ascend)
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(OptimizationError, match="returned nan at iteration 2") as info:
+            run_experiment(SMALL)
+        assert info.value.iteration == 2
+        assert [r.n for r in info.value.trace.records] == [1]
+        assert multiprocessing.active_children() == []

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,21 @@ class TestAscend:
             ascend(evaluate, SCHEDULES, BOX_1D, [0.5], 50, 0)
         assert info.value.iteration == 4
         assert len(info.value.trace.records) == 3
+
+    def test_optimization_error_survives_pickling(self):
+        calls = {"n": 0}
+
+        def evaluate(theta, m, rng):
+            calls["n"] += 1
+            return np.nan if calls["n"] > 6 else 0.0
+
+        with pytest.raises(OptimizationError) as info:
+            ascend(evaluate, SCHEDULES, BOX_1D, [0.5], 50, 0)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is OptimizationError
+        assert str(copy) == str(info.value)
+        assert copy.iteration == 4
+        assert copy.trace.records == info.value.trace.records
 
     def test_env_failure_carries_iteration_context(self):
         def evaluate(theta, m, rng):

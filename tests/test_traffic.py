@@ -200,6 +200,17 @@ class TestEpisode:
         with pytest.raises(ValueError):
             BoltzmannSignPolicy(np.full(grid.feature_dim, np.nan), grid)
 
+    @pytest.mark.parametrize("config", [1.0, True, 0.0, "1"])
+    def test_constant_policy_rejects_non_integer_config(self, config):
+        with pytest.raises(TypeError, match="config must be an integer"):
+            ConstantPolicy(config)
+
+    def test_constant_policy_stores_an_int(self):
+        policy = ConstantPolicy(np.int64(NS))
+        assert type(policy.config) is int and policy.config == NS
+        with pytest.raises(ValueError, match="config must be 0"):
+            ConstantPolicy(2)
+
     def test_saturated_scores_pin_the_choice(self):
         grid = TrafficGrid(TrafficConfig())
         theta = np.zeros(grid.feature_dim)
