@@ -15,7 +15,9 @@ distorted-value model, so the variants are compared on one axis.
 The trainings are independent, so with two or more usable CPUs and the
 ``fork`` start method, forked worker processes train the later variants while
 the caller trains the first; the simulator is pure Python and holds the
-interpreter lock, so threads could not overlap them.
+interpreter lock, so threads could not overlap them.  Each worker sends its
+result back through a pipe, and the first error, in the caller or a worker,
+stops the workers still running.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import json
 import multiprocessing
 import os
 import threading
+import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -277,6 +280,56 @@ def _train_variant(
     return trace, caught
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an error a worker raised, chained as its cause."""
+
+
+def _train_in_worker(
+    sender: Connection, config: ExperimentConfig, grid: TrafficGrid, model: CptModel
+) -> None:
+    """A worker's body: send ``_train_variant``'s result, or the error it raised."""
+    try:
+        reply = (_train_variant(config, grid, model), None, None)
+    except Exception as exc:
+        reply = (None, exc, "".join(traceback.format_exception(exc)))
+    sender.send(reply)
+
+
+def _start_worker(
+    stack: contextlib.ExitStack,
+    config: ExperimentConfig,
+    grid: TrafficGrid,
+    model: CptModel,
+) -> Connection:
+    """Fork a worker that trains against ``model``; returns the end its reply comes to.
+
+    ``stack``'s exit stops the worker, so an error in the caller need not
+    wait for the other variants' training.
+    """
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    worker = fork.Process(
+        target=_train_in_worker, args=(sender, config, grid, model), daemon=True
+    )
+    worker.start()
+    sender.close()  # so the receiver sees EOF if the worker dies
+    stack.callback(worker.join)
+    stack.callback(worker.terminate)
+    stack.callback(receiver.close)
+    return receiver
+
+
+def _received(receiver: Connection, name: str):
+    """A worker's ``_train_variant`` result; re-raises the worker's error here."""
+    try:
+        result, error, remote = receiver.recv()
+    except EOFError:
+        raise RuntimeError(f"the worker training {name} exited without a result") from None
+    if error is not None:
+        raise error from _WorkerTraceback(remote)
+    return result
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: Optional[Path] = None
 ) -> ExperimentResult:
@@ -288,9 +341,11 @@ def run_experiment(
     so reruns are byte-identical, whichever processes train the variants.
 
     The caller trains ``VARIANTS[0]``; when :func:`_fork_workers` allows,
-    a pool of forked workers, open for this call only, trains the others
-    meanwhile.  Test scoring, file writing and the re-emission of each
-    variant's training warnings stay in the caller, in ``VARIANTS`` order.
+    one forked worker per other variant trains it meanwhile and sends the
+    result back through a pipe.  The workers live for this call only, and an
+    error in any variant stops them.  Test scoring, file writing and the
+    re-emission of each variant's training warnings stay in the caller, in
+    ``VARIANTS`` order.
     """
     master = config.master_seed
     grid = TrafficGrid(config.traffic)
@@ -310,18 +365,15 @@ def run_experiment(
     # trains is shown once
     reemitted: dict = {}
     with contextlib.ExitStack() as stack:
-        futures = {}
+        pending = {}
         if _fork_workers():
-            pool = stack.enter_context(ProcessPoolExecutor(
-                len(VARIANTS) - 1, mp_context=multiprocessing.get_context("fork")
-            ))
-            futures = {
-                name: pool.submit(_train_variant, config, grid, models[name])
+            pending = {
+                name: _start_worker(stack, config, grid, models[name])
                 for name in VARIANTS[1:]
             }
         for name in VARIANTS:
             trace, caught = (
-                futures[name].result() if name in futures
+                _received(pending[name], name) if name in pending
                 else _train_variant(config, grid, models[name])
             )
             for w in caught:

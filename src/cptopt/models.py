@@ -13,16 +13,20 @@ utilities and identity weights this reduces to ``E[X - reference]``.
 :func:`cpt_value_quadrature` evaluates the two tail integrals for
 distributions with closed-form CDFs and serves as the ground-truth oracle
 against which the sampling estimators in :mod:`cptopt.estimator` are tested.
+
+Only two routines here use scipy, and each imports it on first call: the
+quadrature oracle (``scipy.integrate.quad``) and :class:`Gaussian`'s
+probabilities (``scipy.special.ndtr``).  The models, the other test
+distributions and the estimators need only numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from ._codec import JsonRecord
 
@@ -293,7 +297,14 @@ def eval_weight(p: float, weight: WeightSpec) -> float:
 
 
 class AnalyticDist:
-    """A distribution with exact CDF/tail evaluations and a matching sampler."""
+    """A distribution with exact CDF/tail evaluations and a matching sampler.
+
+    Subclasses are dataclasses of float parameters, each required finite.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -328,6 +339,7 @@ class Uniform(AnalyticDist):
     hi: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.lo < self.hi:
             raise ValueError("uniform bounds must satisfy lo < hi")
 
@@ -356,6 +368,7 @@ class Gaussian(AnalyticDist):
     std: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.std <= 0.0:
             raise ValueError("std must be positive")
 
@@ -363,13 +376,19 @@ class Gaussian(AnalyticDist):
         return self.mu
 
     def prob_greater(self, x: float) -> float:
-        return float(special.ndtr((self.mu - x) / self.std))
+        from scipy.special import ndtr
+
+        return float(ndtr((self.mu - x) / self.std))
 
     def prob_less(self, x: float) -> float:
-        return float(special.ndtr((x - self.mu) / self.std))
+        from scipy.special import ndtr
+
+        return float(ndtr((x - self.mu) / self.std))
 
     def cdf(self, x):
-        return special.ndtr((np.asarray(x, float) - self.mu) / self.std)
+        from scipy.special import ndtr
+
+        return ndtr((np.asarray(x, float) - self.mu) / self.std)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mu, self.std, size)
@@ -387,6 +406,7 @@ class TwoPoint(AnalyticDist):
     x2: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError("p1 must lie in [0, 1]")
 
@@ -419,6 +439,7 @@ class Exponential(AnalyticDist):
     rate: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
 
@@ -471,6 +492,8 @@ def _tail_integral(
     tol: float,
 ) -> float:
     """Integral of the distorted tail of one side of the reference point."""
+    from scipy.integrate import quad
+
     utility = model.utility
     if side > 0:
         weight = model.weight_plus
@@ -507,7 +530,7 @@ def _tail_integral(
             )
 
     points = [b for b in _tail_breakpoints(dist, utility, side) if 0.0 < b < z_max]
-    value, _ = integrate.quad(
+    value, _ = quad(
         integrand,
         0.0,
         z_max,
@@ -528,8 +551,8 @@ def cpt_value_quadrature(dist: AnalyticDist, model: CptModel, tol: float = 1e-9)
     :class:`IntegralDivergenceError` when the truncation search fails, i.e.
     the distorted tail is not integrable.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     pos = _tail_integral(dist, model, +1, tol)
     neg = _tail_integral(dist, model, -1, tol)
     return pos - neg

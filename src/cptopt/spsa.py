@@ -25,6 +25,9 @@ Randomness is drawn from counter-based substreams keyed by
 (iteration, role), so the per-iteration evaluations could run concurrently
 without changing any result.
 
+The Newton step's Cholesky solve calls LAPACK through ``scipy.linalg``,
+imported on its first call; the gradient optimizer needs only numpy.
+
 Sign convention: the running curvature matrix ``h_bar`` estimates the
 objective's Hessian, which is negative-definite near a maximum.  The Newton
 step therefore conditions ``-h_bar`` (the curvature of the climb) through the
@@ -46,8 +49,9 @@ from dataclasses import dataclass, field
 from typing import Callable, IO, Optional, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
+from numpy.linalg import LinAlgError
 
+from ._codec import as_int
 from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, stream_id, substream
@@ -415,6 +419,8 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     factor of a finite positive-definite matrix is finite, so ``cho_solve``'s
     check of it is left out.)
     """
+    from scipy.linalg import lapack
+
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     c, info = lapack.dpotrf(a, lower=1, clean=0)
@@ -436,8 +442,11 @@ def _climb(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """The shared iteration; ``newton=None`` takes plain gradient steps."""
+    iters = as_int("iters", iters)
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    if not isinstance(seed, np.random.SeedSequence) and as_int("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     theta = _validate_start(box, theta0)
     trace = RunTrace(newton=newton)
     for n in range(1, iters + 1):

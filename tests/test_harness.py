@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -369,12 +370,12 @@ class TestWorkerTraining:
     def test_no_pool_without_a_second_cpu_fork_or_a_lone_thread(
         self, cpus, methods, caller, monkeypatch
     ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was opened")
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was started")
 
         _use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "_start_worker", no_worker)
         config = ExperimentConfig(
             master_seed=2, train_iters=1, test_reps=1, train_horizon=20, test_horizon=20
         )
@@ -448,4 +449,50 @@ class TestWorkerTraining:
             run_experiment(SMALL)
         assert info.value.iteration == 2
         assert [r.n for r in info.value.trace.records] == [1]
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_stops_the_workers(self, monkeypatch):
+        real_ascend = harness.ascend
+
+        def ascend(objective, *args, **kwargs):
+            if _trains(objective, "avg"):
+                raise ValueError("avg failed")
+            time.sleep(60)  # eut and cpt, in the workers
+            return real_ascend(objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", ascend)
+        _use_cpus(monkeypatch, 2)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="avg failed"):
+            run_experiment(SMALL)
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_carries_its_traceback(self, monkeypatch):
+        real_ascend = harness.ascend
+
+        def ascend(objective, *args, **kwargs):
+            if _trains(objective, "eut"):
+                raise KeyError("eut failed")
+            return real_ascend(objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", ascend)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(KeyError, match="eut failed") as info:
+            run_experiment(SMALL)
+        assert "in ascend" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        real_ascend = harness.ascend
+
+        def ascend(objective, *args, **kwargs):
+            if _trains(objective, "cpt"):
+                os._exit(3)
+            return real_ascend(objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", ascend)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="worker training cpt exited without a result"):
+            run_experiment(SMALL)
         assert multiprocessing.active_children() == []

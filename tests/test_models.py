@@ -307,6 +307,12 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             cpt_value_quadrature(Uniform(0, 1), CptModel.identity(), 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite") as info:
+            cpt_value_quadrature(Uniform(0, 1), CptModel.identity(), tol)
+        assert not isinstance(info.value, IntegralDivergenceError)
+
 
 class TestAnalyticDistributions:
     @pytest.mark.parametrize(
@@ -321,6 +327,23 @@ class TestAnalyticDistributions:
         samples = dist.sample(rng, 20_000)
         result = stats.kstest(samples, dist.cdf)
         assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (TwoPoint, "x2"),
+            (TwoPoint, "x1"),
+            (Gaussian, "std"),
+            (Gaussian, "mu"),
+            (Exponential, "rate"),
+            (Uniform, "lo"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{field: value})
 
     def test_two_point_sampler_matches_masses(self):
         dist = TwoPoint(-1.0, 0.25, 2.0)

@@ -32,7 +32,7 @@ from cptopt import (
 )
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
-from cptopt.spsa import NewtonState, _cholesky_solve
+from cptopt.spsa import LinAlgError, NewtonState, _cholesky_solve
 
 IDENTITY = CptModel.identity()
 
@@ -305,6 +305,9 @@ class TestCholeskySolve:
         with pytest.raises(ValueError, match="infs or NaNs"):
             _cholesky_solve(a, b)
 
+    def test_raises_scipys_linalg_error_class(self):
+        assert LinAlgError is linalg.LinAlgError
+
     @pytest.mark.parametrize("b", [np.ones(2), np.array([np.nan, 1.0])])
     def test_not_positive_definite_rejected(self, b):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -388,6 +391,32 @@ class TestAscend:
             ascend(evaluate, SCHEDULES, BOX_1D, [0.5], 50, 0)
         assert "iteration 1" in str(info.value)
         assert isinstance(info.value.__cause__, KeyError)
+
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton])
+    @pytest.mark.parametrize("iters", [True, 2.0, "3"])
+    def test_non_integer_iters_rejected(self, climb, iters):
+        evaluate = deterministic(lambda t: 0.0)
+        with pytest.raises(TypeError, match="iters must be an integer"):
+            climb(evaluate, SCHEDULES, BOX_1D, [0.5], iters, 0)
+
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton])
+    @pytest.mark.parametrize("iters", [0, 1])
+    def test_negative_seed_rejected(self, climb, iters):
+        evaluate = deterministic(lambda t: 0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            climb(evaluate, SCHEDULES, BOX_1D, [0.5], iters, -1)
+
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            ascend(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 1, seed)
+
+    def test_numpy_integer_iters_and_seed_replay_int_ones(self):
+        env = GaussianMeanEnv()
+        a = optimize_spsa_g(env, IDENTITY, SCHEDULES, BOX_1D, [0.5], 5, 9)
+        b = optimize_spsa_g(env, IDENTITY, SCHEDULES, BOX_1D, [0.5], np.int64(5), np.int64(9))
+        assert a.records == b.records
+        assert np.array_equal(a.final_theta, b.final_theta)
 
     def test_trace_records_schedule_values(self):
         env = GaussianMeanEnv()
