@@ -9,11 +9,13 @@ spellings of one field in one object are an error.
 
 Reading is strict, as these documents come from files: an unknown key, or a
 value whose JSON type does not fit the field's annotation, raises ValueError
-naming the key.  ``int`` takes an integer, ``float`` any number (neither
+naming the key.  ``int`` takes an integer, ``float`` any finite number (neither
 takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple an array
 of its length (any length for ``tuple[X, ...]``), a dataclass an object.
 Nothing is coerced: an integer read for a float field is written back
-as an integer.  Keys left out take the field's default.
+as an integer.  Keys left out take the field's default.  Construction applies
+the same ``int``/``float`` rules: :func:`check_fields` comes first in each
+config dataclass's ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -21,19 +23,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 import typing
+from numbers import Real
 from typing import Any, Iterable, TypeVar
 
 R = TypeVar("R", bound="JsonRecord")
 _type_hints = functools.cache(typing.get_type_hints)  # per record class
-
-# field type -> (its name in errors, the JSON value types it takes)
-_SCALARS = {
-    int: ("an integer", int),
-    float: ("a number", (int, float)),
-    str: ("a string", str),
-}
 
 
 def checked_keys(what: str, data: Any, allowed: Iterable[str]) -> dict:
@@ -64,16 +61,32 @@ def as_int(name: str, value: Any) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def check_int_fields(record: Any) -> None:
-    """Pass each ``int`` field of the frozen dataclass ``record``, and each
-    item of its tuple-of-int fields, through :func:`as_int`, in place."""
+def as_float(name: str, value: Any) -> Any:
+    """``value`` unchanged if it is a finite real number; a bool or a non-number
+    raises TypeError, and NaN or an infinity ValueError, naming ``name``."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+_CHECKS = {int: as_int, float: as_float}
+
+
+def check_fields(record: Any) -> None:
+    """Pass each ``int``/``float`` field of the dataclass ``record``, and each item of
+    a tuple of either, through :func:`as_int`/:func:`as_float`, in place."""
     hints = _type_hints(type(record))
     for f in dataclasses.fields(record):
         tp, value = hints[f.name], getattr(record, f.name)
-        if tp is int:
-            object.__setattr__(record, f.name, as_int(f.name, value))
-        elif typing.get_origin(tp) is tuple and int in typing.get_args(tp):
-            object.__setattr__(record, f.name, tuple(as_int(f.name, v) for v in value))
+        if typing.get_origin(tp) is typing.Union and value is not None:  # Optional[X]
+            tp = typing.get_args(tp)[0]
+        if tp in _CHECKS:
+            value = _CHECKS[tp](f.name, value)
+        elif typing.get_origin(tp) is tuple and typing.get_args(tp)[0] in _CHECKS:
+            value = tuple(_CHECKS[typing.get_args(tp)[0]](f.name, v) for v in value)
+        object.__setattr__(record, f.name, value)
 
 
 def _json_key(f: dataclasses.Field) -> str:
@@ -124,10 +137,12 @@ def _decode_value(tp: Any, value: Any, where: str) -> Any:
         return tuple(
             _decode_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))
         )
-    expected, accepted = _SCALARS[tp]
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ValueError(f"{where} must be {expected}, got {value!r}")
-    return value
+    if tp is str and not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    try:
+        return value if tp is str else _CHECKS[tp](where, value)
+    except TypeError as exc:  # reading reports every bad value as a ValueError
+        raise ValueError(str(exc)) from None
 
 
 class JsonRecord:

@@ -33,7 +33,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .._codec import JsonRecord, as_int, check_int_fields
+from .._codec import JsonRecord, as_int, check_fields
 from ..rng import substream
 
 __all__ = [
@@ -82,19 +82,16 @@ class TrafficConfig(JsonRecord):
     timer_bin: int = 5
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
         n_paths = self.rows + self.cols
-        if self.arrival_rates is not None:
-            rates = tuple(float(r) for r in self.arrival_rates)
-            if len(rates) != n_paths or not all(0.0 <= r < math.inf for r in rates):
-                raise ValueError(f"arrival_rates: need {n_paths} finite nonnegative rates")
-            object.__setattr__(self, "arrival_rates", rates)
+        rates = self.arrival_rates
+        if rates is not None and (len(rates) != n_paths or min(rates) < 0.0):
+            raise ValueError(f"arrival_rates: need {n_paths} finite nonnegative rates")
         for name in ("ew_rate", "ns_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {rate}")
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.burst_prob <= 1.0:
             raise ValueError("burst_prob must lie in [0, 1]")
         if self.burst_size < 0 or self.service_rate < 1:

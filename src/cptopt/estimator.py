@@ -45,6 +45,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from ._codec import as_float, as_int
 from .models import CptModel
 
 __all__ = [
@@ -112,7 +113,7 @@ class DiscreteDist:
         # bincount adds each value's probabilities one by one, in sorted order
         merged = np.bincount(np.cumsum(first) - 1, weights=ps)
         object.__setattr__(self, "probs", tuple(merged.tolist()))
-        if not 0 <= self.split <= self.size:
+        if not 0 <= as_int("split", self.split) <= self.size:
             raise ValueError(f"split must lie in [0, {self.size}], got {self.split}")
 
     @classmethod
@@ -275,12 +276,6 @@ def exact_cpt_discrete(dist: DiscreteDist, model: CptModel) -> float:
     return pos - neg
 
 
-def _validate_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def required_samples_holder(
     eps: float, delta: float, holder_const: float, utility_bound: float, alpha: float
 ) -> int:
@@ -290,10 +285,13 @@ def required_samples_holder(
 
         n = ceil(ln(1/delta) * 4 H^2 M^2 / eps^(2/alpha))
     """
-    _validate_positive(eps=eps, holder_const=holder_const, utility_bound=utility_bound)
-    if not 0.0 < delta < 1.0:
+    positive = dict(eps=eps, holder_const=holder_const, utility_bound=utility_bound)
+    for name, value in positive.items():
+        if as_float(name, value) <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < as_float("delta", delta) < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < as_float("alpha", alpha) <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     bound = (
         math.log(1.0 / delta)

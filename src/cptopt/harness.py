@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._codec import JsonRecord, as_int, check_int_fields
+from ._codec import JsonRecord, as_int, check_fields
 from .estimator import estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
@@ -162,7 +162,7 @@ class ExperimentConfig(JsonRecord):
     mu: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.train_iters < 0 or self.test_reps < 1:
@@ -181,12 +181,10 @@ class ExperimentConfig(JsonRecord):
                 f"Holder order min(eta_gain, eta_loss) = {order!r}"
             )
         if self.mu is not None:
-            mu = tuple(float(v) for v in self.mu)
             n_paths = self.traffic.rows + self.traffic.cols
-            if len(mu) != n_paths:
+            if len(self.mu) != n_paths:
                 raise ValueError(f"mu must have {n_paths} entries")
-            _check_path_weights(np.asarray(mu), "mu")
-            object.__setattr__(self, "mu", mu)
+            _check_path_weights(np.asarray(self.mu), "mu")
 
     def path_weights(self) -> tuple[float, ...]:
         if self.mu is not None:

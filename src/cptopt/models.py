@@ -23,12 +23,12 @@ distributions and the estimators need only numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._codec import JsonRecord
+from ._codec import JsonRecord, as_float, check_fields
 
 __all__ = [
     "UtilitySpec",
@@ -57,13 +57,6 @@ class IntegralDivergenceError(ValueError):
     """The distorted tail integral fails the decay check and has no finite value."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class UtilitySpec(JsonRecord):
     """Gain/loss utility pair split at a reference point.
@@ -82,18 +75,16 @@ class UtilitySpec(JsonRecord):
     reference: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in UTILITY_KINDS:
             raise ValueError(f"unknown utility kind {self.kind!r}")
         for name in ("sigma_plus", "sigma_minus"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        lam = _require_finite("loss_aversion", self.loss_aversion)
-        if lam < 1.0:
-            raise ValueError(f"loss_aversion must be >= 1, got {lam}")
-        _require_finite("reference", self.reference)
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.loss_aversion < 1.0:
+            raise ValueError(f"loss_aversion must be >= 1, got {self.loss_aversion}")
         if self.kind == "identity" and (
-            self.sigma_plus != 1.0 or self.sigma_minus != 1.0 or lam != 1.0
+            self.sigma_plus != 1.0 or self.sigma_minus != 1.0 or self.loss_aversion != 1.0
         ):
             raise ValueError("identity utility requires unit exponents and loss_aversion")
 
@@ -154,9 +145,10 @@ class WeightSpec(JsonRecord):
     eta: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        eta = _require_finite("eta", self.eta)
+        eta = self.eta
         if eta <= 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
         if self.kind == "identity" and eta != 1.0:
@@ -281,7 +273,7 @@ def eval_utility(x: float, utility: UtilitySpec) -> tuple[float, float]:
 
     At most one component is nonzero; both vanish at the reference point.
     """
-    x = _require_finite("x", x)
+    as_float("x", x)
     gain = float(utility.gain_values(np.asarray(x)))
     loss = float(utility.loss_values(np.asarray(x)))
     return gain, loss
@@ -303,8 +295,7 @@ class AnalyticDist:
     """
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_finite(f.name, getattr(self, f.name))
+        check_fields(self)
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -551,8 +542,8 @@ def cpt_value_quadrature(dist: AnalyticDist, model: CptModel, tol: float = 1e-9)
     :class:`IntegralDivergenceError` when the truncation search fails, i.e.
     the distorted tail is not integrable.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if as_float("tol", tol) <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     pos = _tail_integral(dist, model, +1, tol)
     neg = _tail_integral(dist, model, -1, tol)
     return pos - neg

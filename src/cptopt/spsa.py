@@ -51,7 +51,7 @@ from typing import Callable, IO, Optional, Union
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._codec import as_int
+from ._codec import as_float, as_int, check_fields
 from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, stream_id, substream
@@ -104,16 +104,11 @@ class BoxConstraint:
     hi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
+        check_fields(self)
+        if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("lo and hi must be matching nonempty vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("bounds must be finite")
-        if not np.all(lo < hi):
+        if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lo", tuple(float(v) for v in lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in hi))
 
     @classmethod
     def cube(cls, lo: float, hi: float, dim: int) -> "BoxConstraint":
@@ -164,12 +159,12 @@ class SpsaSchedules:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("a0", "delta0", "m0", "nu"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
-        if not (math.isfinite(self.a_offset) and self.a_offset >= 0.0):
-            raise ValueError(f"a_offset must be nonnegative and finite, got {self.a_offset!r}")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.a_offset < 0.0:
+            raise ValueError(f"a_offset must be nonnegative, got {self.a_offset!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if not 0.0 < self.delta_exp < 0.5:
@@ -231,7 +226,8 @@ class HessianSchedule:
     xi_exp: float = 0.75
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.xi0) and 0.0 < self.xi0 <= 1.0):
+        check_fields(self)
+        if not 0.0 < self.xi0 <= 1.0:
             raise ValueError(f"xi0 must lie in (0, 1], got {self.xi0!r}")
         if not 0.5 < self.xi_exp < 1.0:
             raise ValueError(f"xi_exp must lie in (0.5, 1), got {self.xi_exp!r}")
@@ -249,13 +245,14 @@ class NewtonState:
     pd_floor: float = 1e-4
 
     def __post_init__(self) -> None:
+        check_fields(self)
         self.h_bar = np.asarray(self.h_bar, dtype=float)
         if self.h_bar.ndim != 2 or self.h_bar.shape[0] != self.h_bar.shape[1]:
             raise ValueError("h_bar must be square")
         if not np.array_equal(self.h_bar, self.h_bar.T):
             raise ValueError("h_bar must be symmetric")
-        if not (math.isfinite(self.pd_floor) and self.pd_floor > 0.0):
-            raise ValueError(f"pd_floor must be positive and finite, got {self.pd_floor!r}")
+        if self.pd_floor <= 0.0:
+            raise ValueError(f"pd_floor must be positive, got {self.pd_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -326,8 +323,8 @@ def spsa_gradient(
     c_plus: float, c_minus: float, delta: float, perturb: np.ndarray
 ) -> np.ndarray:
     """Two-point gradient estimate (c_plus - c_minus) / (2 delta perturb_i)."""
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if as_float("delta", delta) <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     perturb = _check_perturbation(perturb)
     return (c_plus - c_minus) / (2.0 * delta) * perturb  # 1/(+-1) == +-1
 
@@ -361,8 +358,8 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     is continuous and leaves inputs whose spectrum already clears the floor
     unchanged (exactly).
     """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if as_float("kappa", kappa) <= 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
@@ -521,8 +518,8 @@ def ascend_newton(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Newton-style ascent with a fast-timescale running curvature average."""
-    if not (math.isfinite(hessian_scale) and hessian_scale > 0.0):
-        raise ValueError(f"hessian_scale must be positive and finite, got {hessian_scale!r}")
+    if as_float("hessian_scale", hessian_scale) <= 0.0:
+        raise ValueError(f"hessian_scale must be positive, got {hessian_scale!r}")
     newton = NewtonState(
         h_bar=np.zeros((box.dim, box.dim)), schedule=hessian, pd_floor=pd_floor
     )

@@ -252,7 +252,7 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
         ("experiment", "--config", '{"eta_gain": 1.5, ' + QUICK_RUN + "}",
          "tversky_kahneman eta must lie in [0.3, 1]"),
         ("experiment", "--config", '{"traffic": {"ew_rate": NaN}, ' + QUICK_RUN + "}",
-         "ew_rate must be finite and nonnegative, got nan"),
+         "ew_rate must be finite, got nan"),
         ("experiment", "--config", '{"master_seed": -1, ' + QUICK_RUN + "}",
          "master_seed must be >= 0, got -1"),
     ],

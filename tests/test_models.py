@@ -309,7 +309,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite") as info:
+        with pytest.raises(ValueError, match="tol must be finite") as info:
             cpt_value_quadrature(Uniform(0, 1), CptModel.identity(), tol)
         assert not isinstance(info.value, IntegralDivergenceError)
 
