@@ -41,7 +41,6 @@ from .models import (
 from .rng import substream, subseed
 from .spsa import (
     BoxConstraint,
-    HessianSchedule,
     OptimizationError,
     RunTrace,
     SpsaSchedules,
@@ -68,7 +67,6 @@ __all__ = [
     "Exponential",
     "Gaussian",
     "GaussianMeanEnv",
-    "HessianSchedule",
     "IntegralDivergenceError",
     "OptimizationError",
     "ReturnEnv",

@@ -14,7 +14,8 @@ projected onto the box.  They differ only in the step rule:
   ``Delta_hat`` and a third (center) evaluation; the outer two sit at
   ``theta +/- delta_n (Delta + Delta_hat)`` and additionally give a curvature
   estimate ``(c_plus + c_minus - 2 c_center) / (delta_n^2 Delta_i Delta_hat_j)``,
-  tracked on a faster timescale and inverted (after projection onto
+  averaged on a faster timescale with steps xi_n = n^-0.75 into the running
+  curvature ``RunTrace.h_bar`` and inverted (after projection onto
   well-conditioned positive-definite matrices) for a Newton-style step.
 
 ``ascend``/``ascend_newton`` take any evaluator ``(theta, m, rng) -> value``;
@@ -59,8 +60,6 @@ from .rng import RootSeed, stream_id, substream
 __all__ = [
     "BoxConstraint",
     "SpsaSchedules",
-    "HessianSchedule",
-    "NewtonState",
     "IterationRecord",
     "RunTrace",
     "OptimizationError",
@@ -213,49 +212,6 @@ def _check_alpha(schedules: SpsaSchedules, model: CptModel) -> None:
 
 
 @dataclass(frozen=True)
-class HessianSchedule:
-    """Curvature averaging steps xi_n = xi0 / n**xi_exp.
-
-    The exponent must sit in (0.5, 1): above 0.5 so the squared steps are
-    summable, below 1 so the averaging runs on a faster timescale than any
-    gamma_n = a0/(n + offset) parameter step (gamma_n/xi_n -> 0).  With
-    xi0 = 1 the first update overwrites the initial matrix entirely.
-    """
-
-    xi0: float = 1.0
-    xi_exp: float = 0.75
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not 0.0 < self.xi0 <= 1.0:
-            raise ValueError(f"xi0 must lie in (0, 1], got {self.xi0!r}")
-        if not 0.5 < self.xi_exp < 1.0:
-            raise ValueError(f"xi_exp must lie in (0.5, 1), got {self.xi_exp!r}")
-
-    def xi(self, n: int) -> float:
-        return self.xi0 / n**self.xi_exp
-
-
-@dataclass
-class NewtonState:
-    """Running curvature average and its conditioning floor."""
-
-    h_bar: np.ndarray
-    schedule: HessianSchedule = field(default_factory=HessianSchedule)
-    pd_floor: float = 1e-4
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        self.h_bar = np.asarray(self.h_bar, dtype=float)
-        if self.h_bar.ndim != 2 or self.h_bar.shape[0] != self.h_bar.shape[1]:
-            raise ValueError("h_bar must be square")
-        if not np.array_equal(self.h_bar, self.h_bar.T):
-            raise ValueError("h_bar must be symmetric")
-        if self.pd_floor <= 0.0:
-            raise ValueError(f"pd_floor must be positive, got {self.pd_floor!r}")
-
-
-@dataclass(frozen=True)
 class IterationRecord:
     n: int
     theta: tuple[float, ...]
@@ -274,7 +230,7 @@ class RunTrace:
 
     records: list[IterationRecord] = field(default_factory=list)
     final_theta: Optional[np.ndarray] = None
-    newton: Optional[NewtonState] = None
+    h_bar: Optional[np.ndarray] = None  # SPSA-N's running curvature average
 
     def thetas(self) -> np.ndarray:
         return np.asarray([r.theta for r in self.records])
@@ -282,7 +238,7 @@ class RunTrace:
     def write_csv(self, out: Union[str, IO[str]]) -> None:
         """Columns: n, theta_0..theta_{d-1}, c_plus, c_minus, gamma, delta, m.
 
-        SPSA-N traces (``newton`` set) add a trailing ``c_center`` column.
+        SPSA-N traces (``h_bar`` set) add a trailing ``c_center`` column.
         """
         if isinstance(out, str):
             with open(out, "w", newline="") as fh:
@@ -294,13 +250,13 @@ class RunTrace:
         writer = csv.writer(out, lineterminator="\n")
         header = ["n"] + [f"theta_{i}" for i in range(dim)]
         header += ["c_plus", "c_minus", "gamma", "delta", "m"]
-        if self.newton is not None:
+        if self.h_bar is not None:
             header.append("c_center")
         writer.writerow(header)
         for r in self.records:
             floats = (*r.theta, r.c_plus, r.c_minus, r.gamma, r.delta)
             row = [r.n, *[repr(float(v)) for v in floats], r.m]
-            if self.newton is not None:
+            if self.h_bar is not None:
                 row.append(repr(float(r.c_center)))
             writer.writerow(row)
 
@@ -435,22 +391,23 @@ def _climb(
     theta0: np.ndarray,
     iters: int,
     seed: RootSeed,
-    newton: Optional[NewtonState],
+    pd_floor: Optional[float],
     hessian_scale: float = 1.0,
 ) -> RunTrace:
-    """The shared iteration; ``newton=None`` takes plain gradient steps."""
+    """The shared iteration; ``pd_floor=None`` takes plain gradient steps."""
     iters = as_int("iters", iters)
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     if not isinstance(seed, np.random.SeedSequence) and as_int("seed", seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     theta = _validate_start(box, theta0)
-    trace = RunTrace(newton=newton)
+    newton = pd_floor is not None
+    trace = RunTrace(h_bar=np.zeros((box.dim, box.dim)) if newton else None)
     for n in range(1, iters + 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
         rng_perturb = substream(seed, n, _PERTURB)
         dv = rademacher_vector(rng_perturb, box.dim)
-        if newton is None:
+        if not newton:
             shift = delta * dv
         else:
             dv_hat = rademacher_vector(rng_perturb, box.dim)
@@ -461,7 +418,7 @@ def _climb(
         c_minus = _evaluate(
             evaluate, theta - shift, m, substream(seed, n, _TRAJ_MINUS), n, trace, "-"
         )
-        c_center = None if newton is None else _evaluate(
+        c_center = None if not newton else _evaluate(
             evaluate, theta, m, substream(seed, n, _TRAJ_CENTER), n, trace, "0"
         )
         trace.records.append(
@@ -477,18 +434,21 @@ def _climb(
                 c_center=c_center,
             )
         )
-        if newton is None:
+        if not newton:
             step = spsa_gradient(c_plus, c_minus, delta, dv)
         else:
             grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
             # symmetric scaled average; symmetry is preserved exactly under
             # element-wise scaling and addition
             sym = hessian_scale * (hess + hess.T) / 2.0
-            xi = newton.schedule.xi(n)
-            newton.h_bar = (1.0 - xi) * newton.h_bar + xi * sym
+            # averaging steps xi_n = 1/n^0.75: the exponent lies in (0.5, 1), so
+            # the squared steps are summable and gamma_n/xi_n -> 0 (a faster
+            # timescale than the parameter); xi_1 = 1 overwrites the zeros
+            xi = 1.0 / n**0.75
+            trace.h_bar = (1.0 - xi) * trace.h_bar + xi * sym
             # condition the curvature of the climb (-h_bar) and solve for the
             # step with LAPACK's dpotrf/dpotrs, the calls cho_factor/cho_solve make
-            step = _cholesky_solve(psd_project(-newton.h_bar, newton.pd_floor), grad)
+            step = _cholesky_solve(psd_project(-trace.h_bar, pd_floor), grad)
         theta = box.project(theta + gamma * step)
     trace.final_theta = theta
     return trace
@@ -503,7 +463,7 @@ def ascend(
     seed: RootSeed,
 ) -> RunTrace:
     """First-order projected ascent driven by two-point gradient estimates."""
-    return _climb(evaluate, schedules, box, theta0, iters, seed, newton=None)
+    return _climb(evaluate, schedules, box, theta0, iters, seed, pd_floor=None)
 
 
 def ascend_newton(
@@ -513,17 +473,15 @@ def ascend_newton(
     theta0: np.ndarray,
     iters: int,
     seed: RootSeed,
-    hessian: HessianSchedule = HessianSchedule(),
     pd_floor: float = 1e-4,
     hessian_scale: float = 1.0,
 ) -> RunTrace:
-    """Newton-style ascent with a fast-timescale running curvature average."""
-    if as_float("hessian_scale", hessian_scale) <= 0.0:
-        raise ValueError(f"hessian_scale must be positive, got {hessian_scale!r}")
-    newton = NewtonState(
-        h_bar=np.zeros((box.dim, box.dim)), schedule=hessian, pd_floor=pd_floor
-    )
-    return _climb(evaluate, schedules, box, theta0, iters, seed, newton, hessian_scale)
+    """Newton-style ascent with a fast-timescale running curvature average,
+    left in the trace's ``h_bar``."""
+    for name, value in (("hessian_scale", hessian_scale), ("pd_floor", pd_floor)):
+        if as_float(name, value) <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    return _climb(evaluate, schedules, box, theta0, iters, seed, pd_floor, hessian_scale)
 
 
 def return_evaluator(env, model: CptModel) -> Evaluator:
@@ -562,7 +520,6 @@ def optimize_spsa_n(
     theta0: np.ndarray,
     iters: int,
     seed: RootSeed,
-    hessian: HessianSchedule = HessianSchedule(),
     pd_floor: float = 1e-4,
     hessian_scale: float = 1.0,
 ) -> RunTrace:
@@ -575,7 +532,6 @@ def optimize_spsa_n(
         theta0,
         iters,
         seed,
-        hessian=hessian,
         pd_floor=pd_floor,
         hessian_scale=hessian_scale,
     )

@@ -84,9 +84,7 @@ def encode(trace) -> dict:
         }
         for r in trace.records
     ]
-    h_bar = None if trace.newton is None else [
-        [_hex(v) for v in row] for row in trace.newton.h_bar
-    ]
+    h_bar = None if trace.h_bar is None else [[_hex(v) for v in row] for row in trace.h_bar]
     return {
         "records": records,
         "final_theta": [_hex(v) for v in trace.final_theta],

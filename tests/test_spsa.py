@@ -15,7 +15,6 @@ from cptopt import (
     BoxConstraint,
     CptModel,
     GaussianMeanEnv,
-    HessianSchedule,
     OptimizationError,
     SpsaSchedules,
     WeightSpec,
@@ -32,7 +31,7 @@ from cptopt import (
 )
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
-from cptopt.spsa import LinAlgError, NewtonState, _cholesky_solve
+from cptopt.spsa import LinAlgError, _cholesky_solve
 
 IDENTITY = CptModel.identity()
 
@@ -195,13 +194,6 @@ class TestSchedules:
     def test_non_finite_a_offset_rejected(self, a_offset):
         with pytest.raises(ValueError, match="a_offset"):
             SpsaSchedules(a_offset=a_offset, alpha=0.61)
-
-    def test_hessian_schedule_validation(self):
-        assert HessianSchedule().xi(1) == 1.0
-        with pytest.raises(ValueError):
-            HessianSchedule(xi_exp=0.5)
-        with pytest.raises(ValueError):
-            HessianSchedule(xi_exp=1.0)
 
 
 class TestSpsaNEstimates:
@@ -433,19 +425,32 @@ class TestAscendNewton:
         trace = ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 0, 0)
         assert trace.final_theta == pytest.approx([0.5])
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
-    def test_non_finite_or_nonpositive_pd_floor_rejected(self, value):
-        with pytest.raises(ValueError, match="pd_floor"):
-            NewtonState(h_bar=np.zeros((1, 1)), pd_floor=value)
-        with pytest.raises(ValueError, match="pd_floor"):
-            ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 1, 0,
-                          pd_floor=value)
+    @pytest.mark.parametrize("name", ["pd_floor", "hessian_scale"])
+    @pytest.mark.parametrize(
+        "value", [True, float("nan"), float("inf"), float("-inf"), 0.0],
+        ids=["true", "nan", "inf", "-inf", "zero"],
+    )
+    @pytest.mark.parametrize("entry", ["ascend_newton", "optimize_spsa_n"])
+    def test_bad_newton_argument_rejected_before_iteration_one(self, entry, name, value):
+        calls = []
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
-    def test_non_finite_or_nonpositive_hessian_scale_rejected(self, value):
-        with pytest.raises(ValueError, match="hessian_scale"):
-            ascend_newton(deterministic(lambda t: 0.0), SCHEDULES, BOX_1D, [0.5], 1, 0,
-                          hessian_scale=value)
+        class CountingEnv(GaussianMeanEnv):
+            def sample_returns(self, theta, m, rng):
+                calls.append(m)
+                return super().sample_returns(theta, m, rng)
+
+        def evaluate(theta, m, rng):
+            calls.append(m)
+            return 0.0
+
+        error = TypeError if value is True else ValueError
+        with pytest.raises(error, match=rf"^{name} must be "):
+            if entry == "ascend_newton":
+                ascend_newton(evaluate, SCHEDULES, BOX_1D, [0.5], 1, 0, **{name: value})
+            else:
+                optimize_spsa_n(CountingEnv(), IDENTITY, SCHEDULES, BOX_1D, [0.5], 1, 0,
+                                **{name: value})
+        assert calls == []
 
     def test_first_update_overwrites_running_hessian(self):
         seen = {}
@@ -454,9 +459,7 @@ class TestAscendNewton:
             return float(-np.sum(np.atleast_1d(theta) ** 2))
 
         box = BoxConstraint.cube(-4.0, 4.0, 2)
-        trace = ascend_newton(
-            evaluate, SCHEDULES, box, [1.0, 1.0], 1, 17, hessian=HessianSchedule()
-        )
+        trace = ascend_newton(evaluate, SCHEDULES, box, [1.0, 1.0], 1, 17)
         # reproduce the iteration's perturbations and readings
         rng = substream(17, 1, 0)
         dv = rademacher_vector(rng, 2)
@@ -473,7 +476,7 @@ class TestAscendNewton:
             dv_hat,
         )
         expected = (hess + hess.T) / 2.0
-        assert np.array_equal(trace.newton.h_bar, expected)
+        assert np.array_equal(trace.h_bar, expected)
 
     def test_running_hessian_stays_exactly_symmetric(self):
         env = GaussianMeanEnv(optimum=(2.0, 2.0), curvatures=(1.0, 10.0), noise_std=0.1)
@@ -481,7 +484,7 @@ class TestAscendNewton:
         trace = optimize_spsa_n(
             env, IDENTITY, SpsaSchedules(alpha=1.0, nu=0.5), box, [0.5, 0.5], 50, 5
         )
-        h = trace.newton.h_bar
+        h = trace.h_bar
         assert np.array_equal(h, h.T)
 
     def test_converges_on_anisotropic_bowl(self):
@@ -596,9 +599,9 @@ def test_golden_master(case):
         assert (None if r.c_center is None else _hex(r.c_center)) == want["c_center"]
     assert [_hex(v) for v in trace.final_theta] == expected["final_theta"]
     if expected["h_bar"] is None:
-        assert trace.newton is None
+        assert trace.h_bar is None
     else:
-        assert [[_hex(v) for v in row] for row in trace.newton.h_bar] == expected["h_bar"]
+        assert [[_hex(v) for v in row] for row in trace.h_bar] == expected["h_bar"]
 
 
 def test_golden_check_reports_the_size_of_float_differences():

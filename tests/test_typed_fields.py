@@ -21,7 +21,6 @@ from cptopt import (
     CptModel,
     ExperimentConfig,
     GaussianMeanEnv,
-    HessianSchedule,
     SpsaSchedules,
     UtilitySpec,
     WeightSpec,
@@ -38,7 +37,7 @@ from cptopt.envs.ssp import BoltzmannPolicy, SspMdp, two_state_chain
 from cptopt.envs.traffic import TrafficConfig, TrafficEpisode
 from cptopt.estimator import CptEstimate, DiscreteDist
 from cptopt.models import Exponential, Gaussian, TwoPoint, Uniform
-from cptopt.spsa import IterationRecord, NewtonState
+from cptopt.spsa import IterationRecord
 
 # a valid record of each checked class; float fields are whole numbers where
 # the class allows it, so the integer test can take them
@@ -50,8 +49,6 @@ VALID = {
     TwoPoint: lambda: TwoPoint(0.0, 1.0, 1.0),
     Exponential: lambda: Exponential(1.0),
     SpsaSchedules: lambda: SpsaSchedules(1.0, 50.0, 2.0, 0.101, 10.0, 1.0, 1.0),
-    HessianSchedule: lambda: HessianSchedule(1.0, 0.75),
-    NewtonState: lambda: NewtonState(np.zeros((2, 2)), pd_floor=1.0),
     BoxConstraint: lambda: BoxConstraint((0.0, 1.0), (2.0, 3.0)),
     TrafficConfig: lambda: TrafficConfig(
         arrival_rates=(1.0, 1.0, 0.0, 0.0), ew_rate=1.0, ns_rate=0.0, burst_prob=0.0
@@ -144,11 +141,10 @@ def test_an_integer_stays_an_integer_in_a_float_field(case):
         assert cls.from_json(record.to_json()) == record
 
 
-def _newton_with_scale(scale):
+def _newton_with(**argument):
     box = BoxConstraint.cube(0.0, 1.0, 1)
     return ascend_newton(
-        lambda theta, m, rng: 0.0, SpsaSchedules(), box, np.array([0.5]), 0, 0,
-        hessian_scale=scale,
+        lambda theta, m, rng: 0.0, SpsaSchedules(), box, np.array([0.5]), 0, 0, **argument
     )
 
 
@@ -157,7 +153,8 @@ ARGUMENTS = {
     "cpt_value_quadrature.tol": lambda v: cpt_value_quadrature(Uniform(), CptModel(), v),
     "spsa_gradient.delta": lambda v: spsa_gradient(1.0, 0.0, v, np.array([1.0])),
     "psd_project.kappa": lambda v: psd_project(np.eye(2), v),
-    "ascend_newton.hessian_scale": _newton_with_scale,
+    "ascend_newton.hessian_scale": lambda v: _newton_with(hessian_scale=v),
+    "ascend_newton.pd_floor": lambda v: _newton_with(pd_floor=v),
     "required_samples_holder.eps": lambda v: required_samples_holder(v, 0.1, 1, 1, 1),
     "required_samples_holder.delta": lambda v: required_samples_holder(0.1, v, 1, 1, 1),
     "required_samples_holder.holder_const": lambda v: required_samples_holder(0.1, 0.1, v, 1, 1),
