@@ -9,13 +9,14 @@ spellings of one field in one object are an error.
 
 Reading is strict, as these documents come from files: an unknown key, or a
 value whose JSON type does not fit the field's annotation, raises ValueError
-naming the key.  ``int`` takes an integer, ``float`` any finite number (neither
-takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple an array
+naming the key.  ``int`` takes an integer, ``float`` any finite number within
+the float range (neither takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple an array
 of its length (any length for ``tuple[X, ...]``), a dataclass an object.
 Nothing is coerced: an integer read for a float field is written back
 as an integer.  Keys left out take the field's default.  Construction applies
 the same ``int``/``float`` rules: :func:`check_fields` comes first in each
-config dataclass's ``__post_init__``.
+config dataclass's ``__post_init__``, and stores a numpy scalar as the equal
+Python int or float, so every record can be written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 import operator
 import typing
-from numbers import Real
+from numbers import Integral, Real
 from typing import Any, Iterable, TypeVar
 
 R = TypeVar("R", bound="JsonRecord")
@@ -62,11 +63,21 @@ def as_int(name: str, value: Any) -> int:
 
 
 def as_float(name: str, value: Any) -> Any:
-    """``value`` unchanged if it is a finite real number; a bool or a non-number
-    raises TypeError, and NaN or an infinity ValueError, naming ``name``."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    """``value`` if it is a finite Python int or float; another finite real number
+    (a numpy scalar, say) becomes the equal int, if it is an integer, or float.
+
+    A bool or a non-number raises TypeError; NaN, an infinity or an integer
+    beyond the float range raises ValueError; each error names ``name``.
+    """
+    if type(value) is not float and type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        value = operator.index(value) if isinstance(value, Integral) else float(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int with no float near it
+        raise ValueError(f"{name} must be within the float range, got a larger integer") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 

@@ -53,6 +53,21 @@ def test_integers_stay_valid_and_uncoerced_for_float_fields():
     assert model.weight_plus.eta == 1 and type(model.weight_plus.eta) is int
 
 
+@pytest.mark.parametrize(
+    "cls, text, where",
+    [
+        (TrafficConfig, '{"ew_rate": 1' + "0" * 400 + "}", "ew_rate"),
+        (ExperimentConfig, '{"mu": [1' + "0" * 400 + ", 0, 0, 0]}", "mu[0]"),
+        (CptModel, '{"utility": {"lambda": -1' + "0" * 309 + "}}", "utility.lambda"),
+    ],
+)
+def test_integer_beyond_the_float_range_names_the_key(cls, text, where):
+    with pytest.raises(
+        ValueError, match=rf"^{cls.__name__}\.{re.escape(where)} must be within the float range"
+    ):
+        cls.from_json(text)
+
+
 def test_golden_records_keep_their_key_order():
     """The golden generators write ``to_dict()`` without ``sort_keys``."""
     traffic = json.loads((DATA / "traffic_golden_2x3.json").read_text())["config"]

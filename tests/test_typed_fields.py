@@ -2,8 +2,9 @@
 
 Each config dataclass passes its fields through ``_codec.check_fields``: a
 bool, a numeric string, NaN or an infinity fails at construction with an
-error naming the field, and an integer given for a float field is kept as an
-integer.  The public functions' scalar arguments follow the same rules.
+error naming the field, an integer given for a float field is kept as an
+integer, and a numpy scalar is stored as the equal Python int or float.  The
+public functions' scalar arguments follow the same rules.
 """
 
 import dataclasses
@@ -141,6 +142,29 @@ def test_an_integer_stays_an_integer_in_a_float_field(case):
         assert cls.from_json(record.to_json()) == record
 
 
+# a numpy float for every float field of a JSON record, a numpy integer where
+# the record's value is whole
+NUMPY_CASES = [
+    (case, scalar)
+    for case in FIELDS
+    if case[2] is float and issubclass(case[0], JsonRecord)
+    for scalar in (np.float64, np.float32, np.int64)
+    if scalar is not np.int64 or case in WHOLE_FLOAT_FIELDS
+]
+
+
+@pytest.mark.parametrize(
+    "case, scalar", NUMPY_CASES, ids=lambda v: v.__name__ if isinstance(v, type) else field_id(v)
+)
+def test_a_numpy_scalar_is_stored_as_the_equal_python_number(case, scalar):
+    cls, name, _, is_tuple = case
+    value = scalar(first(VALID[cls](), name, is_tuple))
+    record = replaced(VALID[cls](), name, value, is_tuple)
+    stored = first(record, name, is_tuple)
+    assert type(stored) is (int if scalar is np.int64 else float) and stored == value
+    assert cls.from_json(record.to_json()) == record
+
+
 def _newton_with(**argument):
     box = BoxConstraint.cube(0.0, 1.0, 1)
     return ascend_newton(
@@ -162,6 +186,9 @@ ARGUMENTS = {
     "required_samples_holder.alpha": lambda v: required_samples_holder(0.1, 0.1, 1, 1, v),
     "required_samples_lipschitz.eps": lambda v: required_samples_lipschitz(v, 0.1, 1, 1),
     "required_samples_lipschitz.delta": lambda v: required_samples_lipschitz(0.1, v, 1, 1),
+    "required_samples_lipschitz.lipschitz_const": lambda v: required_samples_lipschitz(
+        0.1, 0.1, v, 1
+    ),
     "required_samples_lipschitz.utility_bound": lambda v: required_samples_lipschitz(
         0.1, 0.1, 1, v
     ),
