@@ -285,22 +285,7 @@ def required_samples_holder(
 
         n = ceil(ln(1/delta) * 4 H^2 M^2 / eps^(2/alpha))
     """
-    positive = dict(eps=eps, holder_const=holder_const, utility_bound=utility_bound)
-    for name, value in positive.items():
-        if as_float(name, value) <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-    if not 0.0 < as_float("delta", delta) < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < as_float("alpha", alpha) <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    bound = (
-        math.log(1.0 / delta)
-        * 4.0
-        * holder_const**2
-        * utility_bound**2
-        / eps ** (2.0 / alpha)
-    )
-    return int(math.ceil(bound))
+    return _required_samples(eps, delta, utility_bound, alpha, holder_const=holder_const)
 
 
 def required_samples_lipschitz(
@@ -310,4 +295,33 @@ def required_samples_lipschitz(
 
         n = ceil(ln(1/delta) * 4 L^2 M^2 / eps^2)
     """
-    return required_samples_holder(eps, delta, lipschitz_const, utility_bound, 1.0)
+    return _required_samples(eps, delta, utility_bound, 1.0, lipschitz_const=lipschitz_const)
+
+
+def _required_samples(eps, delta, utility_bound, alpha, **const) -> int:
+    """The bound above; ``const`` is the one weight constant, by its argument name."""
+    positive = dict(eps=eps, **const, utility_bound=utility_bound)
+    for name, value in positive.items():
+        if as_float(name, value) <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < as_float("delta", delta) < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if not 0.0 < as_float("alpha", alpha) <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    (weight_const,) = const.values()
+    try:
+        bound = (
+            math.log(1.0 / delta)
+            * 4.0
+            * weight_const**2
+            * utility_bound**2
+            / eps ** (2.0 / alpha)
+        )
+    except (OverflowError, ZeroDivisionError):  # a term left the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            "the required sample count is not a finite number: "
+            "eps is too small or a constant too large for a float"
+        )
+    return int(math.ceil(bound))

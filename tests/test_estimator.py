@@ -830,3 +830,17 @@ class TestSampleSizeCalculators:
             required_samples_holder(1.0, 0.5, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             required_samples_holder(1.0, 0.5, 1.0, 1.0, 1.5)
+
+    def test_lipschitz_checks_its_own_constant(self):
+        with pytest.raises(ValueError, match="^lipschitz_const must be positive, got -1.0"):
+            required_samples_lipschitz(0.1, 0.1, -1.0, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1e-300, 0.1, 1.0, 1.0, 0.5), (0.1, 0.1, 1e200, 1e200, 1.0), (0.1, 0.1, 1e150, 1e150, 1.0),
+         (0.1, 0.1, 10**200, 10**200, 1.0)],
+        ids=["eps-underflows", "constants-overflow", "product-overflows", "int-constants"],
+    )
+    def test_count_beyond_the_float_range_is_a_value_error(self, args):
+        with pytest.raises(ValueError, match="required sample count is not a finite number"):
+            required_samples_holder(*args)
