@@ -604,11 +604,22 @@ def test_golden_master(case):
         assert [[_hex(v) for v in row] for row in trace.h_bar] == expected["h_bar"]
 
 
-def test_golden_check_reports_the_size_of_float_differences():
+def _golden_tool():
     path = GOLDEN.parent / "make_spsa_golden.py"
     spec = importlib.util.spec_from_file_location("make_spsa_golden", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_golden_generator_check_passes(capsys):
+    """The generator itself still renders the committed file byte for byte."""
+    assert _golden_tool().main(["--check"]) == 0
+    assert capsys.readouterr().out == "spsa_golden.json: unchanged\n"
+
+
+def test_golden_check_reports_the_size_of_float_differences():
+    tool = _golden_tool()
     case = json.loads(GOLDEN.read_text())[0]
     case["trace"]["final_theta"][0] = (1.0).hex()
     moved = json.loads(json.dumps(case))
