@@ -299,16 +299,22 @@ def required_samples_lipschitz(
 
 
 def _required_samples(eps, delta, utility_bound, alpha, **const) -> int:
-    """The bound above; ``const`` is the one weight constant, by its argument name."""
-    positive = dict(eps=eps, **const, utility_bound=utility_bound)
-    for name, value in positive.items():
-        if as_float(name, value) <= 0.0:
+    """The bound above; ``const`` is the one weight constant, by its argument name.
+
+    The arithmetic runs on the Python numbers :func:`as_float` returns, so a
+    numpy float32 argument cannot overflow in float32.
+    """
+    positive = []
+    for name, value in (("eps", eps), *const.items(), ("utility_bound", utility_bound)):
+        positive.append(as_float(name, value))
+        if positive[-1] <= 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-    if not 0.0 < as_float("delta", delta) < 1.0:
+    eps, weight_const, utility_bound = positive
+    delta, alpha = as_float("delta", delta), as_float("alpha", alpha)
+    if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < as_float("alpha", alpha) <= 1.0:
+    if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    (weight_const,) = const.values()
     try:
         bound = (
             math.log(1.0 / delta)

@@ -844,3 +844,10 @@ class TestSampleSizeCalculators:
     def test_count_beyond_the_float_range_is_a_value_error(self, args):
         with pytest.raises(ValueError, match="required sample count is not a finite number"):
             required_samples_holder(*args)
+
+    def test_numpy_float32_arguments_are_computed_in_double(self):
+        # 1e20 squared overflows float32 but not a double
+        big = np.float32(1e20)
+        assert required_samples_holder(np.float32(0.1), 0.1, big, big, 1.0) == (
+            required_samples_holder(float(np.float32(0.1)), 0.1, float(big), float(big), 1.0)
+        )
