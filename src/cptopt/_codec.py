@@ -10,8 +10,9 @@ spellings of one field in one object are an error.
 Reading is strict, as these documents come from files: an unknown key, or a
 value whose JSON type does not fit the field's annotation, raises ValueError
 naming the key.  ``int`` takes an integer, ``float`` any finite number within
-the float range (neither takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple an array
-of its length (any length for ``tuple[X, ...]``), a dataclass an object.
+the float range (neither takes a bool), ``str`` a string, ``Optional`` also
+``null``, a tuple an array of its length (any length for ``tuple[X, ...]``), a
+dataclass an object.
 Nothing is coerced: an integer read for a float field is written back
 as an integer.  Keys left out take the field's default.  Construction applies
 the same ``int``/``float`` rules: :func:`check_fields` comes first in each

@@ -253,7 +253,8 @@ QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizo
          "tversky_kahneman eta must lie in [0.3, 1]"),
         ("experiment", "--config", '{"traffic": {"ew_rate": NaN}, ' + QUICK_RUN + "}",
          "ew_rate must be finite, got nan"),
-        ("experiment", "--config", '{"traffic": {"ew_rate": 1' + "0" * 400 + "}, " + QUICK_RUN + "}",
+        ("experiment", "--config",
+         '{"traffic": {"ew_rate": 1' + "0" * 400 + "}, " + QUICK_RUN + "}",
          "ew_rate must be within the float range"),
         ("experiment", "--config", '{"master_seed": -1, ' + QUICK_RUN + "}",
          "master_seed must be >= 0, got -1"),
