@@ -36,7 +36,6 @@ from .models import (
     WeightSpec,
     cpt_value_quadrature,
     eval_utility,
-    eval_weight,
 )
 from .rng import substream, subseed
 from .spsa import (
@@ -48,7 +47,6 @@ from .spsa import (
     ascend_newton,
     optimize_spsa_g,
     optimize_spsa_n,
-    project_box,
     psd_project,
     rademacher_vector,
     spsa_gradient,
@@ -84,11 +82,9 @@ __all__ = [
     "estimate_cpt",
     "estimate_cpt_discrete",
     "eval_utility",
-    "eval_weight",
     "exact_cpt_discrete",
     "optimize_spsa_g",
     "optimize_spsa_n",
-    "project_box",
     "psd_project",
     "rademacher_vector",
     "required_samples_holder",

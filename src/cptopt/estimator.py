@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -243,24 +243,14 @@ def _check_split(dist: DiscreteDist, model: CptModel) -> None:
 
 
 def estimate_cpt_discrete(
-    counts: Union[Sequence[int], Mapping[float, int]],
-    dist: DiscreteDist,
-    model: CptModel,
+    counts: Sequence[int], dist: DiscreteDist, model: CptModel
 ) -> CptEstimate:
     """Plug-in estimate from per-atom tallies on a known support."""
-    if isinstance(counts, Mapping):
-        arr = np.zeros(dist.size)
-        support = {x: i for i, x in enumerate(dist.support)}
-        for value, count in counts.items():
-            if value not in support:
-                raise ValueError(f"count given for unknown support point {value!r}")
-            arr[support[value]] += count
-    else:
-        arr = np.asarray(counts, dtype=float)
-        if arr.shape != (dist.size,):
-            raise ValueError(
-                f"counts must align with the {dist.size}-point support, got shape {arr.shape}"
-            )
+    arr = np.asarray(counts, dtype=float)
+    if arr.shape != (dist.size,):
+        raise ValueError(
+            f"counts must align with the {dist.size}-point support, got shape {arr.shape}"
+        )
     if np.any(arr < 0) or np.any(arr != np.floor(arr)):
         raise ValueError("counts must be nonnegative integers")
     n = int(arr.sum())

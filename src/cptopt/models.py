@@ -41,7 +41,6 @@ __all__ = [
     "Exponential",
     "IntegralDivergenceError",
     "eval_utility",
-    "eval_weight",
     "cpt_value_quadrature",
 ]
 
@@ -277,11 +276,6 @@ def eval_utility(x: float, utility: UtilitySpec) -> tuple[float, float]:
     gain = float(utility.gain_values(np.asarray(x)))
     loss = float(utility.loss_values(np.asarray(x)))
     return gain, loss
-
-
-def eval_weight(p: float, weight: WeightSpec) -> float:
-    """Distorted probability w(p); raises for p outside [0, 1]."""
-    return weight(p)
 
 
 # ---------------------------------------------------------------------------

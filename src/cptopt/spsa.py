@@ -55,7 +55,7 @@ from numpy.linalg import LinAlgError
 from ._codec import as_float, as_int, check_fields
 from .estimator import estimate_cpt
 from .models import CptModel
-from .rng import RootSeed, stream_id, substream
+from .rng import RootSeed, substream
 
 __all__ = [
     "BoxConstraint",
@@ -66,7 +66,6 @@ __all__ = [
     "rademacher_vector",
     "spsa_gradient",
     "spsa_n_estimates",
-    "project_box",
     "psd_project",
     "ascend",
     "ascend_newton",
@@ -126,11 +125,6 @@ class BoxConstraint:
         if theta.shape != (self.dim,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
         return np.clip(theta, self.lo, self.hi)
-
-
-def project_box(theta: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """Clamp ``theta`` into the box (idempotent; identity on feasible points)."""
-    return box.project(theta)
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,6 @@ class IterationRecord:
     gamma: float
     delta: float
     m: int
-    stream: str
     c_center: Optional[float] = None
 
 
@@ -430,7 +423,6 @@ def _climb(
                 gamma=gamma,
                 delta=delta,
                 m=m,
-                stream=stream_id(seed, n),
                 c_center=c_center,
             )
         )

@@ -23,6 +23,7 @@ from pathlib import Path
 from cptopt.envs import GaussianMeanEnv, SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
 from cptopt.models import CptModel
+from cptopt.rng import stream_id
 from cptopt.spsa import BoxConstraint, SpsaSchedules, optimize_spsa_g, optimize_spsa_n
 
 HERE = Path(__file__).parent
@@ -68,8 +69,12 @@ def _hex(v) -> str:
     return float(v).hex()
 
 
-def encode(trace) -> dict:
-    """Every record field, the final theta and h_bar, floats as ``float.hex``."""
+def encode(trace, seed: int) -> dict:
+    """Every record field, the final theta and h_bar, floats as ``float.hex``.
+
+    Each record also keeps ``stream_id(seed, n)``, which pins the id format
+    that run summaries record.
+    """
     records = [
         {
             "n": r.n,
@@ -80,7 +85,7 @@ def encode(trace) -> dict:
             "gamma": _hex(r.gamma),
             "delta": _hex(r.delta),
             "m": r.m,
-            "stream": r.stream,
+            "stream": stream_id(seed, r.n),
         }
         for r in trace.records
     ]
@@ -93,7 +98,7 @@ def encode(trace) -> dict:
 
 
 def render() -> str:
-    doc = [dict(case, trace=encode(run_case(case))) for case in CASES]
+    doc = [dict(case, trace=encode(run_case(case), case["seed"])) for case in CASES]
     return json.dumps(doc, indent=1) + "\n"
 
 

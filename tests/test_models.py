@@ -16,7 +16,6 @@ from cptopt import (
     WeightSpec,
     cpt_value_quadrature,
     eval_utility,
-    eval_weight,
 )
 
 # brute-force midpoint Riemann sum (1e7 points) of the TK(0.61)-weighted
@@ -91,30 +90,30 @@ class TestUtilitySpec:
 
 class TestWeightSpec:
     def test_identity(self):
-        assert eval_weight(0.5, WeightSpec.identity()) == 0.5
+        assert WeightSpec.identity()(0.5) == 0.5
 
     def test_tk_endpoints(self):
         w = WeightSpec.tversky_kahneman(0.61)
-        assert eval_weight(0.0, w) == 0.0
-        assert eval_weight(1.0, w) == 1.0
+        assert w(0.0) == 0.0
+        assert w(1.0) == 1.0
 
     def test_tk_overweights_small_probability(self):
         w = WeightSpec.tversky_kahneman(0.61)
-        value = eval_weight(0.1, w)
+        value = w(0.1)
         assert 0.1 < value < 0.5
         assert value == pytest.approx(W_TK_061_AT_01, rel=1e-14)
 
     def test_prelec_endpoints(self):
         w = WeightSpec.prelec(0.65)
-        assert eval_weight(0.0, w) == 0.0
-        assert eval_weight(1.0, w) == 1.0
+        assert w(0.0) == 0.0
+        assert w(1.0) == 1.0
 
     def test_out_of_range_probability(self):
         w = WeightSpec.identity()
         with pytest.raises(ValueError):
-            eval_weight(-0.01, w)
+            w(-0.01)
         with pytest.raises(ValueError):
-            eval_weight(1.01, w)
+            w(1.01)
 
     def test_tk_non_monotone_regime_rejected(self):
         with pytest.raises(ValueError):
