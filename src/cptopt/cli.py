@@ -42,6 +42,16 @@ def _error(command: str, exc: Exception) -> int:
     return 2
 
 
+def _check_out_file(path: str) -> None:
+    """Raise OSError now, creating nothing, if ``path`` names no writable
+    file location: a run writes its output only when it has finished."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise FileNotFoundError(f"--out {path}: no directory {str(target.parent)!r}")
+    if target.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+
+
 def _load_model(path: str | None) -> CptModel:
     if path is None:
         return CptModel.identity()
@@ -139,6 +149,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         lo = entry.box[0] if args.box_lo is None else args.box_lo
         hi = entry.box[1] if args.box_hi is None else args.box_hi
         box = BoxConstraint.cube(lo, hi, dim)
+        _check_out_file(args.out)
     except (OSError, ValueError) as exc:
         return _error("optimize", exc)
     theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
@@ -157,9 +168,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             if args.config
             else ExperimentConfig()
         )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _error("experiment", exc)
-    result = run_experiment(config, Path(args.out))
+    result = run_experiment(config, out_dir)
     for name, info in result.summary["variants"].items():
         print(f"{name}: median cpt score {info['median_cpt_score']:.4f}")
     return 0

@@ -333,7 +333,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Train each variant, score all of them on the distorted-value axis.
 
-    When ``out_dir`` is given, writes ``summary.json``,
+    When ``out_dir`` is given, creates it (and its parents) before any
+    training, so an unusable path fails first, and writes ``summary.json``,
     ``scores_<variant>.csv`` (columns: replication, cpt_score, path scores)
     and ``trace_<variant>.csv``.  Outputs are a pure function of the config,
     so reruns are byte-identical, whichever processes train the variants.
@@ -345,6 +346,9 @@ def run_experiment(
     re-emission of each variant's training warnings stay in the caller, in
     ``VARIANTS`` order.
     """
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     master = config.master_seed
     grid = TrafficGrid(config.traffic)
     grid.baseline_delays  # simulated once here rather than once per worker
@@ -391,8 +395,6 @@ def run_experiment(
                 "median_cpt_score": float(np.median(totals)),
             }
             if out_dir is not None:
-                out_dir = Path(out_dir)
-                out_dir.mkdir(parents=True, exist_ok=True)
                 with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
                     header = ["replication", "cpt_score"]
                     header += [f"path_{i}" for i in range(len(mu))]
@@ -404,13 +406,13 @@ def run_experiment(
                 traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
 
     if out_dir is not None:
-        with open(Path(out_dir) / "summary.json", "w") as fh:
+        with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     return ExperimentResult(
         summary=summary,
-        out_dir=Path(out_dir) if out_dir is not None else None,
+        out_dir=out_dir,
         traces=traces,
         scores=scores,
     )

@@ -14,7 +14,7 @@ import pytest
 import cptopt
 from cptopt.cli import ENVS, _default_schedules, build_parser, main
 from cptopt.models import CptModel
-from cptopt.spsa import BoxConstraint, SpsaSchedules, ascend, ascend_newton
+from cptopt.spsa import BoxConstraint, OptimizationError, SpsaSchedules, ascend, ascend_newton
 
 
 @pytest.fixture()
@@ -166,6 +166,35 @@ class TestOptimizeCommand:
         assert "cptopt optimize: error: each lower bound must be strictly below" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/trace.csv", "."], ids=["no-dir", "a-dir"])
+    def test_unusable_out_path_exits_2_before_any_run(self, out, capsys, tmp_path, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr("cptopt.cli.ascend", no_run)
+        assert main(["optimize", "--iters", "2", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cptopt optimize: error: --out ")
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == []
+
+    def test_run_failing_partway_leaves_no_trace(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_on_the_third_call(theta, m, rng):
+            calls.append(m)
+            if len(calls) == 3:
+                raise RuntimeError("simulator crashed")
+            return 0.0
+
+        entry = ENVS["gaussian-mean"]._replace(
+            build=lambda args, model: (failing_on_the_third_call, 1)
+        )
+        monkeypatch.setitem(ENVS, "gaussian-mean", entry)
+        out = tmp_path / "trace.csv"
+        with pytest.raises(OptimizationError, match="at iteration 2"):
+            main(["optimize", "--iters", "5", "--out", str(out)])
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("algo", ["spsa-g", "spsa-n"])
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -225,6 +254,19 @@ class TestExperimentCommand:
             assert (out_dir / f"trace_{v}.csv").exists()
         printed = capsys.readouterr().out
         assert "median cpt score" in printed
+
+    def test_out_is_a_file_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("cptopt.cli.run_experiment", no_run)
+        taken = tmp_path / "results"
+        taken.write_text("kept")
+        assert main(["experiment", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cptopt experiment: error: ")
+        assert "File exists" in captured.err
+        assert captured.out == "" and taken.read_text() == "kept"
 
 
 QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizon": 10'

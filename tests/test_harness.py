@@ -248,6 +248,17 @@ class TestRunExperiment:
         assert lines[0] == "replication,cpt_score,path_0,path_1,path_2,path_3"
         assert len(lines) == 1 + SMALL.test_reps
 
+    def test_unusable_out_dir_fails_before_training(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "_train_variant", no_training)
+        monkeypatch.setattr(harness, "_start_worker", no_training)
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        with pytest.raises(FileExistsError):
+            run_experiment(SMALL, taken)
+
     def test_trace_csv_dimension(self, tmp_path):
         run_experiment(SMALL, tmp_path)
         header = (tmp_path / "trace_avg.csv").read_text().splitlines()[0]
