@@ -125,7 +125,7 @@ class DiscreteDist:
     ) -> "DiscreteDist":
         """Build with the split derived from a reference point (ties go to losses)."""
         xs = np.asarray(support, dtype=float)
-        split = int(np.sum(np.unique(xs) <= reference))
+        split = int(np.sum(np.unique(xs) <= as_float("reference", reference)))
         return cls(tuple(support), tuple(probs), split)
 
     @property
@@ -246,7 +246,10 @@ def estimate_cpt_discrete(
     counts: Sequence[int], dist: DiscreteDist, model: CptModel
 ) -> CptEstimate:
     """Plug-in estimate from per-atom tallies on a known support."""
-    arr = np.asarray(counts, dtype=float)
+    arr = np.asarray(counts)
+    if arr.dtype == bool:  # True would count as one sample
+        raise TypeError(f"counts must be integers, got bools {arr.tolist()!r}")
+    arr = arr.astype(float)
     if arr.shape != (dist.size,):
         raise ValueError(
             f"counts must align with the {dist.size}-point support, got shape {arr.shape}"

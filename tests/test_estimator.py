@@ -678,6 +678,20 @@ class TestDiscreteEstimator:
         counts = counts_from_samples([2.0, 2.0, -1.0, 5.0], dist)
         assert counts.tolist() == [1, 2, 1]
 
+    @pytest.mark.parametrize("counts", [[True, True], np.array([True, False])])
+    def test_bool_counts_rejected(self, counts):
+        dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
+        with pytest.raises(TypeError, match="counts must be integers"):
+            estimate_cpt_discrete(counts, dist, IDENTITY)
+
+    @pytest.mark.parametrize(
+        "reference, error", [(math.nan, ValueError), (math.inf, ValueError),
+                             (-math.inf, ValueError), (True, TypeError)]
+    )
+    def test_bad_reference_rejected(self, reference, error):
+        with pytest.raises(error, match="reference must be"):
+            DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5), reference)
+
     def test_split_mismatch_rejected(self):
         dist = DiscreteDist(support=(1.0, 2.0), probs=(0.5, 0.5), split=2)
         with pytest.raises(ValueError):
