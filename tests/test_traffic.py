@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -600,3 +601,14 @@ class TestGoldenMaster:
                 got[f"{rows}x{cols}/{burst!r}/{name}/{horizon}/{seed}"] = digest.hexdigest()
         assert len(got) == len(doc["digests"]) == 560
         assert [k for k in got if got[k] != doc["digests"][k]] == []
+
+    def test_generator_check_passes(self, capsys):
+        """The generator itself still renders the committed files byte for byte."""
+        path = GOLDEN.parent / "make_traffic_golden.py"
+        spec = importlib.util.spec_from_file_location("make_traffic_golden", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main(["--check"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{golden.name}: unchanged\n" for golden in (GOLDEN, GOLDEN_2X3, DIGEST_MATRIX)
+        )
