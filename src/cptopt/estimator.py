@@ -245,7 +245,12 @@ def _check_split(dist: DiscreteDist, model: CptModel) -> None:
 def estimate_cpt_discrete(
     counts: Sequence[int], dist: DiscreteDist, model: CptModel
 ) -> CptEstimate:
-    """Plug-in estimate from per-atom tallies on a known support."""
+    """Plug-in estimate from per-atom tallies on a known support.
+
+    ``counts`` is a sequence aligned with ``dist.support``, one nonnegative
+    integer tally per atom, as :func:`counts_from_samples` or
+    :meth:`DiscreteDist.sample_counts` return it.
+    """
     arr = np.asarray(counts)
     if arr.dtype == bool:  # True would count as one sample
         raise TypeError(f"counts must be integers, got bools {arr.tolist()!r}")

@@ -219,6 +219,7 @@ def substream(root: RootSeed, *path: int) -> np.random.Generator:
 
 
 def stream_id(root: RootSeed, *path: int) -> str:
-    """Stable textual identifier of a substream, recorded in run traces."""
+    """Stable textual identifier of a substream, ``"<entropy>:<key,...>"``;
+    run summaries record each variant's training stream by it."""
     entropy, key = _address(root, path)
     return f"{entropy}:{','.join(map(str, key))}"

@@ -207,6 +207,11 @@ def _check_alpha(schedules: SpsaSchedules, model: CptModel) -> None:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: the parameter before its step, the objective estimates
+    at the perturbed points (and at ``theta`` for SPSA-N), and the schedule
+    values gamma_n, delta_n and m_n it used.  Its substreams are keyed by
+    ``(seed, n)``; see :func:`cptopt.rng.stream_id`."""
+
     n: int
     theta: tuple[float, ...]
     c_plus: float
