@@ -43,8 +43,9 @@ def _error(command: str, exc: Exception) -> int:
 
 
 def _check_out_file(path: str) -> None:
-    """Raise OSError now, creating nothing, if ``path`` names no writable
-    file location: a run writes its output only when it has finished."""
+    """Raise OSError now, creating nothing, if ``path``'s directory is
+    missing or ``path`` is a directory: a run writes its output only when
+    it has finished."""
     target = Path(path)
     if not target.parent.is_dir():
         raise FileNotFoundError(f"--out {path}: no directory {str(target.parent)!r}")
