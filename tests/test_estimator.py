@@ -807,6 +807,141 @@ class TestDiscreteEstimator:
         assert abs(values.mean() - truth) <= 3 * se
 
 
+# The one-pass rank-weighted sum and the tied-run path of ``estimate_cpt``
+# and the discrete estimators as they were before the terms were evaluated
+# in blocks, copied verbatim (the split check aside).  The blocked sum must
+# give the same bits at every size around the block boundaries.
+BLOCK = 8192  # the estimator's terms per block
+
+
+def _one_pass_rank_weighted_sum(values, k, m, gain_grid, loss_grid, model):
+    """Gain and loss parts over the ascending distinct ``values``, of which
+    ``values[k:]`` are gains and ``values[:m]`` losses; ``gain_grid`` and
+    ``loss_grid`` cumulate their shares from each side's tail, from 0."""
+    # gain i (0-based, k <= i) pairs with w+(P(X >= x_i)) - w+(P(X > x_i))
+    w_plus = model.weight_plus.apply(gain_grid)
+    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
+    pos = float(np.add.reduce(model.utility.gain_values(values[k:]) * d_plus))
+    # loss i (0 <= i < m) pairs with w-(P(X <= x_i)) - w-(P(X < x_i))
+    w_minus = model.weight_minus.apply(loss_grid)
+    d_minus = w_minus[1:] - w_minus[:-1]
+    neg = float(np.add.reduce(model.utility.loss_values(values[:m]) * d_minus))
+    return pos, neg
+
+
+def _one_pass_run_estimate(samples, model):
+    """``estimate_cpt`` through its tied-run path, summed in one pass."""
+    arr = np.asarray(samples, dtype=float)
+    n = arr.size
+    xs = np.sort(arr)
+    first = np.empty(n + 1, dtype=bool)  # first[j]: j == n or xs[j] opens a run
+    first[0] = first[n] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:n])
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    below = first.nonzero()[0]  # samples under each run, ending at n
+    values = xs[below[:-1]]
+    k, m = int(below.searchsorted(k)), int(below.searchsorted(m))  # in runs
+    # a run's per-sample increments telescope to one over the whole run
+    gain_grid, loss_grid = (n - below[k:][::-1]) / n, below[: m + 1] / n
+    pos, neg = _one_pass_rank_weighted_sum(values, k, m, gain_grid, loss_grid, model)
+    return CptEstimate(n=n, positive_part=pos, negative_part=neg)
+
+
+def _one_pass_tally_sum(masses, total, dist, model):
+    """The discrete estimators' sum, in one pass."""
+    xs = np.asarray(dist.support)
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
+    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
+    cum_gain = np.concatenate(([0.0], np.cumsum(masses[k:][::-1])))  # from the best gain down
+    cum_loss = np.concatenate(([0.0], np.cumsum(masses[:m])))  # from the worst loss up
+    grids = (np.minimum(cum / total, 1.0) for cum in (cum_gain, cum_loss))
+    return _one_pass_rank_weighted_sum(xs, k, m, *grids, model)
+
+
+BLOCK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7]
+REFERENCE_PLACES = ["below", "inside", "at", "above"]
+
+
+def _reference_at(place, samples):
+    """A reference below, inside (between samples), at (on a sample) or above
+    the batch."""
+    xs = np.unique(samples)
+    if place == "below":
+        return float(xs[0]) - 1.0
+    if place == "above":
+        return float(xs[-1]) + 1.0
+    mid = xs.size // 3
+    return float(xs[mid]) if place == "at" else float((xs[mid] + xs[mid + 1]) / 2)
+
+
+def _tied_batch(kind, n, rng):
+    """Ties everywhere (a few atoms), in the dense middle only (rounded
+    normals) or in pairs (about n/2 runs, so more than one block of them)."""
+    if kind == "atoms":
+        return rng.integers(-40, 41, n) / 4
+    if kind == "rounded":
+        return np.round(rng.normal(0.0, 2.0, n), 3)
+    return rng.permutation(np.repeat(rng.normal(0.0, 2.0, n // 2 + 1), 2)[:n])
+
+
+class TestBlockedSum:
+    """Terms evaluated block by block give the one-pass sum's bits."""
+
+    @pytest.mark.parametrize("place", REFERENCE_PLACES)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_tie_free_batches_match_per_sample_estimate(self, n, place):
+        samples = np.random.default_rng(n).normal(0.0, 2.0, n)
+        kept = samples.copy()
+        for model in _family_models(_reference_at(place, samples)):
+            assert _bits(estimate_cpt(samples, model)) == _bits(_per_sample_estimate(samples, model))
+        assert samples.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("kind", ["atoms", "rounded", "pairs"])
+    @pytest.mark.parametrize("place", REFERENCE_PLACES)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_tied_batches_match_the_one_pass_run_sum(self, n, place, kind):
+        samples = _tied_batch(kind, n, np.random.default_rng(n))
+        assert np.unique(samples).size < n
+        kept = samples.copy()
+        for model in _family_models(_reference_at(place, samples)):
+            assert _bits(estimate_cpt(samples, model)) == _bits(
+                _one_pass_run_estimate(samples, model)
+            )
+        assert samples.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
+    def test_sorted_float64_samples_are_left_unchanged(self, tied):
+        rng = np.random.default_rng(5)
+        samples = np.sort(_tied_batch("rounded", 2 * BLOCK + 1, rng) if tied
+                          else rng.normal(0.0, 2.0, 2 * BLOCK + 1))
+        kept = samples.copy()
+        for model in _family_models(0.0):
+            estimate_cpt(samples, model)
+            assert samples.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize(
+        "size", list(range(1, 41)) + BLOCK_SIZES, ids=lambda s: f"atoms{s}"
+    )
+    def test_discrete_estimators_match_the_one_pass_sum(self, size):
+        rng = np.random.default_rng(size)
+        for trial in range(6 if size <= 40 else 1):
+            support = np.unique(np.round(rng.normal(0.0, 3.0, size), 2))
+            probs = rng.random(support.size) + 0.01
+            for place in REFERENCE_PLACES if support.size > 1 else ("below", "above"):
+                ref = _reference_at(place, support)
+                dist = DiscreteDist.from_outcomes(support, probs / probs.sum(), ref)
+                counts = dist.sample_counts(rng, int(rng.integers(2, 5 * size + 3)))
+                for model in _family_models(ref):
+                    pos, neg = _one_pass_tally_sum(np.asarray(dist.probs), 1.0, dist, model)
+                    assert exact_cpt_discrete(dist, model).hex() == (pos - neg).hex()
+                    pos, neg = _one_pass_tally_sum(counts.astype(float), counts.sum(), dist, model)
+                    est = estimate_cpt_discrete(counts, dist, model)
+                    assert _bits(est) == (int(counts.sum()), pos.hex(), neg.hex())
+
+
 class TestSampleSizeCalculators:
     def test_unit_parameters(self):
         assert required_samples_holder(1.0, np.exp(-1.0), 1.0, 1.0, 1.0) == 4
