@@ -29,7 +29,12 @@ probabilities and is the estimator's consistency oracle.
 
 Each side's sum runs only over its own side of the reference (``u+`` vanishes
 at and below it, ``u-`` at and above it) and is a pairwise ``np.add.reduce``,
-never a BLAS dot product, so no result depends on the BLAS thread count.
+never a BLAS dot product, so no result depends on the BLAS thread count.  The
+terms (grid points, weight increments, utilities and their products) are
+evaluated ``_BLOCK`` at a time, each written over its own entry of a private
+ascending array (the sorted copy, the runs' values or a copy of the support),
+so the sorted copy and the run marks are the only length-n arrays; each side
+is then reduced once over all its terms, so no bit depends on the block size.
 
 :func:`required_samples_holder` and :func:`required_samples_lipschitz` give
 worst-case sample counts for an (eps, delta) accuracy target under Holder or
@@ -60,6 +65,9 @@ __all__ = [
 ]
 
 _PROB_ATOL = 1e-12
+# terms of each side evaluated at a time: small enough that a block's
+# temporaries stay in cache, large enough that numpy's per-call cost is small
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -192,32 +200,56 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
     if np.count_nonzero(first) == n + 1:  # no ties: each sample is a run
         values = xs
-        grid = np.arange(max(n - k, m) + 1) / n  # exact rationals j/n
-        gain_grid, loss_grid = grid[: n - k + 1], grid[: m + 1]
+
+        def shares(lo, hi):  # one exact j/n grid serves both sides
+            grid = np.arange(lo, hi) / n
+            return grid, grid
+
     else:
         below = first.nonzero()[0]  # samples under each run, ending at n
         values = xs[below[:-1]]
         k, m = int(below.searchsorted(k)), int(below.searchsorted(m))  # in runs
-        # a run's per-sample increments telescope to one over the whole run
-        gain_grid, loss_grid = (n - below[k:][::-1]) / n, below[: m + 1] / n
+        runs = values.size  # below[runs] == n
 
-    pos, neg = _rank_weighted_sum(values, k, m, gain_grid, loss_grid, model)
+        def shares(lo, hi):
+            # a run's per-sample increments telescope to one over the whole run
+            gains = below[max(runs + 1 - hi, k) : runs + 1 - lo][::-1]
+            return (n - gains) / n, below[lo : min(hi, m + 1)] / n
+
+    pos, neg = _rank_weighted_sum(values, k, m, shares, model)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 
 
-def _rank_weighted_sum(values, k, m, gain_grid, loss_grid, model) -> tuple[float, float]:
+def _rank_weighted_sum(values, k, m, shares, model) -> tuple[float, float]:
     """Gain and loss parts over the ascending distinct ``values``, of which
-    ``values[k:]`` are gains and ``values[:m]`` losses; ``gain_grid`` and
-    ``loss_grid`` cumulate their shares from each side's tail, from 0."""
-    # gain i (0-based, k <= i) pairs with w+(P(X >= x_i)) - w+(P(X > x_i))
-    w_plus = model.weight_plus.apply(gain_grid)
-    d_plus = (w_plus[1:] - w_plus[:-1])[::-1]
-    pos = float(np.add.reduce(model.utility.gain_values(values[k:]) * d_plus))
-    # loss i (0 <= i < m) pairs with w-(P(X <= x_i)) - w-(P(X < x_i))
-    w_minus = model.weight_minus.apply(loss_grid)
-    d_minus = w_minus[1:] - w_minus[:-1]
-    neg = float(np.add.reduce(model.utility.loss_values(values[:m]) * d_minus))
-    return pos, neg
+    ``values[k:]`` are gains and ``values[:m]`` losses.
+
+    ``shares(lo, hi)`` returns the gain and the loss grid's points ``lo`` to
+    ``hi - 1`` (or fewer, at the end of a side): each side's shares
+    cumulated from its own tail, from 0.  The terms are evaluated
+    ``_BLOCK`` at a time, and each is written over its own entry of
+    ``values``, which the caller must own; each side is then reduced once,
+    so no bit depends on the block size.
+    """
+    u, size = model.utility, values.size
+    gains = size - k
+    longest = max(gains, m)
+    for lo in range(0, longest, _BLOCK):
+        hi = min(lo + _BLOCK, longest)  # terms lo..hi-1 from each side's tail
+        gain_grid, loss_grid = shares(lo, hi + 1)
+        if lo < gains:
+            # the j-th gain from the top pairs with w+(s[j+1]) - w+(s[j])
+            top = min(hi, gains)
+            w = model.weight_plus.apply(gain_grid[: top - lo + 1])
+            block = values[size - top : size - lo]
+            np.multiply(u.gain_values(block), (w[1:] - w[:-1])[::-1], block)
+        if lo < m:
+            # the j-th loss from the bottom pairs with w-(s[j+1]) - w-(s[j])
+            top = min(hi, m)
+            w = model.weight_minus.apply(loss_grid[: top - lo + 1])
+            block = values[lo:top]
+            np.multiply(u.loss_values(block), w[1:] - w[:-1], block)
+    return float(np.add.reduce(values[k:])), float(np.add.reduce(values[:m]))
 
 
 def _tally_sum(masses, total, dist, model) -> tuple[float, float]:
@@ -230,8 +262,12 @@ def _tally_sum(masses, total, dist, model) -> tuple[float, float]:
     m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
     cum_gain = np.concatenate(([0.0], np.cumsum(masses[k:][::-1])))  # from the best gain down
     cum_loss = np.concatenate(([0.0], np.cumsum(masses[:m])))  # from the worst loss up
-    grids = (np.minimum(cum / total, 1.0) for cum in (cum_gain, cum_loss))
-    return _rank_weighted_sum(xs, k, m, *grids, model)
+    gain_grid, loss_grid = (np.minimum(cum / total, 1.0) for cum in (cum_gain, cum_loss))
+
+    def shares(lo, hi):
+        return gain_grid[lo:hi], loss_grid[lo:hi]
+
+    return _rank_weighted_sum(xs, k, m, shares, model)
 
 
 def _check_split(dist: DiscreteDist, model: CptModel) -> None:

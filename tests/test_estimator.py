@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from cptopt import (
     required_samples_holder,
     required_samples_lipschitz,
 )
+from cptopt.estimator import _BLOCK
 
 IDENTITY = CptModel.identity()
 
@@ -811,7 +813,6 @@ class TestDiscreteEstimator:
 # and the discrete estimators as they were before the terms were evaluated
 # in blocks, copied verbatim (the split check aside).  The blocked sum must
 # give the same bits at every size around the block boundaries.
-BLOCK = 8192  # the estimator's terms per block
 
 
 def _one_pass_rank_weighted_sum(values, k, m, gain_grid, loss_grid, model):
@@ -861,7 +862,7 @@ def _one_pass_tally_sum(masses, total, dist, model):
     return _one_pass_rank_weighted_sum(xs, k, m, *grids, model)
 
 
-BLOCK_SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7]
+BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7]
 REFERENCE_PLACES = ["below", "inside", "at", "above"]
 
 
@@ -915,12 +916,25 @@ class TestBlockedSum:
     @pytest.mark.parametrize("tied", [False, True], ids=["tie-free", "tied"])
     def test_sorted_float64_samples_are_left_unchanged(self, tied):
         rng = np.random.default_rng(5)
-        samples = np.sort(_tied_batch("rounded", 2 * BLOCK + 1, rng) if tied
-                          else rng.normal(0.0, 2.0, 2 * BLOCK + 1))
+        samples = np.sort(_tied_batch("rounded", 2 * _BLOCK + 1, rng) if tied
+                          else rng.normal(0.0, 2.0, 2 * _BLOCK + 1))
         kept = samples.copy()
         for model in _family_models(0.0):
             estimate_cpt(samples, model)
             assert samples.tobytes() == kept.tobytes()
+
+    def test_no_full_length_temporary_on_tie_free_input(self):
+        # the sorted copy (8 bytes a sample) and the run marks (1 byte) are
+        # the only length-n arrays; one more float array would add 8
+        n = 2**20
+        samples = np.random.default_rng(3).normal(0.0, 2.0, n)
+        tracemalloc.start()
+        try:
+            estimate_cpt(samples, CptModel.tversky_kahneman())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n
 
     @pytest.mark.parametrize(
         "size", list(range(1, 41)) + BLOCK_SIZES, ids=lambda s: f"atoms{s}"
