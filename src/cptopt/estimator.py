@@ -288,8 +288,14 @@ def estimate_cpt_discrete(
     :meth:`DiscreteDist.sample_counts` return it.
     """
     arr = np.asarray(counts)
-    if arr.dtype == bool:  # True would count as one sample
-        raise TypeError(f"counts must be integers, got bools {arr.tolist()!r}")
+    # True would count as one sample; numpy reads [True, 2] as the ints [1, 2],
+    # so a sequence's items are checked too
+    if arr.dtype == bool or (
+        arr.ndim == 1
+        and not isinstance(counts, np.ndarray)
+        and any(isinstance(c, (bool, np.bool_)) for c in counts)
+    ):
+        raise TypeError(f"counts must be integers, got bools in {counts!r}")
     arr = arr.astype(float)
     if arr.shape != (dist.size,):
         raise ValueError(

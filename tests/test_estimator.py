@@ -680,11 +680,24 @@ class TestDiscreteEstimator:
         counts = counts_from_samples([2.0, 2.0, -1.0, 5.0], dist)
         assert counts.tolist() == [1, 2, 1]
 
-    @pytest.mark.parametrize("counts", [[True, True], np.array([True, False])])
+    @pytest.mark.parametrize(
+        "counts",
+        [[True, True], np.array([True, False]), [True, 2], [2, np.True_], (np.False_, 3)],
+    )
     def test_bool_counts_rejected(self, counts):
+        # numpy reads a list mixing bools and ints as an int array
         dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
         with pytest.raises(TypeError, match="counts must be integers"):
             estimate_cpt_discrete(counts, dist, IDENTITY)
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 2], (1, 2), np.array([1, 2]), np.array([1, 2], dtype=np.uint8),
+                   [np.int64(1), 2]],
+    )
+    def test_int_counts_accepted(self, counts):
+        dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
+        est = estimate_cpt_discrete(counts, dist, IDENTITY)
+        assert est.n == 3 and est.value == pytest.approx(5 / 3, abs=1e-15)
 
     @pytest.mark.parametrize(
         "reference, error", [(math.nan, ValueError), (math.inf, ValueError),
