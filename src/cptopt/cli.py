@@ -29,6 +29,7 @@ from .models import CptModel
 from .spsa import (
     BoxConstraint,
     Evaluator,
+    OptimizationError,
     SpsaSchedules,
     ascend,
     ascend_newton,
@@ -36,10 +37,11 @@ from .spsa import (
 )
 
 
-def _error(command: str, exc: Exception) -> int:
-    """Report bad input before any run starts; exit status 2, as argparse uses."""
+def _error(command: str, exc: Exception, status: int = 2) -> int:
+    """Report an error; exit status 2, as argparse uses, for bad input before
+    any run starts, and 1 for a run that cannot continue."""
     print(f"cptopt {command}: error: {exc}", file=sys.stderr)
-    return 2
+    return status
 
 
 def _check_out_file(path: str) -> None:
@@ -155,7 +157,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return _error("optimize", exc)
     theta0 = np.full(dim, float(np.clip(1.0, lo, hi)))
     climb = ascend if args.algo == "spsa-g" else ascend_newton
-    trace = climb(evaluate, schedules, box, theta0, args.iters, args.seed)
+    try:
+        trace = climb(evaluate, schedules, box, theta0, args.iters, args.seed)
+    except OptimizationError as exc:  # no trace is written
+        return _error("optimize", exc, 1)
     trace.write_csv(args.out)
     final = ", ".join(f"{v:.6g}" for v in trace.final_theta)
     print(f"final theta: [{final}]  ({args.iters} iterations, trace: {args.out})")
@@ -173,7 +178,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _error("experiment", exc)
-    result = run_experiment(config, out_dir)
+    try:
+        result = run_experiment(config, out_dir)
+    except OptimizationError as exc:  # run_experiment wrote nothing
+        return _error("experiment", exc, 1)
     for name, info in result.summary["variants"].items():
         print(f"{name}: median cpt score {info['median_cpt_score']:.4f}")
     return 0

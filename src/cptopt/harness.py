@@ -336,8 +336,10 @@ def run_experiment(
     When ``out_dir`` is given, creates it (and its parents) before any
     training, so an unusable path fails first, and writes ``summary.json``,
     ``scores_<variant>.csv`` (columns: replication, cpt_score, path scores)
-    and ``trace_<variant>.csv``.  Outputs are a pure function of the config,
-    so reruns are byte-identical, whichever processes train the variants.
+    and ``trace_<variant>.csv`` once every variant is trained and scored,
+    so a run that fails writes none of them.  Outputs are a pure function of
+    the config, so reruns are byte-identical, whichever processes train the
+    variants.
 
     The caller trains ``VARIANTS[0]``; when :func:`_fork_workers` allows,
     one forked worker per other variant trains it meanwhile and sends the
@@ -358,6 +360,7 @@ def run_experiment(
 
     traces: dict[str, RunTrace] = {}
     scores: dict[str, np.ndarray] = {}
+    path_scores: dict[str, np.ndarray] = {}
     summary: dict = {
         "master_seed": master,
         "config": config.to_dict(),
@@ -394,18 +397,19 @@ def run_experiment(
                 "mean_cpt_score": float(np.mean(totals)),
                 "median_cpt_score": float(np.median(totals)),
             }
-            if out_dir is not None:
-                with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
-                    header = ["replication", "cpt_score"]
-                    header += [f"path_{i}" for i in range(len(mu))]
-                    fh.write(",".join(header) + "\n")
-                    for rep in range(config.test_reps):
-                        row = [str(rep), repr(float(totals[rep]))]
-                        row += [repr(float(v)) for v in per_path[rep]]
-                        fh.write(",".join(row) + "\n")
-                traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
+            path_scores[name] = per_path
 
     if out_dir is not None:
+        for name in VARIANTS:
+            with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
+                header = ["replication", "cpt_score"]
+                header += [f"path_{i}" for i in range(len(mu))]
+                fh.write(",".join(header) + "\n")
+                for rep in range(config.test_reps):
+                    row = [str(rep), repr(float(scores[name][rep]))]
+                    row += [repr(float(v)) for v in path_scores[name][rep]]
+                    fh.write(",".join(row) + "\n")
+            traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

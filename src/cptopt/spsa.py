@@ -350,7 +350,10 @@ def _evaluate(
         value = float(evaluate(theta, m, rng))
     except Exception as exc:
         raise OptimizationError(
-            f"objective evaluation ({label}) failed at iteration {n}", trace, n
+            f"objective evaluation ({label}) failed at iteration {n}: "
+            f"{type(exc).__name__}: {exc}",
+            trace,
+            n,
         ) from exc
     if not math.isfinite(value):
         raise OptimizationError(

@@ -14,7 +14,9 @@ import pytest
 import cptopt
 from cptopt.cli import ENVS, _default_schedules, build_parser, main
 from cptopt.models import CptModel
-from cptopt.spsa import BoxConstraint, OptimizationError, SpsaSchedules, ascend, ascend_newton
+from cptopt import harness
+from cptopt.harness import ExperimentConfig
+from cptopt.spsa import BoxConstraint, SpsaSchedules, ascend, ascend_newton
 
 
 @pytest.fixture()
@@ -177,7 +179,7 @@ class TestOptimizeCommand:
         assert captured.err.startswith("cptopt optimize: error: --out ")
         assert captured.out == "" and sorted(tmp_path.iterdir()) == []
 
-    def test_run_failing_partway_leaves_no_trace(self, tmp_path, monkeypatch):
+    def test_run_failing_partway_leaves_no_trace(self, capsys, tmp_path, monkeypatch):
         calls = []
 
         def failing_on_the_third_call(theta, m, rng):
@@ -191,9 +193,11 @@ class TestOptimizeCommand:
         )
         monkeypatch.setitem(ENVS, "gaussian-mean", entry)
         out = tmp_path / "trace.csv"
-        with pytest.raises(OptimizationError, match="at iteration 2"):
-            main(["optimize", "--iters", "5", "--out", str(out)])
-        assert not out.exists()
+        assert main(["optimize", "--iters", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cptopt optimize: error: ")
+        assert "at iteration 2" in captured.err and "simulator crashed" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("algo", ["spsa-g", "spsa-n"])
@@ -267,6 +271,36 @@ class TestExperimentCommand:
         assert captured.err.startswith("cptopt experiment: error: ")
         assert "File exists" in captured.err
         assert captured.out == "" and taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", ["avg", "cpt"])
+    def test_run_failing_partway_exits_1_and_writes_nothing(
+        self, failing, cpus, capsys, tmp_path, monkeypatch
+    ):
+        config = ExperimentConfig(master_seed=1, train_iters=3, test_reps=2,
+                                  train_horizon=60, test_horizon=60)
+        real_ascend = harness.ascend
+
+        def failing_ascend(objective, *args, **kwargs):
+            if objective.model == config.variant_models()[failing]:
+                calls = iter(range(1_000))
+
+                def objective(theta, m, rng, real=objective):
+                    return float("nan") if next(calls) == 2 else real(theta, m, rng)
+
+            return real_ascend(objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", failing_ascend)
+        # two CPUs train cpt in a worker, which sends its error back
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(config.to_json())
+        out_dir = tmp_path / "results"
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cptopt experiment: error: ")
+        assert "returned nan at iteration 2" in captured.err
+        assert captured.out == "" and sorted(out_dir.iterdir()) == []
 
 
 QUICK_RUN = '"train_iters": 1, "test_reps": 1, "train_horizon": 10, "test_horizon": 10'
