@@ -225,11 +225,11 @@ def _rank_weighted_sum(values, k, m, shares, model) -> tuple[float, float]:
     ``values[k:]`` are gains and ``values[:m]`` losses.
 
     ``shares(lo, hi)`` returns the gain and the loss grid's points ``lo`` to
-    ``hi - 1`` (or fewer, at the end of a side): each side's shares
-    cumulated from its own tail, from 0.  The terms are evaluated
-    ``_BLOCK`` at a time, and each is written over its own entry of
-    ``values``, which the caller must own; each side is then reduced once,
-    so no bit depends on the block size.
+    ``hi - 1``, or to the side's last point if that comes first (points past
+    it are ignored): each side's shares cumulated from its own tail, from 0.
+    The terms are evaluated ``_BLOCK`` at a time, and each is written over
+    its own entry of ``values``, which the caller must own; each side is
+    then reduced once, so no bit depends on the block size.
     """
     u, size = model.utility, values.size
     gains = size - k
@@ -256,7 +256,7 @@ def _tally_sum(masses, total, dist, model) -> tuple[float, float]:
     """Gain and loss parts for atom ``masses`` of sum ``total``; cumulating
     before the division lets integer tallies reach a full side's 1.0 exactly."""
     _check_split(dist, model)
-    xs = np.asarray(dist.support)
+    xs = np.asarray(dist.support)  # a new array each call: the sum writes over it
     ref = model.utility.reference
     k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
     m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
