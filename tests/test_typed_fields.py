@@ -20,23 +20,30 @@ import cptopt
 from cptopt import (
     BoxConstraint,
     CptModel,
+    DiscreteDist,
     ExperimentConfig,
     GaussianMeanEnv,
     SpsaSchedules,
     UtilitySpec,
     WeightSpec,
+    ascend,
     ascend_newton,
+    composite_cpt,
+    counts_from_samples,
     cpt_value_quadrature,
+    estimate_cpt,
     eval_utility,
     psd_project,
     required_samples_holder,
     required_samples_lipschitz,
     spsa_gradient,
+    spsa_n_estimates,
 )
 from cptopt._codec import JsonRecord
-from cptopt.envs.ssp import BoltzmannPolicy, SspMdp, two_state_chain
-from cptopt.envs.traffic import TrafficConfig, TrafficEpisode
-from cptopt.estimator import CptEstimate, DiscreteDist
+from cptopt.envs.ssp import BoltzmannPolicy, SspMdp, boltzmann_probs, two_state_chain
+from cptopt.envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficEpisode, TrafficGrid
+from cptopt.estimator import CptEstimate
+from cptopt.harness import TrafficObjective
 from cptopt.models import Exponential, Gaussian, TwoPoint, Uniform
 from cptopt.spsa import IterationRecord
 
@@ -222,3 +229,122 @@ def test_gaussian_env_curvatures_must_fit_the_optimum():
     with pytest.raises(ValueError, match=r"curvatures of shape \(3,\) do not fit \(2,\)"):
         GaussianMeanEnv(optimum=(1, 2), curvatures=(1, 2, 3))
     assert GaussianMeanEnv(optimum=(1, 2), curvatures=(3,)).dim == 2
+
+
+# array arguments: each entry is a valid value of small whole numbers whose
+# first entry is 1 and a call that returns what the argument decides
+_THREE_ATOMS = DiscreteDist((1.0, 2.0, 3.0), (0.2, 0.3, 0.5), 0)
+_BOX = BoxConstraint((0.0, 0.0), (3.0, 3.0))
+_TRAFFIC = TrafficGrid(TrafficConfig())
+_PATH_SAMPLES = [[1.0, 2.0], [3.0, 5.0], [0.5, 0.25], [2.0, 2.0]]
+
+
+def _dist_bits(dist: DiscreteDist) -> tuple:
+    return (*dist.support, *dist.probs, dist.split)
+
+
+def _estimate_bits(est: CptEstimate) -> tuple:
+    return est.n, est.positive_part, est.negative_part
+
+
+def _gaussian_draws(**arrays) -> np.ndarray:
+    env = GaussianMeanEnv(**{"optimum": (2, 1), "curvatures": (1, 2), **arrays})
+    return env.sample_returns(np.array([0.5, 1.5]), 4, np.random.default_rng(0))
+
+
+def _ascend_from(theta0) -> np.ndarray:
+    trace = ascend(lambda theta, m, rng: float(theta.sum()), SpsaSchedules(), _BOX, theta0, 2, 0)
+    return np.concatenate([trace.thetas().ravel(), trace.final_theta])
+
+
+ARRAY_ARGUMENTS = {
+    "DiscreteDist.support": (
+        (1, 2, 3), lambda v: _dist_bits(DiscreteDist(v, (0.5, 0.25, 0.25), 1))
+    ),
+    "DiscreteDist.probs": ((1, 0), lambda v: _dist_bits(DiscreteDist((1.0, 2.0), v, 1))),
+    "DiscreteDist.from_outcomes.support": (
+        (1, 2, 3), lambda v: _dist_bits(DiscreteDist.from_outcomes(v, (0.5, 0.25, 0.25), 1.5))
+    ),
+    "DiscreteDist.from_outcomes.probs": (
+        (1, 0), lambda v: _dist_bits(DiscreteDist.from_outcomes((1.0, 2.0), v))
+    ),
+    "counts_from_samples.samples": (
+        (1, 3, 3, 2), lambda v: counts_from_samples(v, _THREE_ATOMS).astype(float)
+    ),
+    "estimate_cpt.samples": (
+        (1, 5, 2, 2, 0),
+        lambda v: _estimate_bits(estimate_cpt(v, CptModel.tversky_kahneman(reference=2.0))),
+    ),
+    "BoxConstraint.contains.theta": ((1, 2), _BOX.contains),
+    "BoxConstraint.project.theta": ((1, 5), _BOX.project),
+    "spsa_gradient.perturb": ((1, 1), lambda v: spsa_gradient(2.0, 0.5, 0.25, v)),
+    "spsa_n_estimates.perturb_hat": (
+        (1, 1),
+        lambda v: np.concatenate(
+            [e.ravel() for e in spsa_n_estimates(2.0, 0.5, 1.0, 0.25, np.array([1.0, -1.0]), v)]
+        ),
+    ),
+    "psd_project.h": (((1, 3), (0, 2)), lambda v: psd_project(v, 0.5)),
+    "ascend.theta0": ((1, 2), _ascend_from),
+    "ReturnEnv.sample_returns.theta": (
+        (1, 2),
+        lambda v: GaussianMeanEnv((2.0, 1.0)).sample_returns(v, 4, np.random.default_rng(0)),
+    ),
+    "GaussianMeanEnv.optimum": ((1, 3), lambda v: _gaussian_draws(optimum=v)),
+    "GaussianMeanEnv.curvatures": ((1, 4), lambda v: _gaussian_draws(curvatures=v)),
+    "BoltzmannSignPolicy.theta": (
+        (1,) + (0,) * 11 + (2,) * (_TRAFFIC.feature_dim - 12),
+        lambda v: BoltzmannSignPolicy(v, _TRAFFIC).p_ns_table(_TRAFFIC.n_junctions),
+    ),
+    "BoltzmannPolicy.theta": (
+        (1, 3),
+        lambda v: boltzmann_probs(BoltzmannPolicy(v, two_state_chain()), 1),
+    ),
+    "composite_cpt.mu": (
+        (1, 0, 0, 0), lambda v: composite_cpt(_PATH_SAMPLES, v, CptModel.tversky_kahneman())
+    ),
+    "TrafficObjective.mu": (
+        (1, 0, 0, 0),
+        lambda v: TrafficObjective(_TRAFFIC, v, CptModel.identity(), 20)(
+            np.ones(_TRAFFIC.feature_dim), 40, np.random.default_rng(0)
+        ),
+    ),
+}
+
+
+def with_first(value, first):
+    """``value`` as nested lists of Python floats, its first entry replaced."""
+    nested = np.asarray(value, dtype=np.float64).tolist()
+    inner = nested
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = first
+    return nested
+
+
+def as_tuples(value):
+    return tuple(map(as_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+SAME_BITS = {
+    "int list": lambda v: np.asarray(v).tolist(),
+    "int tuple": lambda v: as_tuples(np.asarray(v).tolist()),
+    "float32": lambda v: np.asarray(v, dtype=np.float32),
+    "int64": lambda v: np.asarray(v, dtype=np.int64),
+    "uint8": lambda v: np.asarray(v, dtype=np.uint8),
+    "bool and float": lambda v: with_first(v, True),  # numpy reads [True, 2.5] as float64
+}
+
+
+def bits(result) -> bytes:
+    return np.asarray(result, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("where", ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("spelling", SAME_BITS)
+def test_array_argument_gives_the_bits_of_float64_input(where, spelling):
+    valid, call = ARRAY_ARGUMENTS[where]
+    assert with_first(valid, 1.0) == np.asarray(valid, dtype=np.float64).tolist()
+    assert bits(call(SAME_BITS[spelling](valid))) == bits(
+        call(np.asarray(valid, dtype=np.float64))
+    )
