@@ -17,7 +17,8 @@ Nothing is coerced: an integer read for a float field is written back
 as an integer.  Keys left out take the field's default.  Construction applies
 the same ``int``/``float`` rules: :func:`check_fields` comes first in each
 config dataclass's ``__post_init__``, and stores a numpy scalar as the equal
-Python int or float, so every record can be written.
+Python int or float, so every record can be written.  Array arguments have
+one rule too, :func:`as_array`: integer and float arrays, read as float64.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import operator
 import typing
 from numbers import Integral, Real
 from typing import Any, Iterable, TypeVar
+
+import numpy as np
 
 R = TypeVar("R", bound="JsonRecord")
 _type_hints = functools.cache(typing.get_type_hints)  # per record class
@@ -83,22 +86,44 @@ def as_float(name: str, value: Any) -> Any:
     return value
 
 
+def as_array(name: str, value: Any, shape: int | tuple[int, ...], finite=True) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, a dimension count or an exact shape.
+
+    A bool, string, complex or object array (a list of ``Fraction``s, say)
+    raises TypeError; a wrong shape, or a non-finite entry unless ``finite``
+    is false, raises ValueError.  Each error names ``name``.  A float64 array
+    comes back as given, not copied.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != shape if isinstance(shape, int) else arr.shape != shape:
+        expected = f"a {shape}-d array" if isinstance(shape, int) else shape
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 _CHECKS = {int: as_int, float: as_float}
+
+
+def _check_value(tp: Any, name: str, value: Any) -> Any:
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...], nested or not
+        return tuple(_check_value(typing.get_args(tp)[0], name, v) for v in value)
+    return _CHECKS[tp](name, value) if tp in _CHECKS else value
 
 
 def check_fields(record: Any) -> None:
     """Pass each ``int``/``float`` field of the dataclass ``record``, and each item of
-    a tuple of either, through :func:`as_int`/:func:`as_float`, in place."""
+    a (nested) tuple of either, through :func:`as_int`/:func:`as_float`, in place."""
     hints = _type_hints(type(record))
     for f in dataclasses.fields(record):
         tp, value = hints[f.name], getattr(record, f.name)
         if typing.get_origin(tp) is typing.Union and value is not None:  # Optional[X]
             tp = typing.get_args(tp)[0]
-        if tp in _CHECKS:
-            value = _CHECKS[tp](f.name, value)
-        elif typing.get_origin(tp) is tuple and typing.get_args(tp)[0] in _CHECKS:
-            value = tuple(_CHECKS[typing.get_args(tp)[0]](f.name, v) for v in value)
-        object.__setattr__(record, f.name, value)
+        object.__setattr__(record, f.name, _check_value(tp, f.name, value))
 
 
 def _json_key(f: dataclasses.Field) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._codec import as_float
+from .._codec import as_array, as_float
 from .base import ReturnEnv
 from .ssp import BoltzmannPolicy, SspMdp, SspReturnEnv, boltzmann_probs, ssp_episode
 from .traffic import TrafficConfig, TrafficGrid, TrafficSim, traffic_episode
@@ -39,16 +39,15 @@ class GaussianMeanEnv(ReturnEnv):
     """
 
     def __init__(self, optimum=2.0, curvatures=2.0, noise_std: float = 0.1):
-        self._optimum = np.atleast_1d(np.asarray(optimum, dtype=float))
-        curvatures, shape = np.asarray(curvatures, dtype=float), self._optimum.shape
+        self._optimum = as_array("optimum", np.atleast_1d(optimum), 1)
+        curvatures = as_array("curvatures", np.atleast_1d(curvatures), 1)
+        shape = self._optimum.shape
         try:
             self._curvatures = np.broadcast_to(curvatures, shape).copy()
         except ValueError:
             raise ValueError(f"curvatures of shape {curvatures.shape} do not fit {shape}") from None
-        if not np.all(np.isfinite(self._optimum)):
-            raise ValueError("optimum must be finite")
-        if not (np.isfinite(self._curvatures).all() and np.all(self._curvatures > 0.0)):
-            raise ValueError("curvatures must be positive and finite")
+        if not np.all(self._curvatures > 0.0):
+            raise ValueError("curvatures must be positive")
         if as_float("noise_std", noise_std) < 0.0:
             raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
         self._noise_std = float(noise_std)

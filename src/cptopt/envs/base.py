@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._codec import as_int
+from .._codec import as_array, as_int
 
 __all__ = ["ReturnEnv"]
 
@@ -23,11 +23,7 @@ class ReturnEnv:
         self, theta: np.ndarray, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Draw ``m`` i.i.d. returns at parameter ``theta``."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        if not np.isfinite(theta).all():
-            raise ValueError("theta must be finite")
+        theta = as_array("theta", np.atleast_1d(theta), (self.dim,))
         m = as_int("m", m)
         if m < 1:
             raise ValueError("need at least one sample")

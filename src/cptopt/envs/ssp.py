@@ -17,14 +17,13 @@ a state that is never visited is never evaluated.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .._codec import check_fields
+from .._codec import as_array, check_fields
 from .base import ReturnEnv
 
 __all__ = [
@@ -98,10 +97,6 @@ class SspMdp:
                         f"state {s} action {a}: kernel row must be a distribution, "
                         f"sums to {total!r}"
                     )
-                if not np.all(np.isfinite(self.rewards[s - 1][a])):
-                    raise ValueError(f"state {s} action {a}: reward must be finite")
-                if not np.isfinite(self.features[s - 1][a]).all():
-                    raise ValueError(f"state {s} action {a}: features must be finite")
                 dims.add(len(self.features[s - 1][a]))
         if len(dims) != 1:
             raise ValueError("all feature vectors must share one length")
@@ -112,6 +107,11 @@ class SspMdp:
             for per_action in self.transitions
         )
         object.__setattr__(self, "_kernel_cdfs", kernel)
+        # each state's action features as one read-only float array
+        features = tuple(as_array("features", f, 2) for f in self.features)
+        for f in features:
+            f.setflags(write=False)
+        object.__setattr__(self, "_features", features)
 
     @property
     def n_states(self) -> int:
@@ -122,7 +122,7 @@ class SspMdp:
         return self._dim  # type: ignore[attr-defined]
 
     def action_features(self, state: int) -> np.ndarray:
-        return np.asarray(self.features[state - 1], dtype=float)
+        return self._features[state - 1]  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,8 @@ class BoltzmannPolicy:
     mdp: SspMdp
 
     def __post_init__(self) -> None:
-        theta = tuple(float(v) for v in np.atleast_1d(np.asarray(self.theta, float)))
-        if len(theta) != self.mdp.feature_dim:
-            raise ValueError(
-                f"theta has length {len(theta)}, features have length "
-                f"{self.mdp.feature_dim}"
-            )
-        if not all(map(math.isfinite, theta)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
+        theta = as_array("theta", np.atleast_1d(self.theta), (self.mdp.feature_dim,))
+        object.__setattr__(self, "theta", tuple(theta.tolist()))
         object.__setattr__(self, "_action_cdfs", {})
 
     def action_cdf(self, state: int) -> tuple[float, ...]:

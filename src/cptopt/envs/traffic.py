@@ -33,7 +33,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .._codec import JsonRecord, as_int, check_fields
+from .._codec import JsonRecord, as_array, as_int, check_fields
 from ..rng import substream
 
 __all__ = [
@@ -232,16 +232,9 @@ class BoltzmannSignPolicy:
     """
 
     def __init__(self, theta: np.ndarray, grid: TrafficGrid):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (grid.feature_dim,):
-            raise ValueError(
-                f"theta has shape {theta.shape}, expected ({grid.feature_dim},)"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        self.theta = theta
+        self.theta = as_array("theta", theta, (grid.feature_dim,))
         self.grid = grid
-        scores = theta.tolist()
+        scores = self.theta.tolist()
         table = []
         for j0 in range(0, grid.feature_dim, 12):
             for ew, ns in _INDICATOR_PAIRS:

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._codec import as_float, as_int
+from ._codec import as_array, as_float, as_int
 from .models import CptModel
 
 __all__ = [
@@ -102,14 +102,8 @@ class DiscreteDist:
     split: int
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.support, dtype=float)
-        ps = np.asarray(self.probs, dtype=float)
-        if xs.ndim != 1 or xs.shape != ps.shape or xs.size == 0:
-            raise ValueError("support and probs must be matching nonempty 1-d sequences")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("support must be finite")
-        if np.isnan(ps).any():
-            raise ValueError(f"probabilities must not be NaN, got {tuple(ps.tolist())}")
+        xs = as_array("support", self.support, 1)
+        ps = as_array("probs", self.probs, xs.shape)
         if np.any(ps < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(ps.sum() - 1.0) > _PROB_ATOL:
@@ -132,7 +126,7 @@ class DiscreteDist:
         reference: float = 0.0,
     ) -> "DiscreteDist":
         """Build with the split derived from a reference point (ties go to losses)."""
-        xs = np.asarray(support, dtype=float)
+        xs = as_array("support", support, 1)
         split = int(np.sum(np.unique(xs) <= as_float("reference", reference)))
         return cls(tuple(support), tuple(probs), split)
 
@@ -159,7 +153,7 @@ class DiscreteDist:
 
 def counts_from_samples(samples: Sequence[float], dist: DiscreteDist) -> np.ndarray:
     """Tally raw samples onto the support; unknown values are an error."""
-    arr = np.asarray(samples, dtype=float)
+    arr = as_array("samples", samples, 1)
     support = np.asarray(dist.support)
     idx = np.searchsorted(support, arr)
     idx_clipped = np.minimum(idx, dist.size - 1)
@@ -169,15 +163,6 @@ def counts_from_samples(samples: Sequence[float], dist: DiscreteDist) -> np.ndar
     return np.bincount(idx_clipped, minlength=dist.size)
 
 
-def _validate_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 samples, got {arr.size}")
-    return arr
-
-
 def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     """Order-statistics estimate of the model value from i.i.d. samples.
 
@@ -185,9 +170,13 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     grid prefix are evaluated on its own order statistics only, once per
     distinct value; the pairwise sums' O(eps log n) rounding is negligible
     at n = 1e6.
+    ``samples`` holds integers or floats; only the dtype is checked, so numpy's
+    float64 reading of ``[True, 2.5]`` as ``[1.0, 2.5]`` stands.
     """
-    arr = _validate_samples(samples)
+    arr = as_array("samples", samples, 1, finite=False)
     n = arr.size
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
     xs = np.sort(arr)
     # NaN sorts last and infinities to the ends, so the ends show them all
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
@@ -290,22 +279,23 @@ def estimate_cpt_discrete(
     arr = np.asarray(counts)
     # True would count as one sample; numpy reads [True, 2] as the ints [1, 2],
     # so a sequence's items are checked too
-    if arr.dtype == bool or (
+    if arr.dtype.kind not in "iu" or (
         arr.ndim == 1
         and not isinstance(counts, np.ndarray)
         and any(isinstance(c, (bool, np.bool_)) for c in counts)
     ):
-        raise TypeError(f"counts must be integers, got bools in {counts!r}")
-    arr = arr.astype(float)
+        raise TypeError(f"counts must be integers, got {counts!r}")
     if arr.shape != (dist.size,):
         raise ValueError(
             f"counts must align with the {dist.size}-point support, got shape {arr.shape}"
         )
-    if np.any(arr < 0) or np.any(arr != np.floor(arr)):
+    if np.any(arr < 0):
         raise ValueError("counts must be nonnegative integers")
-    n = int(arr.sum())
+    n = sum(arr.tolist())  # exact, in Python ints
     if n < 1:
         raise ValueError("need at least one sample")
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"counts must sum to at most 2**63 - 1, got {n}")
     pos, neg = _tally_sum(arr, n, dist, model)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
 

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._codec import JsonRecord, as_int, check_fields
+from ._codec import JsonRecord, as_array, as_int, check_fields
 from .estimator import estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
@@ -90,11 +90,7 @@ def composite_cpt(
     model: CptModel,
 ) -> float:
     """Traffic-wide objective: user-proportion-weighted sum of per-path values."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or len(path_samples) != mu.size:
-        raise ValueError(
-            f"got {len(path_samples)} sample lists for {mu.size} path weights"
-        )
+    mu = as_array("mu", mu, (len(path_samples),))
     _check_path_weights(mu)
     return float(np.dot(mu, path_cpt_scores(path_samples, model)))
 
@@ -118,11 +114,10 @@ class TrafficObjective:
         horizon = as_int("horizon", horizon)
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if len(mu) != grid.n_paths:
-            raise ValueError(f"got {len(mu)} path weights for {grid.n_paths} paths")
-        _check_path_weights(np.asarray(mu, dtype=float))
+        mu = as_array("mu", mu, (grid.n_paths,))
+        _check_path_weights(mu)
         self.grid = grid
-        self.mu = tuple(mu)
+        self.mu = tuple(mu.tolist())
         self.model = model
         self.horizon = horizon
 

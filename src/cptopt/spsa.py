@@ -52,7 +52,7 @@ from typing import Callable, IO, Optional, Union
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._codec import as_float, as_int, check_fields
+from ._codec import as_array, as_float, as_int, check_fields
 from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, substream
@@ -117,14 +117,12 @@ class BoxConstraint:
         return len(self.lo)
 
     def contains(self, theta: np.ndarray) -> bool:
-        theta = np.asarray(theta, dtype=float)
+        """Whether ``theta`` lies in the box; NaN lies outside it."""
+        theta = as_array("theta", np.atleast_1d(theta), (self.dim,), finite=False)
         return bool(np.all(theta >= self.lo) and np.all(theta <= self.hi))
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        return np.clip(theta, self.lo, self.hi)
+        return np.clip(as_array("theta", theta, (self.dim,)), self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -266,10 +264,10 @@ def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=d) * 2.0 - 1.0
 
 
-def _check_perturbation(perturb: np.ndarray) -> np.ndarray:
-    perturb = np.asarray(perturb, dtype=float)
+def _check_perturbation(name: str, perturb: np.ndarray) -> np.ndarray:
+    perturb = as_array(name, np.atleast_1d(perturb), 1, finite=False)
     if not np.all(np.abs(perturb) == 1.0):
-        raise ValueError("perturbation entries must be +1 or -1")
+        raise ValueError(f"{name} entries must be +1 or -1")
     return perturb
 
 
@@ -279,7 +277,7 @@ def spsa_gradient(
     """Two-point gradient estimate (c_plus - c_minus) / (2 delta perturb_i)."""
     if as_float("delta", delta) <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    perturb = _check_perturbation(perturb)
+    perturb = _check_perturbation("perturb", perturb)
     return (c_plus - c_minus) / (2.0 * delta) * perturb  # 1/(+-1) == +-1
 
 
@@ -299,7 +297,7 @@ def spsa_n_estimates(
     difference by ``delta^2 perturb_i perturb_hat_j``.
     """
     grad = spsa_gradient(c_plus, c_minus, delta, perturb)
-    perturb_hat = _check_perturbation(perturb_hat)
+    perturb_hat = _check_perturbation("perturb_hat", perturb_hat)
     curvature = (c_plus + c_minus - 2.0 * c_center) / delta**2
     hess = curvature * np.outer(perturb, perturb_hat)
     return grad, hess
@@ -314,11 +312,9 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     """
     if as_float("kappa", kappa) <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix entries must be finite")
+    h = as_array("h", h, 2)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"h must be square, got shape {h.shape}")
     sym = (h + h.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     if eigvals[0] >= kappa:
@@ -329,9 +325,7 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _validate_start(box: BoxConstraint, theta0: np.ndarray) -> np.ndarray:
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (box.dim,):
-        raise ValueError(f"theta0 has shape {theta0.shape}, expected ({box.dim},)")
+    theta0 = as_array("theta0", theta0, (box.dim,))
     if not box.contains(theta0):
         raise ValueError("theta0 must lie inside the feasible box")
     return theta0.copy()

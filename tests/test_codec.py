@@ -5,11 +5,13 @@ import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptopt import CptModel, ExperimentConfig, SpsaSchedules, UtilitySpec, WeightSpec
+from cptopt._codec import as_array
 from cptopt.envs.traffic import TrafficConfig
 
 DATA = Path(__file__).parent / "data"
@@ -191,3 +193,32 @@ def test_model_round_trip(model, names, utility_names):
     _check_key_order(model, model.to_dict())
     _check_partial(model, names)
     _check_partial(model.utility, utility_names)
+
+
+def test_as_array_returns_float64_of_the_shape():
+    given = np.array([[1.0, 2.0]])
+    assert as_array("x", given, 2) is given  # float64 is not copied
+    assert as_array("x", given, (1, 2)) is given
+    for value in ([1, 2], (1, 2), np.array([1, 2], np.uint8), np.array([1, 2], np.float32)):
+        arr = as_array("x", value, 1)
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0]
+    assert as_array("x", [np.nan, np.inf], 1, finite=False).tolist()[1] == np.inf
+
+
+@pytest.mark.parametrize(
+    "value, shape, error, message",
+    [
+        ([True, False], 1, TypeError, "x must be an array of real numbers, got dtype bool"),
+        (["1", "2"], 1, TypeError, "x must be an array of real numbers, got dtype <U1"),
+        ([1j, 2], 1, TypeError, "x must be an array of real numbers, got dtype complex128"),
+        ([2**64, 1], 1, TypeError, "x must be an array of real numbers, got dtype object"),
+        ([1.0, 2.0], 2, ValueError, r"x has shape \(2,\), expected a 2-d array"),
+        ([1.0, 2.0], (3,), ValueError, r"x has shape \(2,\), expected \(3,\)"),
+        (2.0, (1,), ValueError, r"x has shape \(\), expected \(1,\)"),
+        ([1.0, np.nan], 1, ValueError, "x must be finite"),
+        ([[-np.inf]], 2, ValueError, "x must be finite"),
+    ],
+)
+def test_as_array_rejects_naming_the_argument(value, shape, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        as_array("x", value, shape)

@@ -205,7 +205,7 @@ class TestSspEpisode:
             )
 
     def test_non_finite_features_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="state 1 action 0: features must be finite"):
+        with pytest.raises(ValueError, match="features must be finite"):
             SspMdp(
                 transitions=(((1.0, 0.0), (0.5, 0.5)),),
                 rewards=((0.0, 1.0),),
@@ -213,7 +213,7 @@ class TestSspEpisode:
             )
 
     def test_nan_kernel_entry_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="state 1 action 1: kernel row must be a distribution"):
+        with pytest.raises(ValueError, match="transitions must be finite"):
             SspMdp(
                 transitions=(((1.0, 0.0), (np.nan, 1.0)),),
                 rewards=((0.0, 1.0),),

@@ -700,6 +700,43 @@ class TestDiscreteEstimator:
         assert est.n == 3 and est.value == pytest.approx(5 / 3, abs=1e-15)
 
     @pytest.mark.parametrize(
+        "counts",
+        [[1.0, 2.0], (1, 2.0), np.array([1.0, 2.0]), np.array([1, 2], dtype=np.float32)],
+    )
+    def test_float_counts_rejected(self, counts):
+        # as as_int rejects 2.0, a tally is an integer, not a whole float
+        dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
+        with pytest.raises(TypeError, match="counts must be integers"):
+            estimate_cpt_discrete(counts, dist, IDENTITY)
+
+    def test_count_total_is_exact(self):
+        # a float sum would lose the 1 and report n = 2**60
+        dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
+        est = estimate_cpt_discrete([2**60, 1], dist, IDENTITY)
+        assert type(est.n) is int and est.n == 2**60 + 1
+
+    @pytest.mark.parametrize(
+        "counts", [[2**62, 2**62], np.array([2**63, 1], dtype=np.uint64)], ids=["int64", "uint64"]
+    )
+    def test_count_total_beyond_int64_rejected(self, counts):
+        # the tallies cumulate in int64, which would wrap
+        dist = DiscreteDist.from_outcomes((1.0, 2.0), (0.5, 0.5))
+        with pytest.raises(ValueError, match=r"counts must sum to at most 2\*\*63 - 1"):
+            estimate_cpt_discrete(counts, dist, IDENTITY)
+
+    @pytest.mark.parametrize("total", [2**40, 2**52, 2**53 - 1])
+    def test_large_count_totals_keep_the_float_tally_bits(self, total):
+        # below 2**53 every partial sum is exact in float64 too
+        rng = np.random.default_rng(total % 1000)
+        dist = DiscreteDist.from_outcomes((-2.0, -0.5, 1.0, 3.0), (0.25,) * 4)
+        counts = rng.multinomial(total, (0.1, 0.2, 0.3, 0.4))
+        for model in _family_models(0.0):
+            pos, neg = _one_pass_tally_sum(counts.astype(float), total, dist, model)
+            assert _bits(estimate_cpt_discrete(counts, dist, model)) == (
+                total, pos.hex(), neg.hex()
+            )
+
+    @pytest.mark.parametrize(
         "reference, error", [(math.nan, ValueError), (math.inf, ValueError),
                              (-math.inf, ValueError), (True, TypeError)]
     )
@@ -714,9 +751,9 @@ class TestDiscreteEstimator:
 
     @pytest.mark.parametrize("probs", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
     def test_nan_probabilities_rejected_at_construction(self, probs):
-        with pytest.raises(ValueError, match="probabilities must not be NaN"):
+        with pytest.raises(ValueError, match="probs must be finite"):
             DiscreteDist((1.0, 2.0), probs, 0)
-        with pytest.raises(ValueError, match="probabilities must not be NaN"):
+        with pytest.raises(ValueError, match="probs must be finite"):
             DiscreteDist.from_outcomes((1.0, 2.0), probs)
 
     @given(

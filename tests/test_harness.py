@@ -195,7 +195,7 @@ class TestTrafficObjective:
     @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])
     def test_path_weight_count_must_match_grid(self, mu):
         grid = TrafficGrid(TrafficConfig())
-        with pytest.raises(ValueError, match="path weights"):
+        with pytest.raises(ValueError, match=r"mu has shape \(\d,\), expected \(4,\)"):
             TrafficObjective(grid, mu, IDENTITY, 100)
 
     @pytest.mark.parametrize("mu", [(0.5,) * 4, (0.5, 0.5, 0.5, -0.5)])

@@ -4,14 +4,20 @@ Each config dataclass passes its fields through ``_codec.check_fields``: a
 bool, a numeric string, NaN or an infinity fails at construction with an
 error naming the field, an integer given for a float field is kept as an
 integer, and a numpy scalar is stored as the equal Python int or float.  The
-public functions' scalar arguments follow the same rules.
+public functions' scalar arguments follow the same rules, and their array
+arguments pass through ``_codec.as_array``: integer and float arrays give the
+bits of float64 input, and a bool, string, complex or object array, a
+non-finite entry or a wrong shape fails naming the argument.
 """
 
 import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 import typing
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,18 +78,19 @@ UNCHECKED = {IterationRecord, CptEstimate, TrafficEpisode, BoltzmannPolicy, Disc
 BAD = {"bool": True, "string": "1", "nan": math.nan, "inf": math.inf}
 
 
-def numeric_fields(cls: type) -> list[tuple[str, type, bool]]:
-    """(name, int or float, is a tuple of it) for each such field of ``cls``."""
+def numeric_fields(cls: type) -> list[tuple[str, type, int]]:
+    """(name, int or float, how many tuples deep it sits) for each such field of
+    ``cls``."""
     out = []
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        tp = hints[f.name]
+        tp, depth = hints[f.name], 0
         if typing.get_origin(tp) is typing.Union:  # Optional[X]
             tp = typing.get_args(tp)[0]
-        is_tuple = typing.get_origin(tp) is tuple
-        tp = typing.get_args(tp)[0] if is_tuple else tp
+        while typing.get_origin(tp) is tuple:
+            tp, depth = typing.get_args(tp)[0], depth + 1
         if tp in (int, float):
-            out.append((f.name, tp, is_tuple))
+            out.append((f.name, tp, depth))
     return out
 
 
@@ -94,11 +101,16 @@ def field_id(case) -> str:
     return f"{case[0].__name__}.{case[1]}"
 
 
-def replaced(record, name: str, value, is_tuple: bool):
+def with_first_item(value, item, depth: int):
+    """``value`` with its first item, ``depth`` tuples deep, replaced by ``item``."""
+    if depth == 0:
+        return item
+    return (with_first_item(value[0], item, depth - 1), *value[1:])
+
+
+def replaced(record, name: str, value, depth: int):
     """``record`` rebuilt with ``value`` for the field (its first item, for a tuple)."""
-    if is_tuple:
-        value = (value, *getattr(record, name)[1:])
-    return dataclasses.replace(record, **{name: value})
+    return dataclasses.replace(record, **{name: with_first_item(getattr(record, name), value, depth)})
 
 
 def test_every_numeric_config_dataclass_is_checked():
@@ -118,17 +130,19 @@ def test_every_numeric_config_dataclass_is_checked():
 @pytest.mark.parametrize("case", FIELDS, ids=field_id)
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
 def test_bad_field_value_is_rejected_naming_the_field(case, bad):
-    cls, name, tp, is_tuple = case
+    cls, name, tp, depth = case
     record = VALID[cls]()
     error = ValueError if tp is float and isinstance(bad, float) else TypeError
     with pytest.raises(error, match=rf"^{name} must be "):
-        replaced(record, name, bad, is_tuple)
+        replaced(record, name, bad, depth)
 
 
-def first(record, name: str, is_tuple: bool):
-    """The field's value, or its first item for a tuple."""
+def first(record, name: str, depth: int):
+    """The field's value, or its first item for a tuple, nested or not."""
     value = getattr(record, name)
-    return value[0] if is_tuple else value
+    for _ in range(depth):
+        value = value[0]
+    return value
 
 
 WHOLE_FLOAT_FIELDS = [
@@ -140,10 +154,10 @@ WHOLE_FLOAT_FIELDS = [
 
 @pytest.mark.parametrize("case", WHOLE_FLOAT_FIELDS, ids=field_id)
 def test_an_integer_stays_an_integer_in_a_float_field(case):
-    cls, name, _, is_tuple = case
-    whole = int(first(VALID[cls](), name, is_tuple))
-    record = replaced(VALID[cls](), name, whole, is_tuple)
-    assert type(first(record, name, is_tuple)) is int
+    cls, name, _, depth = case
+    whole = int(first(VALID[cls](), name, depth))
+    record = replaced(VALID[cls](), name, whole, depth)
+    assert type(first(record, name, depth)) is int
     if isinstance(record, JsonRecord):
         # what ``to_json`` writes, ``from_json`` reads back
         assert cls.from_json(record.to_json()) == record
@@ -164,10 +178,10 @@ NUMPY_CASES = [
     "case, scalar", NUMPY_CASES, ids=lambda v: v.__name__ if isinstance(v, type) else field_id(v)
 )
 def test_a_numpy_scalar_is_stored_as_the_equal_python_number(case, scalar):
-    cls, name, _, is_tuple = case
-    value = scalar(first(VALID[cls](), name, is_tuple))
-    record = replaced(VALID[cls](), name, value, is_tuple)
-    stored = first(record, name, is_tuple)
+    cls, name, _, depth = case
+    value = scalar(first(VALID[cls](), name, depth))
+    record = replaced(VALID[cls](), name, value, depth)
+    stored = first(record, name, depth)
     assert type(stored) is (int if scalar is np.int64 else float) and stored == value
     assert cls.from_json(record.to_json()) == record
 
@@ -348,3 +362,67 @@ def test_array_argument_gives_the_bits_of_float64_input(where, spelling):
     assert bits(call(SAME_BITS[spelling](valid))) == bits(
         call(np.asarray(valid, dtype=np.float64))
     )
+
+
+REJECTED = {
+    "bool": (TypeError, lambda v: np.ones_like(np.asarray(v), dtype=bool)),
+    "numeric strings": (TypeError, lambda v: np.asarray(v).astype(str).tolist()),
+    "complex": (TypeError, lambda v: np.asarray(v, dtype=complex)),
+    "Fractions": (TypeError, lambda v: np.frompyfunc(Fraction, 1, 1)(np.asarray(v))),
+    "nan": (ValueError, lambda v: with_first(v, math.nan)),
+    "inf": (ValueError, lambda v: with_first(v, math.inf)),
+    "wrong shape": (ValueError, lambda v: [np.asarray(v, dtype=np.float64).tolist()]),
+}
+# a point with a NaN or an infinity is simply outside the box
+NON_FINITE_READ = {"BoxConstraint.contains.theta"}
+
+
+@pytest.mark.parametrize("where", ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("spelling", REJECTED)
+def test_bad_array_argument_is_rejected_naming_it(where, spelling):
+    valid, call = ARRAY_ARGUMENTS[where]
+    error, spell = REJECTED[spelling]
+    if where in NON_FINITE_READ and spelling in ("nan", "inf"):
+        assert call(spell(valid)) is False
+        return
+    name = where.split(".")[-1]
+    with pytest.raises(error, match=rf"^{name} "):
+        call(spell(valid))
+
+
+# ``np.asarray(x, dtype=float)`` reads bools, numeric strings and complex
+# numbers as floats; outside the models' internal paths, arrays go through
+# ``as_array``
+_FLOAT_ASARRAY = re.compile(
+    r"np\.asarray\((?:[^()]|\([^()]*\))*?,\s*(?:dtype\s*=\s*)?float\s*\)"
+)
+
+
+def test_array_arguments_are_read_by_as_array_only():
+    src = Path(cptopt.__file__).parent
+    found = [
+        f"{path.relative_to(src)}: {match.group()}"
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "models.py"
+        for match in _FLOAT_ASARRAY.finditer(path.read_text())
+    ]
+    assert found == []
+
+
+def test_float_asarray_pattern():
+    for text in ("np.asarray(x, dtype=float)", "np.asarray(x, float)",
+                 "np.asarray(self.theta, float)", "np.asarray(f(a, b), dtype=float)",
+                 "np.asarray(\n    x, dtype=float)"):
+        assert _FLOAT_ASARRAY.search(text), text
+    for text in ("np.asarray(x)", "np.asarray(x, dtype=np.float32)", "np.asarray(x) + float(y)"):
+        assert not _FLOAT_ASARRAY.search(text), text
+
+
+def test_ssp_reward_and_feature_items_are_checked():
+    chain = two_state_chain()
+    with pytest.raises(TypeError, match="rewards must be a number, got True"):
+        dataclasses.replace(chain, rewards=((0.0, True),))
+    with pytest.raises(TypeError, match="features must be a number, got '1'"):
+        dataclasses.replace(chain, features=(((1.0, "1"), (0.0, 1.0)),))
+    mdp = dataclasses.replace(chain, rewards=[[np.float32(0.5), 1]])
+    assert mdp.rewards == ((0.5, 1),) and type(mdp.rewards[0][0]) is float
