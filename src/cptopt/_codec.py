@@ -101,7 +101,8 @@ def as_array(name: str, value: Any, shape: int | tuple[int, ...], finite=True) -
     if arr.ndim != shape if isinstance(shape, int) else arr.shape != shape:
         expected = f"a {shape}-d array" if isinstance(shape, int) else shape
         raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
-    if finite and not np.isfinite(arr).all():
+    # count_nonzero is the cheaper reduction on the small arrays of the optimizer loop
+    if finite and np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} must be finite")
     return arr
 

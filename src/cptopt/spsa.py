@@ -428,22 +428,25 @@ def _climb(
                 c_center=c_center,
             )
         )
-        if not newton:
-            step = spsa_gradient(c_plus, c_minus, delta, dv)
-        else:
-            grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
-            # symmetric scaled average; symmetry is preserved exactly under
-            # element-wise scaling and addition
-            sym = hessian_scale * (hess + hess.T) / 2.0
-            # averaging steps xi_n = 1/n^0.75: the exponent lies in (0.5, 1), so
-            # the squared steps are summable and gamma_n/xi_n -> 0 (a faster
-            # timescale than the parameter); xi_1 = 1 overwrites the zeros
-            xi = 1.0 / n**0.75
-            trace.h_bar = (1.0 - xi) * trace.h_bar + xi * sym
-            # condition the curvature of the climb (-h_bar) and solve for the
-            # step with LAPACK's dpotrf/dpotrs, the calls cho_factor/cho_solve make
-            step = _cholesky_solve(psd_project(-trace.h_bar, pd_floor), grad)
-        theta = box.project(theta + gamma * step)
+        try:
+            if not newton:
+                step = spsa_gradient(c_plus, c_minus, delta, dv)
+            else:
+                grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
+                # symmetric scaled average; symmetry is preserved exactly under
+                # element-wise scaling and addition
+                sym = hessian_scale * (hess + hess.T) / 2.0
+                # averaging steps xi_n = 1/n^0.75: the exponent lies in (0.5, 1), so
+                # the squared steps are summable and gamma_n/xi_n -> 0 (a faster
+                # timescale than the parameter); xi_1 = 1 overwrites the zeros
+                xi = 1.0 / n**0.75
+                trace.h_bar = (1.0 - xi) * trace.h_bar + xi * sym
+                # condition the curvature of the climb (-h_bar) and solve for the step
+                # with LAPACK's dpotrf/dpotrs, the calls cho_factor/cho_solve make
+                step = _cholesky_solve(psd_project(-trace.h_bar, pd_floor), grad)
+            theta = box.project(theta + gamma * step)
+        except ValueError as exc:  # finite estimates whose step leaves the float range
+            raise OptimizationError(f"step failed at iteration {n}: {exc}", trace, n) from exc
     trace.final_theta = theta
     return trace
 

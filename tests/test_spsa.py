@@ -374,6 +374,19 @@ class TestAscend:
         assert copy.iteration == 4
         assert copy.trace.records == info.value.trace.records
 
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton])
+    def test_step_beyond_the_float_range_aborts_with_trace(self, climb):
+        # finite estimates 1e308 apart make an infinite gradient; the box
+        # once clamped it and SPSA-N raised a bare ValueError
+        def evaluate(theta, m, rng):
+            return 1e308 if rng.random() < 0.5 else -1e308
+
+        box = BoxConstraint.cube(0.0, 1.0, 2)
+        with pytest.raises(OptimizationError, match=r"^step failed at iteration (\d+): ") as info:
+            climb(evaluate, SCHEDULES, box, [0.5, 0.5], 20, 0)
+        assert len(info.value.trace.records) == info.value.iteration
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_env_failure_carries_iteration_context(self):
         def evaluate(theta, m, rng):
             raise KeyError("boom")
