@@ -107,6 +107,8 @@ class BoxConstraint:
             raise ValueError("lo and hi must be matching nonempty vectors")
         if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise ValueError("each lower bound must be strictly below its upper bound")
+        # the arrays np.clip would make from the tuples on every projection
+        object.__setattr__(self, "_bounds", (np.asarray(self.lo), np.asarray(self.hi)))
 
     @classmethod
     def cube(cls, lo: float, hi: float, dim: int) -> "BoxConstraint":
@@ -122,7 +124,8 @@ class BoxConstraint:
         return bool(np.all(theta >= self.lo) and np.all(theta <= self.hi))
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(as_array("theta", theta, (self.dim,)), self.lo, self.hi)
+        lo, hi = self._bounds  # type: ignore[attr-defined]
+        return np.clip(as_array("theta", theta, (self.dim,)), lo, hi)
 
 
 @dataclass(frozen=True)
