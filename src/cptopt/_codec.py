@@ -86,7 +86,9 @@ def as_float(name: str, value: Any) -> Any:
     return value
 
 
-def as_array(name: str, value: Any, shape: int | tuple[int, ...], finite=True) -> np.ndarray:
+def as_array(
+    name: str, value: Any, shape: int | tuple[int, ...], finite: bool = True
+) -> np.ndarray:
     """``value`` as a float64 array of ``shape``, a dimension count or an exact shape.
 
     A bool, string, complex or object array (a list of ``Fraction``s, say)

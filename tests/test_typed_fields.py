@@ -110,7 +110,8 @@ def with_first_item(value, item, depth: int):
 
 def replaced(record, name: str, value, depth: int):
     """``record`` rebuilt with ``value`` for the field (its first item, for a tuple)."""
-    return dataclasses.replace(record, **{name: with_first_item(getattr(record, name), value, depth)})
+    value = with_first_item(getattr(record, name), value, depth)
+    return dataclasses.replace(record, **{name: value})
 
 
 def test_every_numeric_config_dataclass_is_checked():
