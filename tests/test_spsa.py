@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import itertools
 import json
 import pickle
@@ -567,6 +568,53 @@ class TestTraceCsv:
         ]
         assert [float(row[-1]) for row in rows] == [r.c_center for r in trace.records]
         assert [float(row[1]) for row in rows] == [r.theta[0] for r in trace.records]
+
+    @pytest.mark.parametrize(
+        "climb, header",
+        [
+            (ascend, "n,theta_0,theta_1,c_plus,c_minus,gamma,delta,m\n"),
+            (ascend_newton, "n,theta_0,theta_1,c_plus,c_minus,gamma,delta,m,c_center\n"),
+        ],
+        ids=["spsa-g", "spsa-n"],
+    )
+    def test_zero_iteration_trace_is_its_header(self, climb, header):
+        trace = climb(self._bowl_value, SCHEDULES, self.BOX, [0.5, 0.5], 0, 2)
+        out = io.StringIO()
+        trace.write_csv(out)
+        assert out.getvalue() == header
+
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton], ids=["spsa-g", "spsa-n"])
+    def test_bytes_match_the_hand_spelled_columns(self, climb):
+        trace = climb(self._bowl_value, SCHEDULES, self.BOX, [0.5, 0.5], 3, 2)
+        got, expected = io.StringIO(), io.StringIO()
+        trace.write_csv(got)
+        _hand_spelled_write_csv(trace, expected)
+        assert len(got.getvalue().splitlines()) == 4
+        assert got.getvalue() == expected.getvalue()
+
+    @classmethod
+    def _bowl_value(cls, theta, m, rng):
+        return float(np.mean(cls.BOWL.sample_returns(theta, m, rng)))
+
+
+def _hand_spelled_write_csv(self, out) -> None:
+    """``RunTrace.write_csv`` as it spelled out its columns by hand, kept verbatim
+    (``self`` is the trace) as the byte oracle of the columns it derives."""
+    dim = len(self.records[0].theta) if self.records else (
+        len(self.final_theta) if self.final_theta is not None else 0
+    )
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["n"] + [f"theta_{i}" for i in range(dim)]
+    header += ["c_plus", "c_minus", "gamma", "delta", "m"]
+    if self.h_bar is not None:
+        header.append("c_center")
+    writer.writerow(header)
+    for r in self.records:
+        floats = (*r.theta, r.c_plus, r.c_minus, r.gamma, r.delta)
+        row = [r.n, *[repr(float(v)) for v in floats], r.m]
+        if self.h_bar is not None:
+            row.append(repr(float(r.c_center)))
+        writer.writerow(row)
 
 
 GOLDEN = Path(__file__).parent / "data" / "spsa_golden.json"
