@@ -38,7 +38,6 @@ from cptopt import (
     counts_from_samples,
     cpt_value_quadrature,
     estimate_cpt,
-    eval_utility,
     psd_project,
     required_samples_holder,
     required_samples_lipschitz,
@@ -195,7 +194,7 @@ def _newton_with(**argument):
 
 
 ARGUMENTS = {
-    "eval_utility.x": lambda v: eval_utility(v, UtilitySpec()),
+    "from_outcomes.reference": lambda v: DiscreteDist.from_outcomes((0.0, 1.0), (0.5, 0.5), v),
     "cpt_value_quadrature.tol": lambda v: cpt_value_quadrature(Uniform(), CptModel(), v),
     "spsa_gradient.delta": lambda v: spsa_gradient(1.0, 0.0, v, np.array([1.0])),
     "psd_project.kappa": lambda v: psd_project(np.eye(2), v),
