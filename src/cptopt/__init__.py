@@ -35,7 +35,6 @@ from .models import (
     UtilitySpec,
     WeightSpec,
     cpt_value_quadrature,
-    eval_utility,
 )
 from .rng import substream, subseed
 from .spsa import (
@@ -81,7 +80,6 @@ __all__ = [
     "cpt_value_quadrature",
     "estimate_cpt",
     "estimate_cpt_discrete",
-    "eval_utility",
     "exact_cpt_discrete",
     "optimize_spsa_g",
     "optimize_spsa_n",

@@ -34,7 +34,6 @@ __all__ = [
     "ssp_episode",
     "SspReturnEnv",
     "two_state_chain",
-    "one_step_chain",
 ]
 
 _ROW_ATOL = 1e-9
@@ -197,16 +196,6 @@ class SspReturnEnv(ReturnEnv):
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         policy = BoltzmannPolicy(tuple(theta), self.mdp)
         return np.asarray([ssp_episode(self.mdp, policy, rng).ret for _ in range(m)])
-
-
-def one_step_chain(reward: float = 1.0) -> SspMdp:
-    """Single transient state whose every action absorbs immediately."""
-    return SspMdp(
-        transitions=(((1.0, 0.0),),),
-        rewards=((reward,),),
-        features=(((1.0,),),),
-        start=1,
-    )
 
 
 def two_state_chain(

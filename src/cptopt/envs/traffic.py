@@ -43,7 +43,6 @@ __all__ = [
     "TrafficEpisode",
     "BoltzmannSignPolicy",
     "FixedCyclePolicy",
-    "ConstantPolicy",
     "traffic_episode",
 ]
 
@@ -163,35 +162,9 @@ class TrafficGrid:
         """Junctions x 2 configurations x (3 queue bins x 2 timer bins)."""
         return self.n_junctions * 12
 
-    def queue_bin(self, q: int) -> int:
-        lo, hi = self.config.queue_bins
-        return 0 if q < lo else (1 if q < hi else 2)
-
-    def timer_bin(self, t: int) -> int:
-        return 0 if t < self.config.timer_bin else 1
-
     @staticmethod
     def feature_index(junction: int, config: int, qbin: int, tbin: int) -> int:
         return (junction * 2 + config) * 6 + qbin * 2 + tbin
-
-    def active_feature(
-        self, junction: int, config: int, queues: Sequence[int], timers: Sequence[int]
-    ) -> int:
-        """Index of the single indicator a junction/config pair activates."""
-        green = self.lane_id(junction, config)
-        red = self.lane_id(junction, 1 - config)
-        return self.feature_index(
-            junction, config, self.queue_bin(queues[green]), self.timer_bin(timers[red])
-        )
-
-    def features(
-        self, queues: Sequence[int], timers: Sequence[int], configs: Sequence[int]
-    ) -> np.ndarray:
-        """Joint-action feature vector (one indicator per junction)."""
-        phi = np.zeros(self.feature_dim)
-        for j, c in enumerate(configs):
-            phi[self.active_feature(j, c, queues, timers)] = 1.0
-        return phi
 
     @property
     def baseline_delays(self) -> tuple[float, ...]:
@@ -225,8 +198,9 @@ class BoltzmannSignPolicy:
     add across junctions and the joint softmax factorizes into independent
     per-junction two-way softmaxes.  The 36 P(NS) values of each junction,
     ``1 / (1 + exp(s_ew - s_ns))`` over the active EW and NS indicators
-    (``TrafficGrid.active_feature`` defines them), are computed once here; a
-    score gap too large for ``exp`` gives 0.0, the limit of ``1 / (1 + inf)``.
+    (``_INDICATOR_PAIRS`` lists them by ``TrafficGrid.feature_index``), are
+    computed once here; a score gap too large for ``exp`` gives 0.0, the
+    limit of ``1 / (1 + inf)``.
     The uniforms are one ``rng.random((k, n_junctions))`` per block, the same
     values, in the same stream order, as ``k`` per-step draws.
     """
@@ -273,22 +247,6 @@ class FixedCyclePolicy:
     def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
         ew = 1.0 - np.arange(t0, t0 + k) // self.cycle % 2  # 1.0 on EW steps
         return np.broadcast_to(ew[:, None], (k, n_junctions))
-
-
-class ConstantPolicy:
-    """Always the same configuration at every junction (no rng use)."""
-
-    def __init__(self, config: int):
-        config = as_int("config", config)
-        if config not in (EW, NS):
-            raise ValueError("config must be 0 (EW) or 1 (NS)")
-        self.config = config
-
-    def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
-        return (0.5,) * (36 * n_junctions)
-
-    def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
-        return np.full((k, n_junctions), 0.0 if self.config == NS else 1.0)
 
 
 _ARRIVAL_BLOCK = 256

@@ -40,7 +40,6 @@ __all__ = [
     "TwoPoint",
     "Exponential",
     "IntegralDivergenceError",
-    "eval_utility",
     "cpt_value_quadrature",
 ]
 
@@ -267,17 +266,6 @@ class CptModel(JsonRecord):
         return min(orders)  # type: ignore[type-var]
 
 
-def eval_utility(x: float, utility: UtilitySpec) -> tuple[float, float]:
-    """Split an outcome into (gain utility, loss magnitude).
-
-    At most one component is nonzero; both vanish at the reference point.
-    """
-    as_float("x", x)
-    gain = float(utility.gain_values(np.asarray(x)))
-    loss = float(utility.loss_values(np.asarray(x)))
-    return gain, loss
-
-
 # ---------------------------------------------------------------------------
 # Analytic test distributions
 
@@ -313,10 +301,6 @@ class AnalyticDist:
         """Point masses as (value, probability), or None for continuous laws."""
         return None
 
-    def shifted(self, c: float) -> "AnalyticDist":
-        """The distribution of X + c."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Uniform(AnalyticDist):
@@ -342,9 +326,6 @@ class Uniform(AnalyticDist):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
-
-    def shifted(self, c: float) -> "Uniform":
-        return Uniform(self.lo + c, self.hi + c)
 
 
 @dataclass(frozen=True)
@@ -377,9 +358,6 @@ class Gaussian(AnalyticDist):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mu, self.std, size)
-
-    def shifted(self, c: float) -> "Gaussian":
-        return Gaussian(self.mu + c, self.std)
 
 
 @dataclass(frozen=True)
@@ -415,9 +393,6 @@ class TwoPoint(AnalyticDist):
     def atoms(self) -> Sequence[tuple[float, float]]:
         return ((self.x1, self.p1), (self.x2, 1.0 - self.p1))
 
-    def shifted(self, c: float) -> "TwoPoint":
-        return TwoPoint(self.x1 + c, self.p1, self.x2 + c)
-
 
 @dataclass(frozen=True)
 class Exponential(AnalyticDist):
@@ -443,11 +418,6 @@ class Exponential(AnalyticDist):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
-
-    def shifted(self, c: float) -> "AnalyticDist":
-        if c == 0.0:
-            return self
-        raise NotImplementedError("shifted exponential is outside the analytic family")
 
 
 # ---------------------------------------------------------------------------

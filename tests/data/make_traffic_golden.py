@@ -30,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
+from cptopt._codec import as_int
 from cptopt.envs.traffic import (
+    EW,
     NS,
     BoltzmannSignPolicy,
-    ConstantPolicy,
     FixedCyclePolicy,
     TrafficConfig,
     TrafficGrid,
@@ -42,6 +43,23 @@ from cptopt.envs.traffic import (
 from cptopt.rng import substream
 
 HERE = Path(__file__).parent
+
+
+class ConstantPolicy:
+    """Always the same configuration at every junction (no rng use)."""
+
+    def __init__(self, config: int):
+        config = as_int("config", config)
+        if config not in (EW, NS):
+            raise ValueError("config must be 0 (EW) or 1 (NS)")
+        self.config = config
+
+    def p_ns_table(self, n_junctions: int) -> tuple[float, ...]:
+        return (0.5,) * (36 * n_junctions)
+
+    def draws(self, t0, k, n_junctions, rng) -> np.ndarray:
+        return np.full((k, n_junctions), 0.0 if self.config == NS else 1.0)
+
 
 GRID_2X3 = TrafficConfig(rows=2, cols=3, burst_prob=0.02, burst_size=7)
 HORIZON_2X3 = 600

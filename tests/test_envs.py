@@ -15,13 +15,22 @@ from cptopt.envs.ssp import (
     SspMdp,
     SspReturnEnv,
     boltzmann_probs,
-    one_step_chain,
     ssp_episode,
     two_state_chain,
 )
 from cptopt.envs.traffic import TrafficConfig
 
 NAN, INF = float("nan"), float("inf")
+
+
+def one_step_chain(reward: float = 1.0) -> SspMdp:
+    """Single transient state whose every action absorbs immediately."""
+    return SspMdp(
+        transitions=(((1.0, 0.0),),),
+        rewards=((reward,),),
+        features=(((1.0,),),),
+        start=1,
+    )
 
 
 @pytest.mark.parametrize(

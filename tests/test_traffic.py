@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cptopt.envs.traffic import (
-    ConstantPolicy,
     EW,
     NS,
     BoltzmannSignPolicy,
@@ -30,6 +29,14 @@ from cptopt.rng import substream
 GOLDEN = Path(__file__).parent / "data" / "traffic_golden.csv"
 GOLDEN_2X3 = Path(__file__).parent / "data" / "traffic_golden_2x3.json"
 DIGEST_MATRIX = Path(__file__).parent / "data" / "traffic_digest_matrix.json"
+
+# the golden-master generator, loaded from its file; it also defines ConstantPolicy
+_spec = importlib.util.spec_from_file_location(
+    "make_traffic_golden", GOLDEN.parent / "make_traffic_golden.py"
+)
+GENERATOR = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(GENERATOR)
+ConstantPolicy = GENERATOR.ConstantPolicy
 
 
 def uniform_policy(grid):
@@ -72,7 +79,7 @@ class TestTopology:
 
     def test_feature_vector_one_indicator_per_junction(self):
         grid = TrafficGrid(TrafficConfig())
-        phi = grid.features([0] * 8, [0] * 8, (0, 1, 0, 1))
+        phi = features(grid, [0] * 8, [0] * 8, (0, 1, 0, 1))
         assert phi.sum() == 4.0
         assert set(np.unique(phi)) == {0.0, 1.0}
 
@@ -255,13 +262,39 @@ class TestEpisode:
                 sim.run(until)
 
 
+def queue_bin(grid, q: int) -> int:
+    lo, hi = grid.config.queue_bins
+    return 0 if q < lo else (1 if q < hi else 2)
+
+
+def timer_bin(grid, t: int) -> int:
+    return 0 if t < grid.config.timer_bin else 1
+
+
+def active_feature(grid, junction: int, config: int, queues, timers) -> int:
+    """Index of the single indicator a junction/config pair activates."""
+    green = grid.lane_id(junction, config)
+    red = grid.lane_id(junction, 1 - config)
+    return grid.feature_index(
+        junction, config, queue_bin(grid, queues[green]), timer_bin(grid, timers[red])
+    )
+
+
+def features(grid, queues, timers, configs) -> np.ndarray:
+    """Joint-action feature vector (one indicator per junction)."""
+    phi = np.zeros(grid.feature_dim)
+    for j, c in enumerate(configs):
+        phi[active_feature(grid, j, c, queues, timers)] = 1.0
+    return phi
+
+
 def reference_configs(grid, theta, queues, timers, rng):
-    """Boltzmann choice spelled out with the grid's feature definition."""
+    """Boltzmann choice spelled out with the feature definition above."""
     draws = rng.random(grid.n_junctions)
     configs = []
     for j in range(grid.n_junctions):
-        s_ew = theta[grid.active_feature(j, EW, queues, timers)]
-        s_ns = theta[grid.active_feature(j, NS, queues, timers)]
+        s_ew = theta[active_feature(grid, j, EW, queues, timers)]
+        s_ns = theta[active_feature(grid, j, NS, queues, timers)]
         configs.append(NS if draws[j] < 1.0 / (1.0 + math.exp(s_ew - s_ns)) else EW)
     return tuple(configs)
 
@@ -604,11 +637,7 @@ class TestGoldenMaster:
 
     def test_generator_check_passes(self, capsys):
         """The generator itself still renders the committed files byte for byte."""
-        path = GOLDEN.parent / "make_traffic_golden.py"
-        spec = importlib.util.spec_from_file_location("make_traffic_golden", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        assert tool.main(["--check"]) == 0
+        assert GENERATOR.main(["--check"]) == 0
         assert capsys.readouterr().out == "".join(
             f"{golden.name}: unchanged\n" for golden in (GOLDEN, GOLDEN_2X3, DIGEST_MATRIX)
         )
