@@ -45,14 +45,16 @@ attractors, so the default leaves the estimator untouched.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
-from typing import Callable, IO, Optional, Union
+from typing import Any, Callable, IO, Optional, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._codec import as_array, as_float, as_int, check_fields
+from ._codec import _type_hints, as_array, as_float, as_int, check_fields
 from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, substream
@@ -235,9 +237,12 @@ class RunTrace:
         return np.asarray([r.theta for r in self.records])
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
-        """Columns: n, theta_0..theta_{d-1}, c_plus, c_minus, gamma, delta, m.
+        """One column per ``IterationRecord`` field, in field order; ``theta``
+        spreads over theta_0..theta_{d-1}.
 
-        SPSA-N traces (``h_bar`` set) add a trailing ``c_center`` column.
+        An ``int`` is written as an integer and a ``float`` as
+        ``repr(float(v))``.  An ``Optional`` field (``c_center``) is a column
+        of SPSA-N traces (``h_bar`` set) only, with or without records.
         """
         if isinstance(out, str):
             with open(out, "w", newline="") as fh:
@@ -246,18 +251,30 @@ class RunTrace:
         dim = len(self.records[0].theta) if self.records else (
             len(self.final_theta) if self.final_theta is not None else 0
         )
+        hints = _type_hints(IterationRecord)
+        columns = []  # (field name, annotation)
+        for f in dataclasses.fields(IterationRecord):
+            tp = hints[f.name]
+            if typing.get_origin(tp) is typing.Union:  # Optional[X]
+                if self.h_bar is None:
+                    continue
+                tp = typing.get_args(tp)[0]
+            columns.append((f.name, tp))
         writer = csv.writer(out, lineterminator="\n")
-        header = ["n"] + [f"theta_{i}" for i in range(dim)]
-        header += ["c_plus", "c_minus", "gamma", "delta", "m"]
-        if self.h_bar is not None:
-            header.append("c_center")
+        header = []
+        for name, tp in columns:
+            spread = typing.get_origin(tp) is tuple
+            header += [f"{name}_{i}" for i in range(dim)] if spread else [name]
         writer.writerow(header)
         for r in self.records:
-            floats = (*r.theta, r.c_plus, r.c_minus, r.gamma, r.delta)
-            row = [r.n, *[repr(float(v)) for v in floats], r.m]
-            if self.h_bar is not None:
-                row.append(repr(float(r.c_center)))
-            writer.writerow(row)
+            writer.writerow([c for name, tp in columns for c in _cells(tp, getattr(r, name))])
+
+
+def _cells(tp: Any, value: Any) -> list:
+    """CSV cells of one record field: one per item of a tuple."""
+    if typing.get_origin(tp) is tuple:
+        return [cell for v in value for cell in _cells(typing.get_args(tp)[0], v)]
+    return [int(value)] if tp is int else [repr(float(value))]
 
 
 def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
