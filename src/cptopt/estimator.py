@@ -147,6 +147,9 @@ class DiscreteDist:
 
     def sample_counts(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Multinomial tallies of ``n`` draws, aligned with ``support``."""
+        n = as_int("n", n)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         # a merged atom may pass 1.0 by as much as the sum check allows
         return rng.multinomial(n, np.minimum(self.probs, 1.0))
 

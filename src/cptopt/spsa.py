@@ -114,6 +114,9 @@ class BoxConstraint:
 
     @classmethod
     def cube(cls, lo: float, hi: float, dim: int) -> "BoxConstraint":
+        dim = as_int("dim", dim)
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         return cls((lo,) * dim, (hi,) * dim)
 
     @property

@@ -794,6 +794,20 @@ class TestDiscreteEstimator:
         counts = LOSS_GAIN_DIST.sample_counts(rng, 1_000)
         assert counts.tolist() == want.multinomial(1_000, LOSS_GAIN_DIST.probs).tolist()
 
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_sample_counts_n_must_be_an_integer(self, n):
+        # True once drew 1 sample and 3.0 drew 3
+        with pytest.raises(TypeError, match="n must be an integer"):
+            LOSS_GAIN_DIST.sample_counts(np.random.default_rng(0), n)
+
+    def test_sample_counts_n_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            LOSS_GAIN_DIST.sample_counts(np.random.default_rng(0), -1)
+        assert LOSS_GAIN_DIST.sample_counts(np.random.default_rng(0), 0).sum() == 0
+        rng, want = np.random.default_rng(3), np.random.default_rng(3)
+        counts = LOSS_GAIN_DIST.sample_counts(rng, np.int64(7))
+        assert counts.tolist() == LOSS_GAIN_DIST.sample_counts(want, 7).tolist()
+
     def test_dedup_merges_probabilities(self):
         dist = DiscreteDist.from_outcomes((1.0, 1.0, 2.0), (0.25, 0.25, 0.5))
         assert dist.support == (1.0, 2.0)

@@ -153,6 +153,20 @@ class TestProjectBox:
         with pytest.raises(ValueError):
             BoxConstraint.cube(1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("dim", [True, 2.0, "2"])
+    def test_cube_dimension_must_be_an_integer(self, dim):
+        # True once built a 1-d box, and 2.0 failed multiplying a tuple
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            BoxConstraint.cube(0.0, 1.0, dim)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_cube_needs_a_dimension(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            BoxConstraint.cube(0.0, 1.0, dim)
+
+    def test_cube_takes_a_numpy_integer(self):
+        assert BoxConstraint.cube(0.0, 1.0, np.int64(3)) == BoxConstraint.cube(0.0, 1.0, 3)
+
 
 class TestSchedules:
     def test_standard_defaults_accepted(self):
