@@ -245,7 +245,8 @@ class RunTrace:
 
         An ``int`` is written as an integer and a ``float`` as
         ``repr(float(v))``.  An ``Optional`` field (``c_center``) is a column
-        of SPSA-N traces (``h_bar`` set) only, with or without records.
+        of every SPSA-N trace (``h_bar`` set), a zero-iteration one included,
+        and of no SPSA-G trace.
         """
         if isinstance(out, str):
             with open(out, "w", newline="") as fh:

@@ -15,6 +15,9 @@ Three frozen files:
   ``random()``, so a change in random-number consumption shows too.  The file
   holds the matrix axes next to the digests.
 
+The matrix's ``constant-ns`` policy is :class:`ConstantPolicy`, defined here
+and also used by ``tests/test_traffic.py``.
+
 Run with ``PYTHONPATH=src python tests/data/make_traffic_golden.py``.  With
 ``--check`` the three files are regenerated in memory and compared with the
 committed bytes instead: nothing is written, and the script exits 1 naming
