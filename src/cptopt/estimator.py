@@ -35,6 +35,10 @@ evaluated ``_BLOCK`` at a time, each written over its own entry of a private
 ascending array (the sorted copy, the runs' values or a copy of the support),
 so the sorted copy and the run marks are the only length-n arrays; each side
 is then reduced once over all its terms, so no bit depends on the block size.
+A tie-free batch of at most 1024 samples, the optimizers' case, is one block
+whose weight increments depend only on the two weight specs and n: they come
+from a module cache of read-only arrays (at most 256 entries of 16 KiB,
+cleared when full), so a repeated batch size evaluates no weight at all.
 
 :func:`required_samples_holder` and :func:`required_samples_lipschitz` give
 worst-case sample counts for an (eps, delta) accuracy target under Holder or
@@ -68,6 +72,14 @@ _PROB_ATOL = 1e-12
 # terms of each side evaluated at a time: small enough that a block's
 # temporaries stay in cache, large enough that numpy's per-call cost is small
 _BLOCK = 8192
+# (weight_plus, weight_minus, n) -> both sides' read-only weight increments
+# w((j+1)/n) - w(j/n), j = 0..n-1, for tie-free batches of n <= _CACHED_MAX_N;
+# an entry is at most 16 KiB, so the cleared-when-full dict holds at most
+# 4 MiB.  An entry is a pure function of its key, so threads racing on the
+# dict can only recompute an entry, never read a wrong one.
+_INCREMENTS: dict = {}
+_INCREMENTS_MAX = 256
+_CACHED_MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -171,8 +183,9 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
 
     Input order never affects the result.  Each side's utility and weight
     grid prefix are evaluated on its own order statistics only, once per
-    distinct value; the pairwise sums' O(eps log n) rounding is negligible
-    at n = 1e6.
+    distinct value (a tie-free batch of n <= 1024 reads its weight
+    increments from the cache instead); the pairwise sums' O(eps log n)
+    rounding is negligible at n = 1e6.
     ``samples`` holds integers or floats; only the dtype is checked, so numpy's
     float64 reading of ``[True, 2.5]`` as ``[1.0, 2.5]`` stands.
     """
@@ -191,6 +204,8 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
     m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
     if np.count_nonzero(first) == n + 1:  # no ties: each sample is a run
+        if n <= _CACHED_MAX_N:
+            return _tie_free_sum(xs, k, m, model)
         values = xs
 
         def shares(lo, hi):  # one exact j/n grid serves both sides
@@ -210,6 +225,33 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
 
     pos, neg = _rank_weighted_sum(values, k, m, shares, model)
     return CptEstimate(n=n, positive_part=pos, negative_part=neg)
+
+
+def _increments(weight_plus, weight_minus, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' weight increments on the j/n grid, from the module cache."""
+    key = (weight_plus, weight_minus, n)
+    entry = _INCREMENTS.get(key)
+    if entry is None:
+        grid = np.arange(n + 1) / n
+        entry = tuple(np.diff(w.apply(grid)) for w in (weight_plus, weight_minus))
+        for d in entry:
+            d.flags.writeable = False
+        if len(_INCREMENTS) >= _INCREMENTS_MAX:
+            _INCREMENTS.clear()
+        _INCREMENTS[key] = entry
+    return entry
+
+
+def _tie_free_sum(xs, k, m, model) -> CptEstimate:
+    """:func:`_rank_weighted_sum`'s one block on a small tie-free ``xs``, the
+    sorted copy, with its weight increments taken from the cache: the same
+    products are written over ``xs`` and each side is reduced once."""
+    n, u = xs.size, model.utility
+    d_plus, d_minus = _increments(model.weight_plus, model.weight_minus, n)
+    # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
+    np.multiply(u.gain_values(xs[k:]), d_plus[: n - k][::-1], xs[k:])
+    np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
+    return CptEstimate(n, float(np.add.reduce(xs[k:])), float(np.add.reduce(xs[:m])))
 
 
 def _rank_weighted_sum(values, k, m, shares, model) -> tuple[float, float]:

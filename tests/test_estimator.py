@@ -1,5 +1,7 @@
 """Order-statistics and finite-support estimators plus sample-size calculators."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -28,7 +30,8 @@ from cptopt import (
     required_samples_holder,
     required_samples_lipschitz,
 )
-from cptopt.estimator import _BLOCK
+from cptopt import estimator
+from cptopt.estimator import _BLOCK, _CACHED_MAX_N, _INCREMENTS_MAX
 
 IDENTITY = CptModel.identity()
 
@@ -1018,6 +1021,103 @@ class TestBlockedSum:
                     pos, neg = _one_pass_tally_sum(counts.astype(float), counts.sum(), dist, model)
                     est = estimate_cpt_discrete(counts, dist, model)
                     assert _bits(est) == (int(counts.sum()), pos.hex(), neg.hex())
+
+
+@st.composite
+def cached_batches(draw):
+    """A tie-free batch of 2..bound+1 samples around a reference, maybe with a
+    signed zero or the reference itself among them, and a model of any
+    weight family at that reference."""
+    ref = draw(st.sampled_from((0.0, -0.0)) | REFERENCES)
+    model = draw(models())
+    model = CptModel(
+        dataclasses.replace(model.utility, reference=ref), model.weight_plus, model.weight_minus
+    )
+    n = draw(st.integers(2, _CACHED_MAX_N + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = ref + rng.normal(0.0, draw(st.sampled_from((0.01, 1.0, 50.0))), n)
+    for x in draw(st.lists(st.sampled_from((0.0, -0.0, ref)), max_size=2, unique=True)):
+        if x not in samples:  # -0.0 == 0.0, so at most one zero: no tie
+            samples[draw(st.integers(0, n - 1))] = x
+    return samples, model
+
+
+class TestIncrementCache:
+    """Small tie-free batches take their weight increments from a cache."""
+
+    @given(case=cached_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_cached_estimate_matches_per_sample_estimate_bit_for_bit(self, case):
+        samples, model = case
+        assert np.unique(samples).size == samples.size
+        want = _bits(_per_sample_estimate(samples, model))
+        estimator._INCREMENTS.clear()
+        assert _bits(estimate_cpt(samples, model)) == want  # a miss fills the entry
+        assert _bits(estimate_cpt(samples[::-1], model)) == want  # a hit reads it
+        if samples.size <= _CACHED_MAX_N:
+            assert (model.weight_plus, model.weight_minus, samples.size) in estimator._INCREMENTS
+        else:
+            assert not estimator._INCREMENTS
+
+    def test_entries_are_keyed_by_both_weights_and_n(self):
+        estimator._INCREMENTS.clear()
+        rng = np.random.default_rng(4)
+        utility = UtilitySpec.piecewise_power(0.7, 0.9, 2.25)
+        weights = [WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69),
+                   WeightSpec.prelec(0.65), WeightSpec.identity()]
+        for _ in range(2):  # the second pass reads every entry the first one made
+            for n in (10, 11, _CACHED_MAX_N):
+                samples = rng.normal(0.0, 1.0, n)
+                for w_plus, w_minus in itertools.product(weights, repeat=2):
+                    model = CptModel(utility, w_plus, w_minus)
+                    want = _bits(_per_sample_estimate(samples, model))
+                    assert _bits(estimate_cpt(samples, model)) == want
+        assert len(estimator._INCREMENTS) == 3 * len(weights) ** 2
+
+    def test_entries_are_read_only(self):
+        estimator._INCREMENTS.clear()
+        model = tk_model(0.61, 0.69)
+        estimate_cpt(np.random.default_rng(0).normal(0.0, 1.0, 30), model)
+        for d in estimator._INCREMENTS[(model.weight_plus, model.weight_minus, 30)]:
+            assert d.shape == (30,) and not d.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                d[0] = 1.0
+
+    def test_cache_stays_within_its_cap(self):
+        estimator._INCREMENTS.clear()
+        rng = np.random.default_rng(1)
+        model = tk_model()
+        for n in range(_CACHED_MAX_N, _CACHED_MAX_N - 2 * _INCREMENTS_MAX - 7, -1):
+            estimate_cpt(rng.normal(0.0, 1.0, n), model)
+            assert 1 <= len(estimator._INCREMENTS) <= _INCREMENTS_MAX
+            held = sum(d.nbytes for entry in estimator._INCREMENTS.values() for d in entry)
+            assert held <= 4 * 2**20
+
+    def test_only_small_tie_free_batches_are_cached(self):
+        estimator._INCREMENTS.clear()
+        rng = np.random.default_rng(2)
+        model = tk_model()
+        estimate_cpt(rng.normal(0.0, 1.0, _CACHED_MAX_N + 1), model)
+        estimate_cpt(np.round(rng.normal(0.0, 1.0, 40)), model)  # tied
+        dist = DiscreteDist.from_outcomes((-1.0, 2.0), (0.5, 0.5))
+        estimate_cpt_discrete([3, 4], dist, model)
+        exact_cpt_discrete(dist, model)
+        assert not estimator._INCREMENTS
+
+    def test_equal_weight_specs_share_an_entry(self):
+        estimator._INCREMENTS.clear()
+        samples = np.random.default_rng(3).normal(0.0, 1.0, 25)
+        a = estimate_cpt(samples, tk_model(0.61, 0.69))
+        entry = next(iter(estimator._INCREMENTS.values()))
+        other = CptModel(
+            UtilitySpec.piecewise_power(0.5, 0.5, 2.0, reference=0.1),
+            WeightSpec.from_json(WeightSpec.tversky_kahneman(0.61).to_json()),
+            WeightSpec("tversky_kahneman", 0.69),
+        )
+        b = estimate_cpt(samples, other)
+        assert len(estimator._INCREMENTS) == 1
+        assert all(x is y for x, y in zip(next(iter(estimator._INCREMENTS.values())), entry))
+        assert a != b  # the utilities differ; only the weights are shared
 
 
 class TestSampleSizeCalculators:
