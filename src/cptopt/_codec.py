@@ -103,8 +103,13 @@ def as_array(
     if arr.ndim != shape if isinstance(shape, int) else arr.shape != shape:
         expected = f"a {shape}-d array" if isinstance(shape, int) else shape
         raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    return check_finite(name, arr) if finite else arr
+
+
+def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """The float array ``arr`` if every entry is finite; ValueError naming ``name`` if not."""
     # count_nonzero is the cheaper reduction on the small arrays of the optimizer loop
-    if finite and np.count_nonzero(np.isfinite(arr)) != arr.size:
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} must be finite")
     return arr
 

@@ -54,7 +54,7 @@ from typing import Any, Callable, IO, Optional, Union
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._codec import _type_hints, as_array, as_float, as_int, check_fields
+from ._codec import _type_hints, as_array, as_float, as_int, check_fields, check_finite
 from .estimator import estimate_cpt
 from .models import CptModel
 from .rng import RootSeed, substream
@@ -109,7 +109,7 @@ class BoxConstraint:
             raise ValueError("lo and hi must be matching nonempty vectors")
         if not all(a < b for a, b in zip(self.lo, self.hi)):
             raise ValueError("each lower bound must be strictly below its upper bound")
-        # the arrays np.clip would make from the tuples on every projection
+        # the bounds as arrays, made once rather than on every projection
         object.__setattr__(self, "_bounds", (np.asarray(self.lo), np.asarray(self.hi)))
 
     @classmethod
@@ -129,8 +129,14 @@ class BoxConstraint:
         return bool(np.all(theta >= self.lo) and np.all(theta <= self.hi))
 
     def project(self, theta: np.ndarray) -> np.ndarray:
+        return self._clamp(as_array("theta", theta, (self.dim,)))
+
+    def _clamp(self, theta: np.ndarray) -> np.ndarray:
+        """``np.clip(theta, lo, hi)`` without its wrapper, bit for bit: on a
+        tie both give the bound, so a signed zero equal to a bound comes out
+        as the bound's zero (``np.maximum(lo, theta)`` would keep theta's)."""
         lo, hi = self._bounds  # type: ignore[attr-defined]
-        return np.clip(as_array("theta", theta, (self.dim,)), lo, hi)
+        return np.minimum(np.maximum(theta, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,7 @@ def _cells(tp: Any, value: Any) -> list:
 
 def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     """Vector of independent +/-1 entries, each sign with probability 1/2."""
+    d = as_int("d", d)
     if d < 1:
         raise ValueError("dimension must be at least 1")
     return rng.integers(0, 2, size=d) * 2.0 - 1.0
@@ -295,13 +302,25 @@ def _check_perturbation(name: str, perturb: np.ndarray) -> np.ndarray:
     return perturb
 
 
+def _check_two_point(c_plus, c_minus, delta, perturb) -> tuple:
+    """The two-point arguments, checked: finite readings, a positive delta and
+    a +/-1 perturbation."""
+    c_plus, c_minus = as_float("c_plus", c_plus), as_float("c_minus", c_minus)
+    delta = as_float("delta", delta)
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    return c_plus, c_minus, delta, _check_perturbation("perturb", perturb)
+
+
 def spsa_gradient(
     c_plus: float, c_minus: float, delta: float, perturb: np.ndarray
 ) -> np.ndarray:
     """Two-point gradient estimate (c_plus - c_minus) / (2 delta perturb_i)."""
-    if as_float("delta", delta) <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    perturb = _check_perturbation("perturb", perturb)
+    return _gradient(*_check_two_point(c_plus, c_minus, delta, perturb))
+
+
+def _gradient(c_plus, c_minus, delta, perturb) -> np.ndarray:
+    """:func:`spsa_gradient` without its checks."""
     return (c_plus - c_minus) / (2.0 * delta) * perturb  # 1/(+-1) == +-1
 
 
@@ -320,11 +339,19 @@ def spsa_n_estimates(
     ``2 delta perturb_i``; curvature entry (i, j) divides the second
     difference by ``delta^2 perturb_i perturb_hat_j``.
     """
-    grad = spsa_gradient(c_plus, c_minus, delta, perturb)
+    c_plus, c_minus, delta, perturb = _check_two_point(c_plus, c_minus, delta, perturb)
+    c_center = as_float("c_center", c_center)
     perturb_hat = _check_perturbation("perturb_hat", perturb_hat)
+    return _newton_estimates(c_plus, c_minus, c_center, delta, perturb, perturb_hat)
+
+
+def _newton_estimates(
+    c_plus, c_minus, c_center, delta, perturb, perturb_hat
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`spsa_n_estimates` without its checks."""
+    grad = _gradient(c_plus, c_minus, delta, perturb)
     curvature = (c_plus + c_minus - 2.0 * c_center) / delta**2
-    hess = curvature * np.outer(perturb, perturb_hat)
-    return grad, hess
+    return grad, curvature * np.outer(perturb, perturb_hat)
 
 
 def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
@@ -334,18 +361,25 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     is continuous and leaves inputs whose spectrum already clears the floor
     unchanged (exactly).
     """
-    if as_float("kappa", kappa) <= 0.0:
+    kappa = as_float("kappa", kappa)
+    if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     h = as_array("h", h, 2)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"h must be square, got shape {h.shape}")
+    return _eigenvalue_floor(h, kappa)[0]
+
+
+def _eigenvalue_floor(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_project` without its checks, and the ascending eigenvalues
+    of the symmetrized ``h`` before the floor."""
     sym = (h + h.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     if eigvals[0] >= kappa:
-        return sym
+        return sym, eigvals
     clamped = np.maximum(eigvals, kappa)
     out = (eigvecs * clamped) @ eigvecs.T
-    return (out + out.T) / 2.0
+    return (out + out.T) / 2.0, eigvals
 
 
 def _validate_start(box: BoxConstraint, theta0: np.ndarray) -> np.ndarray:
@@ -452,11 +486,13 @@ def _climb(
                 c_center=c_center,
             )
         )
+        # the public helpers' kernels: every argument was built or checked
+        # above, and only a value that can leave the float range is checked
         try:
             if not newton:
-                step = spsa_gradient(c_plus, c_minus, delta, dv)
+                step = _gradient(c_plus, c_minus, delta, dv)
             else:
-                grad, hess = spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
+                grad, hess = _newton_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
                 # symmetric scaled average; symmetry is preserved exactly under
                 # element-wise scaling and addition
                 sym = hessian_scale * (hess + hess.T) / 2.0
@@ -467,8 +503,9 @@ def _climb(
                 trace.h_bar = (1.0 - xi) * trace.h_bar + xi * sym
                 # condition the curvature of the climb (-h_bar) and solve for the step
                 # with LAPACK's dpotrf/dpotrs, the calls cho_factor/cho_solve make
-                step = _cholesky_solve(psd_project(-trace.h_bar, pd_floor), grad)
-            theta = box.project(theta + gamma * step)
+                floored, _ = _eigenvalue_floor(check_finite("h", -trace.h_bar), pd_floor)
+                step = _cholesky_solve(floored, grad)
+            theta = box._clamp(check_finite("theta", theta + gamma * step))
         except ValueError as exc:  # finite estimates whose step leaves the float range
             raise OptimizationError(f"step failed at iteration {n}: {exc}", trace, n) from exc
     trace.final_theta = theta

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from cptopt import (
@@ -31,7 +33,15 @@ from cptopt import (
 )
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
-from cptopt.spsa import LinAlgError, _cholesky_solve
+from cptopt._codec import as_array, as_float
+from cptopt.spsa import (
+    LinAlgError,
+    _check_perturbation,
+    _cholesky_solve,
+    _eigenvalue_floor,
+    _gradient,
+    _newton_estimates,
+)
 
 IDENTITY = CptModel.identity()
 
@@ -66,6 +76,17 @@ class TestRademacher:
     def test_requires_positive_dimension(self):
         with pytest.raises(ValueError):
             rademacher_vector(substream(0), 0)
+
+    @pytest.mark.parametrize("d", [True, 2.0, "2"])
+    def test_dimension_must_be_an_integer(self, d):
+        # True once drew a 1-vector
+        with pytest.raises(TypeError, match="d must be an integer"):
+            rademacher_vector(substream(0), d)
+
+    def test_takes_a_numpy_integer(self):
+        assert np.array_equal(
+            rademacher_vector(substream(3), np.int64(4)), rademacher_vector(substream(3), 4)
+        )
 
 
 class TestSpsaGradient:
@@ -127,6 +148,23 @@ class TestSpsaGradient:
     def test_non_finite_delta_raises(self, delta):
         with pytest.raises(ValueError, match="delta must be finite"):
             spsa_gradient(1.0, 0.0, delta, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.nan, ValueError), (np.inf, ValueError), (True, TypeError), ("1", TypeError)],
+    )
+    def test_readings_are_checked(self, which, bad, error):
+        # nan once gave [nan] and True the gradient of a reading of 1
+        readings = [1.0, 0.0]
+        readings[which] = bad
+        with pytest.raises(error, match=f"^{('c_plus', 'c_minus')[which]} must be "):
+            spsa_gradient(*readings, 0.1, [1.0])
+
+    def test_integer_and_numpy_readings_give_the_float_bits(self):
+        want = spsa_gradient(3.0, 1.0, 0.1, [1.0, -1.0])
+        for c_plus, c_minus in ((3, 1), (np.float64(3.0), np.int64(1))):
+            assert spsa_gradient(c_plus, c_minus, 0.1, [1.0, -1.0]).tobytes() == want.tobytes()
 
 
 class TestProjectBox:
@@ -241,6 +279,19 @@ class TestSpsaNEstimates:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             spsa_n_estimates(1.0, 1.0, 1.0, -0.1, np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.nan, ValueError), (-np.inf, ValueError), (True, TypeError), (None, TypeError)],
+    )
+    def test_readings_are_checked(self, which, bad, error):
+        # an infinite c_center once gave a -inf curvature
+        readings = [1.0, 0.0, 0.5]
+        readings[which] = bad
+        name = ("c_plus", "c_minus", "c_center")[which]
+        with pytest.raises(error, match=f"^{name} must be "):
+            spsa_n_estimates(*readings, 0.1, [1.0], [1.0])
 
 
 class TestPsdProject:
@@ -552,6 +603,201 @@ def test_schedule_alpha_above_the_models_holder_order_rejected(optimize):
     # prelec weights have no Holder order, so any valid alpha is the caller's call
     prelec = CptModel(weight_plus=WeightSpec.prelec(0.65), weight_minus=WeightSpec.prelec(0.65))
     assert len(optimize(env, prelec, SpsaSchedules(alpha=1.0), box, [1.0, 1.0], 1, 0).records) == 1
+
+
+# The optimizer loop's step as it was before the loop called the helpers'
+# kernels, copied verbatim: the public helpers, checks included, and np.clip.
+
+
+def _verbatim_spsa_gradient(c_plus, c_minus, delta, perturb):
+    if as_float("delta", delta) <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    perturb = _check_perturbation("perturb", perturb)
+    return (c_plus - c_minus) / (2.0 * delta) * perturb  # 1/(+-1) == +-1
+
+
+def _verbatim_spsa_n_estimates(c_plus, c_minus, c_center, delta, perturb, perturb_hat):
+    grad = _verbatim_spsa_gradient(c_plus, c_minus, delta, perturb)
+    perturb_hat = _check_perturbation("perturb_hat", perturb_hat)
+    curvature = (c_plus + c_minus - 2.0 * c_center) / delta**2
+    hess = curvature * np.outer(perturb, perturb_hat)
+    return grad, hess
+
+
+def _verbatim_psd_project(h, kappa):
+    if as_float("kappa", kappa) <= 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    h = as_array("h", h, 2)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"h must be square, got shape {h.shape}")
+    sym = (h + h.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals[0] >= kappa:
+        return sym
+    clamped = np.maximum(eigvals, kappa)
+    out = (eigvecs * clamped) @ eigvecs.T
+    return (out + out.T) / 2.0
+
+
+def _verbatim_project(box, theta):
+    return np.clip(as_array("theta", theta, (box.dim,)), np.asarray(box.lo), np.asarray(box.hi))
+
+
+def _verbatim_step(record, state, box, seed, pd_floor, hessian_scale):
+    """One iteration's step from its record, updating ``state``'s theta and
+    (for SPSA-N; None for SPSA-G) h_bar in the loop's order."""
+    n, c_plus, c_minus, c_center = record.n, record.c_plus, record.c_minus, record.c_center
+    gamma, delta = record.gamma, record.delta
+    rng_perturb = substream(seed, n, 0)
+    dv = rademacher_vector(rng_perturb, box.dim)
+    if state["h_bar"] is None:
+        step = _verbatim_spsa_gradient(c_plus, c_minus, delta, dv)
+    else:
+        dv_hat = rademacher_vector(rng_perturb, box.dim)
+        grad, hess = _verbatim_spsa_n_estimates(c_plus, c_minus, c_center, delta, dv, dv_hat)
+        sym = hessian_scale * (hess + hess.T) / 2.0
+        xi = 1.0 / n**0.75
+        state["h_bar"] = (1.0 - xi) * state["h_bar"] + xi * sym
+        step = _cholesky_solve(_verbatim_psd_project(-state["h_bar"], pd_floor), grad)
+    state["theta"] = _verbatim_project(box, state["theta"] + gamma * step)
+
+
+def _bytes(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+def _assert_replays(climb, evaluate, box, theta0, iters, seed, **newton):
+    """Runs ``climb`` and replays its records through the verbatim step: every
+    theta, the final theta and h_bar agree bit for bit, and a step fails at
+    the same iteration with the same error.  Returns the run's failure, if
+    any, as (iteration, type of its cause, message)."""
+    try:
+        trace, failure = climb(evaluate, SCHEDULES, box, theta0, iters, seed, **newton), None
+    except OptimizationError as exc:
+        trace, failure = exc.trace, (exc.iteration, type(exc.__cause__), str(exc))
+    state = {
+        "theta": np.array(theta0, dtype=float),
+        "h_bar": np.zeros((box.dim, box.dim)) if climb is ascend_newton else None,
+    }
+    pd_floor, hessian_scale = newton.get("pd_floor", 1e-4), newton.get("hessian_scale", 1.0)
+    replayed = None
+    for r in trace.records:
+        assert _bytes(r.theta) == _bytes(state["theta"])
+        try:
+            _verbatim_step(r, state, box, seed, pd_floor, hessian_scale)
+        except ValueError as exc:
+            replayed = (r.n, type(exc), f"step failed at iteration {r.n}: {exc}")
+            break
+    if failure is not None and failure[2].startswith("step failed"):
+        assert replayed == failure
+    else:  # no step failed, here or in the replay
+        assert replayed is None
+        assert failure is not None or _bytes(trace.final_theta) == _bytes(state["theta"])
+    assert _bytes(trace.h_bar) == _bytes(state["h_bar"])
+    return failure
+
+
+SIGNED_ZERO_BOXES = [
+    BoxConstraint((-0.0, 0.0), (1.0, 2.0)),
+    BoxConstraint((-1.0, -2.0), (-0.0, 0.0)),
+    BoxConstraint((0.0, -0.5, -3.0), (0.5, -0.0, 3.0)),
+]
+
+
+class TestStepOracle:
+    """The loop's unchecked kernels give the verbatim public step's bits, and
+    fail at the same iteration with the same error."""
+
+    @pytest.mark.parametrize("box", SIGNED_ZERO_BOXES, ids=["lo-zeros", "hi-zeros", "mixed"])
+    def test_clamp_matches_np_clip_on_signed_zeros(self, box):
+        # keyed by repr, since -0.0 == 0.0 would keep one zero only
+        values = {repr(v): v for v in (-0.0, 0.0, *box.lo, *box.hi, -5.0, 5.0, 0.25, -0.25)}
+        values = list(values.values())
+        assert len(values) >= 8
+        for theta in itertools.product(values, repeat=box.dim):
+            theta = np.array(theta)
+            assert box._clamp(theta).tobytes() == _verbatim_project(box, theta).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 4, 9, 33])
+    def test_clamp_matches_np_clip_on_long_vectors(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            lo = rng.choice([-0.0, 0.0, -1.0, -0.5], dim)
+            box = BoxConstraint(tuple(lo), tuple(lo + rng.choice([0.5, 1.0], dim)))
+            theta = rng.choice([-0.0, 0.0, -1.0, -0.5, 0.5, 1.0, 2.0, -3.0], dim)
+            assert box._clamp(theta).tobytes() == _verbatim_project(box, theta).tobytes()
+
+    @given(
+        readings=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((0.0, -0.0)),
+            min_size=3, max_size=3,
+        ),
+        delta=st.floats(1e-300, 1e300),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        kappa=st.sampled_from((1e-4, 0.5, 1.0, 1e3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_match_the_verbatim_helpers(self, readings, delta, dim, seed, kappa):
+        rng = np.random.default_rng(seed)
+        dv, dv_hat = (rademacher_vector(rng, dim) for _ in range(2))
+
+        def bits(estimates, *args):  # a float's ZeroDivisionError or OverflowError too
+            try:
+                out = estimates(*args)
+            except ArithmeticError as exc:
+                return type(exc), str(exc)
+            return [a.tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+        with np.errstate(all="ignore"):
+            want = bits(_verbatim_spsa_n_estimates, *readings, delta, dv, dv_hat)
+            assert bits(_newton_estimates, *readings, delta, dv, dv_hat) == want
+            assert bits(_gradient, *readings[:2], delta, dv) == bits(
+                _verbatim_spsa_gradient, *readings[:2], delta, dv
+            )
+        h = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e3]), (dim, dim))
+        floored, eigvals = _eigenvalue_floor(h, kappa)
+        assert floored.tobytes() == _verbatim_psd_project(h, kappa).tobytes()
+        assert eigvals.tobytes() == np.linalg.eigh((h + h.T) / 2.0)[0].tobytes()
+
+    @pytest.mark.parametrize("box", SIGNED_ZERO_BOXES, ids=["lo-zeros", "hi-zeros", "mixed"])
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_replay_through_the_verbatim_step(self, box, climb, seed):
+        # readings that often tie (a zero step, -0.0 after a -1 perturbation)
+        # and push outward, so theta sits on the signed-zero bounds
+        def evaluate(theta, m, rng):
+            return float(rng.choice([0.0, -0.0, 1.0, -1.0, 300.0, -300.0]))
+
+        assert _assert_replays(climb, evaluate, box, box.lo, 40, seed) is None
+
+    @pytest.mark.parametrize("scale", [1e300, 1e306, 1e307, 1.7e308])
+    @pytest.mark.parametrize("shape", ["signs", "mixed", "growing"])
+    @pytest.mark.parametrize(
+        "climb, newton",
+        [
+            (ascend, {}),
+            (ascend_newton, {}),
+            (ascend_newton, {"hessian_scale": 1e10}),
+            (ascend_newton, {"pd_floor": 1e300}),
+        ],
+        ids=["g", "n", "n-scaled", "n-floor"],
+    )
+    def test_overflowing_steps_fail_where_the_verbatim_step_fails(
+        self, scale, shape, climb, newton
+    ):
+        def evaluate(theta, m, rng):
+            if shape == "signs":
+                return scale if rng.random() < 0.5 else -scale
+            if shape == "mixed":
+                return scale * float(rng.choice([1.0, -1.0, 0.5, 1e-3, 0.0]))
+            return scale * float(theta.sum()) / theta.size
+
+        box = BoxConstraint.cube(0.0, 1.0, 2)
+        with np.errstate(all="ignore"):
+            failure = _assert_replays(climb, evaluate, box, [0.5, 0.25], 20, 3, **newton)
+        if shape == "signs" and scale > 1e308:  # c_plus - c_minus overflows
+            assert failure[2].startswith("step failed")
 
 
 class TestTraceCsv:

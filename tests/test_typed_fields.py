@@ -196,7 +196,12 @@ def _newton_with(**argument):
 ARGUMENTS = {
     "from_outcomes.reference": lambda v: DiscreteDist.from_outcomes((0.0, 1.0), (0.5, 0.5), v),
     "cpt_value_quadrature.tol": lambda v: cpt_value_quadrature(Uniform(), CptModel(), v),
+    "spsa_gradient.c_plus": lambda v: spsa_gradient(v, 0.0, 0.1, np.array([1.0])),
+    "spsa_gradient.c_minus": lambda v: spsa_gradient(1.0, v, 0.1, np.array([1.0])),
     "spsa_gradient.delta": lambda v: spsa_gradient(1.0, 0.0, v, np.array([1.0])),
+    "spsa_n_estimates.c_plus": lambda v: spsa_n_estimates(v, 0.0, 0.5, 0.1, [1.0], [1.0]),
+    "spsa_n_estimates.c_minus": lambda v: spsa_n_estimates(1.0, v, 0.5, 0.1, [1.0], [1.0]),
+    "spsa_n_estimates.c_center": lambda v: spsa_n_estimates(1.0, 0.0, v, 0.1, [1.0], [1.0]),
     "psd_project.kappa": lambda v: psd_project(np.eye(2), v),
     "ascend_newton.hessian_scale": lambda v: _newton_with(hessian_scale=v),
     "ascend_newton.pd_floor": lambda v: _newton_with(pd_floor=v),
