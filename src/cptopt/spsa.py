@@ -506,7 +506,7 @@ def _climb(
                 floored, _ = _eigenvalue_floor(check_finite("h", -trace.h_bar), pd_floor)
                 step = _cholesky_solve(floored, grad)
             theta = box._clamp(check_finite("theta", theta + gamma * step))
-        except ValueError as exc:  # finite estimates whose step leaves the float range
+        except (ValueError, ArithmeticError) as exc:  # a step that leaves the float range
             raise OptimizationError(f"step failed at iteration {n}: {exc}", trace, n) from exc
     trace.final_theta = theta
     return trace

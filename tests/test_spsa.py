@@ -556,6 +556,19 @@ class TestAscendNewton:
         expected = (hess + hess.T) / 2.0
         assert np.array_equal(trace.h_bar, expected)
 
+    @pytest.mark.parametrize(
+        "delta0, cause", [(1e200, OverflowError), (1e-200, ZeroDivisionError)]
+    )
+    def test_curvature_beyond_the_float_range_aborts_with_trace(self, delta0, cause):
+        # the curvature estimate divides by delta**2 in Python floats, which
+        # overflows at 1e200 and underflows to zero at 1e-200
+        schedules = SpsaSchedules(alpha=1.0, delta0=delta0)
+        with pytest.raises(OptimizationError, match=r"^step failed at iteration 1: ") as info:
+            ascend_newton(deterministic(lambda t: 0.0), schedules, BOX_1D, [0.5], 5, 0)
+        assert info.value.iteration == 1
+        assert len(info.value.trace.records) == 1
+        assert type(info.value.__cause__) is cause
+
     def test_running_hessian_stays_exactly_symmetric(self):
         env = GaussianMeanEnv(optimum=(2.0, 2.0), curvatures=(1.0, 10.0), noise_std=0.1)
         box = BoxConstraint.cube(0.0, 4.0, 2)
@@ -685,7 +698,7 @@ def _assert_replays(climb, evaluate, box, theta0, iters, seed, **newton):
         assert _bytes(r.theta) == _bytes(state["theta"])
         try:
             _verbatim_step(r, state, box, seed, pd_floor, hessian_scale)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             replayed = (r.n, type(exc), f"step failed at iteration {r.n}: {exc}")
             break
     if failure is not None and failure[2].startswith("step failed"):
