@@ -290,10 +290,6 @@ class AnalyticDist:
         """P(X < x)."""
         raise NotImplementedError
 
-    def cdf(self, x):
-        """P(X <= x), vectorized (used by goodness-of-fit tests)."""
-        raise NotImplementedError
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -320,9 +316,6 @@ class Uniform(AnalyticDist):
 
     def prob_less(self, x: float) -> float:
         return float(np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0))
-
-    def cdf(self, x):
-        return np.clip((np.asarray(x, float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
@@ -351,11 +344,6 @@ class Gaussian(AnalyticDist):
 
         return float(ndtr((x - self.mu) / self.std))
 
-    def cdf(self, x):
-        from scipy.special import ndtr
-
-        return ndtr((np.asarray(x, float) - self.mu) / self.std)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mu, self.std, size)
 
@@ -382,10 +370,6 @@ class TwoPoint(AnalyticDist):
     def prob_less(self, x: float) -> float:
         return self.p1 * (self.x1 < x) + (1.0 - self.p1) * (self.x2 < x)
 
-    def cdf(self, x):
-        x = np.asarray(x, float)
-        return self.p1 * (self.x1 <= x) + (1.0 - self.p1) * (self.x2 <= x)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         picks = rng.random(size) < self.p1
         return np.where(picks, self.x1, self.x2)
@@ -411,10 +395,6 @@ class Exponential(AnalyticDist):
 
     def prob_less(self, x: float) -> float:
         return 0.0 if x <= 0.0 else float(-math.expm1(-self.rate * x))
-
-    def cdf(self, x):
-        x = np.asarray(x, float)
-        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
