@@ -8,16 +8,16 @@ preference model their training objective uses:
 * ``cpt`` -- the same utilities plus inverted-s probability weighting.
 
 Each variant trains a signal policy with the first-order perturbation
-optimizer against its own objective, then the frozen policies are evaluated
-on shared test episodes and *all* of them are scored with the full
-distorted-value model, so the variants are compared on one axis.
+optimizer against its own objective, then its frozen policy is evaluated on
+shared test episodes and scored with the full distorted-value model, so the
+variants are compared on one axis.
 
-The trainings are independent, so with two or more usable CPUs and the
-``fork`` start method, forked worker processes train the later variants while
-the caller trains the first; the simulator is pure Python and holds the
+Training and scoring a variant is one job, and the jobs are independent, so
+with two or more usable CPUs and the ``fork`` start method each job runs in
+its own forked worker process; the simulator is pure Python and holds the
 interpreter lock, so threads could not overlap them.  Each worker sends its
-result back through a pipe, and the first error, in the caller or a worker,
-stops the workers still running.
+result back through a pipe, and the first error to arrive stops the workers
+still running.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import threading
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,7 +40,7 @@ from ._codec import JsonRecord, as_array, as_int, check_fields
 from .estimator import estimate_cpt
 from .envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from .models import CptModel
-from .rng import RootSeed, stream_id, subseed, substream
+from .rng import stream_id, subseed, substream
 from .spsa import BoxConstraint, RunTrace, SpsaSchedules, ascend
 
 __all__ = [
@@ -206,28 +206,20 @@ class ExperimentResult:
 
 
 def _test_scores(
-    config: ExperimentConfig,
-    grid: TrafficGrid,
-    theta: np.ndarray,
-    score_model: CptModel,
-    master: RootSeed,
+    config: ExperimentConfig, grid: TrafficGrid, theta: np.ndarray, score_model: CptModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """CPT-axis scores of a frozen policy over shared test substreams."""
-    mu = config.path_weights()
     policy = BoltzmannSignPolicy(theta, grid)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _SHORT_PATH, RuntimeWarning)
-        per_path = np.asarray([
-            path_cpt_scores(
-                traffic_episode(
-                    grid, policy, config.test_horizon, substream(master, _TEST, rep)
-                ).samples,
-                score_model,
-            )
-            for rep in range(config.test_reps)
-        ])
-    totals = per_path @ np.asarray(mu)
-    return totals, per_path
+    per_path = np.asarray([
+        path_cpt_scores(
+            traffic_episode(
+                grid, policy, config.test_horizon, substream(config.master_seed, _TEST, rep)
+            ).samples,
+            score_model,
+        )
+        for rep in range(config.test_reps)
+    ])
+    return per_path @ np.asarray(config.path_weights()), per_path
 
 
 def _usable_cpus() -> int:
@@ -236,9 +228,9 @@ def _usable_cpus() -> int:
 
 
 def _fork_workers() -> bool:
-    """Whether forked workers can train variants beside the caller.
+    """Whether each variant can run in a forked worker.
 
-    On one CPU they would only take turns with it.  Forking is unsafe while
+    On one CPU the workers would only take turns.  Forking is unsafe while
     other threads may hold locks, and a daemonic process (a
     ``multiprocessing.Pool`` worker) may not have children.
     """
@@ -250,15 +242,17 @@ def _fork_workers() -> bool:
     )
 
 
-def _train_variant(
-    config: ExperimentConfig, grid: TrafficGrid, model: CptModel
-) -> tuple[RunTrace, list[warnings.WarningMessage]]:
-    """Train a policy against ``model``'s objective; the caller or a worker runs this.
+def _run_variant(
+    config: ExperimentConfig, grid: TrafficGrid, name: str
+) -> tuple[RunTrace, np.ndarray, np.ndarray, list[warnings.WarningMessage]]:
+    """Train variant ``name``'s policy, then score it; the caller or a worker runs this.
 
-    Returns the trace and the warnings raised meanwhile, bar the short-path
-    ones, for the caller to re-emit under its own filters.
+    Returns the trace, the test scores (totals and per path) and the warnings
+    raised meanwhile, bar the short-path ones, for the caller to re-emit
+    under its own filters.
     """
-    objective = TrafficObjective(grid, config.path_weights(), model, config.train_horizon)
+    models = config.variant_models()
+    objective = TrafficObjective(grid, config.path_weights(), models[name], config.train_horizon)
     box = BoxConstraint.cube(config.box_lo, config.box_hi, grid.feature_dim)
     theta0 = np.full(grid.feature_dim, config.theta_init)
     # one training stream for all variants: common random numbers make the
@@ -270,39 +264,37 @@ def _train_variant(
         trace = ascend(
             objective, config.schedules, box, theta0, config.train_iters, train_seed
         )
-    return trace, caught
+        totals, per_path = _test_scores(config, grid, trace.final_theta, models["cpt"])
+    return trace, totals, per_path, caught
 
 
 class _WorkerTraceback(Exception):
     """The formatted traceback of an error a worker raised, chained as its cause."""
 
 
-def _train_in_worker(
-    sender: Connection, config: ExperimentConfig, grid: TrafficGrid, model: CptModel
+def _run_in_worker(
+    sender: Connection, config: ExperimentConfig, grid: TrafficGrid, name: str
 ) -> None:
-    """A worker's body: send ``_train_variant``'s result, or the error it raised."""
+    """A worker's body: send ``_run_variant``'s result, or the error it raised."""
     try:
-        reply = (_train_variant(config, grid, model), None, None)
+        reply = (_run_variant(config, grid, name), None, None)
     except Exception as exc:
         reply = (None, exc, "".join(traceback.format_exception(exc)))
     sender.send(reply)
 
 
 def _start_worker(
-    stack: contextlib.ExitStack,
-    config: ExperimentConfig,
-    grid: TrafficGrid,
-    model: CptModel,
+    stack: contextlib.ExitStack, config: ExperimentConfig, grid: TrafficGrid, name: str
 ) -> Connection:
-    """Fork a worker that trains against ``model``; returns the end its reply comes to.
+    """Fork a worker that runs variant ``name``; returns the end its reply comes to.
 
-    ``stack``'s exit stops the worker, so an error in the caller need not
-    wait for the other variants' training.
+    ``stack``'s exit stops the worker, so an error in another variant need
+    not wait for this one.
     """
     fork = multiprocessing.get_context("fork")
     receiver, sender = fork.Pipe(duplex=False)
     worker = fork.Process(
-        target=_train_in_worker, args=(sender, config, grid, model), daemon=True
+        target=_run_in_worker, args=(sender, config, grid, name), daemon=True
     )
     worker.start()
     sender.close()  # so the receiver sees EOF if the worker dies
@@ -313,11 +305,11 @@ def _start_worker(
 
 
 def _received(receiver: Connection, name: str):
-    """A worker's ``_train_variant`` result; re-raises the worker's error here."""
+    """A worker's ``_run_variant`` result; re-raises the worker's error here."""
     try:
         result, error, remote = receiver.recv()
     except EOFError:
-        raise RuntimeError(f"the worker training {name} exited without a result") from None
+        raise RuntimeError(f"the worker running {name} exited without a result") from None
     if error is not None:
         raise error from _WorkerTraceback(remote)
     return result
@@ -333,15 +325,17 @@ def run_experiment(
     ``scores_<variant>.csv`` (columns: replication, cpt_score, path scores)
     and ``trace_<variant>.csv`` once every variant is trained and scored,
     so a run that fails writes none of them.  Outputs are a pure function of
-    the config, so reruns are byte-identical, whichever processes train the
+    the config, so reruns are byte-identical, whichever processes run the
     variants.
 
-    The caller trains ``VARIANTS[0]``; when :func:`_fork_workers` allows,
-    one forked worker per other variant trains it meanwhile and sends the
-    result back through a pipe.  The workers live for this call only, and an
-    error in any variant stops them.  Test scoring, file writing and the
-    re-emission of each variant's training warnings stay in the caller, in
-    ``VARIANTS`` order.
+    Each variant is one job, :func:`_run_variant`, that trains its policy
+    and scores it.  When :func:`_fork_workers` allows, one forked worker per
+    variant runs its job and sends the result back through a pipe; the
+    caller reads the replies as they arrive, so the first error is raised at
+    once and stops the other workers, which live for this call only.
+    Otherwise the caller runs the jobs in turn.  Either way the caller then
+    re-emits each variant's warnings, builds the summary and writes the
+    files, in ``VARIANTS`` order.
     """
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -349,62 +343,52 @@ def run_experiment(
     master = config.master_seed
     grid = TrafficGrid(config.traffic)
     grid.baseline_delays  # simulated once here rather than once per worker
-    mu = config.path_weights()
-    models = config.variant_models()
-    score_model = models["cpt"]
 
-    traces: dict[str, RunTrace] = {}
-    scores: dict[str, np.ndarray] = {}
-    path_scores: dict[str, np.ndarray] = {}
+    with contextlib.ExitStack() as stack:
+        if _fork_workers():
+            pending = {_start_worker(stack, config, grid, name): name for name in VARIANTS}
+            results = {}
+            while pending:
+                for receiver in wait(list(pending)):
+                    name = pending.pop(receiver)
+                    results[name] = _received(receiver, name)
+        else:
+            results = {name: _run_variant(config, grid, name) for name in VARIANTS}
+
     summary: dict = {
         "master_seed": master,
         "config": config.to_dict(),
         "variants": {},
     }
-    # the "default" action's memory: a warning repeated while a variant
-    # trains is shown once
-    reemitted: dict = {}
-    with contextlib.ExitStack() as stack:
-        pending = {}
-        if _fork_workers():
-            pending = {
-                name: _start_worker(stack, config, grid, models[name])
-                for name in VARIANTS[1:]
-            }
-        for name in VARIANTS:
-            trace, caught = (
-                _received(pending[name], name) if name in pending
-                else _train_variant(config, grid, models[name])
+    for name in VARIANTS:
+        trace, totals, _, caught = results[name]
+        # the "default" action's memory, one per variant: a warning repeated
+        # within a variant is shown once
+        registry: dict = {}
+        for w in caught:
+            warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno, registry=registry
             )
-            for w in caught:
-                warnings.warn_explicit(
-                    w.message, w.category, w.filename, w.lineno, registry=reemitted
-                )
-            totals, per_path = _test_scores(
-                config, grid, trace.final_theta, score_model, master
-            )
-            traces[name] = trace
-            scores[name] = totals
-            summary["variants"][name] = {
-                "objective": name,
-                "train_stream": stream_id(master, _TRAIN),
-                "final_theta": [float(v) for v in trace.final_theta],
-                "mean_cpt_score": float(np.mean(totals)),
-                "median_cpt_score": float(np.median(totals)),
-            }
-            path_scores[name] = per_path
+        summary["variants"][name] = {
+            "objective": name,
+            "train_stream": stream_id(master, _TRAIN),
+            "final_theta": [float(v) for v in trace.final_theta],
+            "mean_cpt_score": float(np.mean(totals)),
+            "median_cpt_score": float(np.median(totals)),
+        }
 
     if out_dir is not None:
         for name in VARIANTS:
+            trace, totals, per_path, _ = results[name]
             with open(out_dir / f"scores_{name}.csv", "w", newline="") as fh:
                 header = ["replication", "cpt_score"]
-                header += [f"path_{i}" for i in range(len(mu))]
+                header += [f"path_{i}" for i in range(grid.n_paths)]
                 fh.write(",".join(header) + "\n")
                 for rep in range(config.test_reps):
-                    row = [str(rep), repr(float(scores[name][rep]))]
-                    row += [repr(float(v)) for v in path_scores[name][rep]]
+                    row = [str(rep), repr(float(totals[rep]))]
+                    row += [repr(float(v)) for v in per_path[rep]]
                     fh.write(",".join(row) + "\n")
-            traces[name].write_csv(str(out_dir / f"trace_{name}.csv"))
+            trace.write_csv(str(out_dir / f"trace_{name}.csv"))
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -412,6 +396,6 @@ def run_experiment(
     return ExperimentResult(
         summary=summary,
         out_dir=out_dir,
-        traces=traces,
-        scores=scores,
+        traces={name: results[name][0] for name in VARIANTS},
+        scores={name: results[name][1] for name in VARIANTS},
     )

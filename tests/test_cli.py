@@ -291,7 +291,7 @@ class TestExperimentCommand:
             return real_ascend(objective, *args, **kwargs)
 
         monkeypatch.setattr(harness, "ascend", failing_ascend)
-        # two CPUs train cpt in a worker, which sends its error back
+        # two CPUs run each variant in a worker, which sends its error back
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(config.to_json())

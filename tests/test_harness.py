@@ -252,7 +252,7 @@ class TestRunExperiment:
         def no_training(*args):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(harness, "_train_variant", no_training)
+        monkeypatch.setattr(harness, "_run_variant", no_training)
         monkeypatch.setattr(harness, "_start_worker", no_training)
         taken = tmp_path / "a_file"
         taken.write_text("")
@@ -265,8 +265,9 @@ class TestRunExperiment:
         assert header.startswith("n,theta_0,")
         assert "theta_47" in header
 
-    def test_only_short_path_warnings_are_silenced(self, monkeypatch):
-        short_paths = []
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_only_short_path_warnings_are_silenced(self, cpus, monkeypatch):
+        short_paths = []  # counted in this process only, so on one CPU
         real_scores = harness.path_cpt_scores
         real_composite = harness.composite_cpt
 
@@ -281,6 +282,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "path_cpt_scores", counting_scores)
         monkeypatch.setattr(harness, "composite_cpt", overflowing_composite)
+        _use_cpus(monkeypatch, cpus)
         config = ExperimentConfig(
             master_seed=5, train_iters=1, test_reps=2, train_horizon=3, test_horizon=3
         )
@@ -288,7 +290,8 @@ class TestRunExperiment:
             warnings.simplefilter("always")
             run_experiment(config)
         messages = [str(w.message) for w in caught]
-        assert short_paths, "the config must produce short paths"
+        if cpus == 1:
+            assert short_paths, "the config must produce short paths"
         assert "overflow encountered in exp" in messages
         assert not [m for m in messages if re.match(r"path \d+ has", m)]
 
@@ -303,10 +306,10 @@ class TestRunExperiment:
         grid = TrafficGrid(config.traffic)
         theta = substream(theta_seed).uniform(0.1, 10.0, grid.feature_dim)
         model = config.variant_models()["cpt"]
-        _, per_path = harness._test_scores(config, grid, theta, model, master)
         policy = BoltzmannSignPolicy(theta, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # short paths score 0
+            _, per_path = harness._test_scores(config, grid, theta, model)
             rows = {
                 rep: path_cpt_scores(
                     traffic_episode(grid, policy, 60, substream(master, 1, rep)).samples,
@@ -328,6 +331,16 @@ def _trains(objective, name):
     return objective.model == SMALL.variant_models()[name]
 
 
+def _nan_at_iteration_2(objective):
+    """``objective``, but NaN at its third evaluation, iteration 2's first."""
+    calls = iter(range(1_000))
+
+    def failing(theta, m, rng):
+        return float("nan") if next(calls) == 2 else objective(theta, m, rng)
+
+    return failing
+
+
 def _warn_while_cpt_trains(monkeypatch):
     """Warn, naming the process, when the cpt variant starts training."""
     real_ascend = harness.ascend
@@ -345,7 +358,7 @@ def _output_bytes(out_dir):
 
 
 class TestWorkerTraining:
-    """The variants after the first train in forked workers when CPUs allow."""
+    """Each variant trains and scores in a forked worker when CPUs allow."""
 
     def test_worker_and_caller_paths_write_the_same_bytes(self, tmp_path, monkeypatch):
         real_ascend = harness.ascend
@@ -362,7 +375,7 @@ class TestWorkerTraining:
         _use_cpus(monkeypatch, 2)
         pids.clear()
         workers = run_experiment(SMALL, tmp_path / "workers")
-        assert pids == [os.getpid()]
+        assert pids == []
         assert multiprocessing.active_children() == []
         assert len(_output_bytes(tmp_path / "workers")) == 1 + 2 * len(VARIANTS)
         assert _output_bytes(tmp_path / "workers") == _output_bytes(tmp_path / "caller")
@@ -437,9 +450,36 @@ class TestWorkerTraining:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             run_experiment(SMALL)
-        # once per variant: each variant's warning filters reset the memory
+        # once per variant: each variant's warnings are re-emitted with a memory of their own
         messages = [str(w.message) for w in caught]
         assert messages == ["every training evaluation"] * len(VARIANTS)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scoring_warnings_reach_the_caller_in_variant_order(self, cpus, monkeypatch):
+        real_ascend = harness.ascend
+        real_scores = harness.path_cpt_scores
+
+        def naming_ascend(objective, *args, **kwargs):
+            name = next(v for v in VARIANTS if _trains(objective, v))
+            warnings.warn(f"{name} trains", UserWarning)
+            return real_ascend(objective, *args, **kwargs)
+
+        def warning_scores(*args, **kwargs):
+            warnings.warn("scored", UserWarning)
+            return real_scores(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ascend", naming_ascend)
+        monkeypatch.setattr(harness, "path_cpt_scores", warning_scores)
+        _use_cpus(monkeypatch, cpus)
+        # no training evaluation and one test episode: one scoring per variant
+        config = ExperimentConfig(
+            master_seed=7, train_iters=0, test_reps=1, train_horizon=120, test_horizon=150
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(config)
+        messages = [str(w.message) for w in caught if w.category is UserWarning]
+        assert messages == [m for name in VARIANTS for m in (f"{name} trains", "scored")]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failing", ["avg", "cpt"])
@@ -448,12 +488,7 @@ class TestWorkerTraining:
 
         def failing_ascend(objective, *args, **kwargs):
             if _trains(objective, failing):
-                calls = iter(range(1_000))
-
-                def objective(theta, m, rng, real=objective):
-                    # the third evaluation is iteration 2's first
-                    return float("nan") if next(calls) == 2 else real(theta, m, rng)
-
+                objective = _nan_at_iteration_2(objective)
             return real_ascend(objective, *args, **kwargs)
 
         monkeypatch.setattr(harness, "ascend", failing_ascend)
@@ -464,19 +499,19 @@ class TestWorkerTraining:
         assert [r.n for r in info.value.trace.records] == [1]
         assert multiprocessing.active_children() == []
 
-    def test_caller_error_stops_the_workers(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["avg", "cpt"])
+    def test_first_error_stops_the_other_workers(self, failing, monkeypatch):
         real_ascend = harness.ascend
 
         def ascend(objective, *args, **kwargs):
-            if _trains(objective, "avg"):
-                raise ValueError("avg failed")
-            time.sleep(60)  # eut and cpt, in the workers
-            return real_ascend(objective, *args, **kwargs)
+            if not _trains(objective, failing):
+                time.sleep(60)
+            return real_ascend(_nan_at_iteration_2(objective), *args, **kwargs)
 
         monkeypatch.setattr(harness, "ascend", ascend)
         _use_cpus(monkeypatch, 2)
         started = time.monotonic()
-        with pytest.raises(ValueError, match="avg failed"):
+        with pytest.raises(OptimizationError, match="returned nan at iteration 2"):
             run_experiment(SMALL)
         assert time.monotonic() - started < 10.0
         assert multiprocessing.active_children() == []
@@ -506,6 +541,6 @@ class TestWorkerTraining:
 
         monkeypatch.setattr(harness, "ascend", ascend)
         _use_cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="worker training cpt exited without a result"):
+        with pytest.raises(RuntimeError, match="worker running cpt exited without a result"):
             run_experiment(SMALL)
         assert multiprocessing.active_children() == []
