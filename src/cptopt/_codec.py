@@ -9,16 +9,23 @@ spellings of one field in one object are an error.
 
 Reading is strict, as these documents come from files: an unknown key, or a
 value whose JSON type does not fit the field's annotation, raises ValueError
-naming the key.  ``int`` takes an integer, ``float`` any finite number within
-the float range (neither takes a bool), ``str`` a string, ``Optional`` also
-``null``, a tuple an array of its length (any length for ``tuple[X, ...]``), a
-dataclass an object.
-Nothing is coerced: an integer read for a float field is written back
-as an integer.  Keys left out take the field's default.  Construction applies
-the same ``int``/``float`` rules: :func:`check_fields` comes first in each
-config dataclass's ``__post_init__``, and stores a numpy scalar as the equal
-Python int or float, so every record can be written.  Array arguments have
-one rule too, :func:`as_array`: integer and float arrays, read as float64.
+naming the key, and a tuple's item by index (``ExperimentConfig.mu[3]``).
+``int`` takes an integer, ``float`` any finite number within the float range
+(neither takes a bool), ``str`` a string, ``Optional`` also ``null``, a tuple
+an array of its length (any length for ``tuple[X, ...]``), a dataclass an
+object.  Nothing is coerced: an integer read for a float field is written back
+as an integer.  Keys left out take the field's default.
+
+Construction applies every one of these rules, through the same walker:
+:func:`check_fields` comes first in each config dataclass's ``__post_init__``
+and names the field, and a tuple's item by index (``lo[0]``).  There a tuple
+also takes a numpy array, a nested config must already be an instance of its
+class (only reading turns an object into one), and a value of the wrong type
+raises TypeError where reading raises ValueError (a non-finite number, or an
+integer beyond the float range, raises ValueError in both).  A numpy scalar
+is stored as the equal Python int or float, so every record can be written
+and read back.  Array arguments have one rule too, :func:`as_array`: integer
+and float arrays, read as float64.
 """
 
 from __future__ import annotations
@@ -117,21 +124,42 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
 _CHECKS = {int: as_int, float: as_float}
 
 
-def _check_value(tp: Any, name: str, value: Any) -> Any:
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...], nested or not
-        return tuple(_check_value(typing.get_args(tp)[0], name, v) for v in value)
-    return _CHECKS[tp](name, value) if tp in _CHECKS else value
+def _checked(tp: Any, value: Any, name: str) -> Any:
+    """``value`` checked against the annotation ``tp``; an error names ``name``.
+
+    ``Optional[X]`` also takes ``None``; a tuple takes a list, tuple or numpy
+    array of its length (any length for ``tuple[X, ...]``) and checks each item
+    as ``name[i]``; ``int`` and ``float`` go through :func:`as_int` and
+    :func:`as_float`; ``str`` or a dataclass takes an instance.  A value of the
+    wrong type, or an array of the wrong length, raises TypeError.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _checked(args[0], value, name)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
+            size = "" if variadic else f" of {len(args)}"
+            raise TypeError(f"{name} must be an array{size}, got {value!r}")
+        items = args[:1] * len(value) if variadic else args
+        return tuple(
+            _checked(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(zip(items, value))
+        )
+    if tp in _CHECKS:
+        return _CHECKS[tp](name, value)
+    if not isinstance(value, tp):  # a str or a nested config dataclass
+        kind = "string" if tp is str else tp.__name__
+        raise TypeError(f"{name} must be a {kind}, got {value!r}")
+    return value
 
 
 def check_fields(record: Any) -> None:
-    """Pass each ``int``/``float`` field of the dataclass ``record``, and each item of
-    a (nested) tuple of either, through :func:`as_int`/:func:`as_float`, in place."""
+    """Pass each field of the dataclass ``record`` through :func:`_checked`, in place."""
     hints = _type_hints(type(record))
     for f in dataclasses.fields(record):
-        tp, value = hints[f.name], getattr(record, f.name)
-        if typing.get_origin(tp) is typing.Union and value is not None:  # Optional[X]
-            tp = typing.get_args(tp)[0]
-        object.__setattr__(record, f.name, _check_value(tp, f.name, value))
+        value = _checked(hints[f.name], getattr(record, f.name), f.name)
+        object.__setattr__(record, f.name, value)
 
 
 def _json_key(f: dataclasses.Field) -> str:
@@ -148,7 +176,12 @@ def encode(value: Any) -> Any:
 
 
 def decode(cls: type, data: Any, what: str) -> Any:
-    """Instance of the dataclass ``cls`` from the JSON object ``data``."""
+    """Instance of the dataclass ``cls`` from the JSON object ``data``.
+
+    A nested object is decoded into its field's dataclass; then each value
+    goes through :func:`_checked`, named ``what.key``, and a TypeError it
+    raises is reported as a ValueError.
+    """
     hints = _type_hints(cls)
     by_key = {}
     for f in dataclasses.fields(cls):
@@ -156,38 +189,18 @@ def decode(cls: type, data: Any, what: str) -> Any:
             by_key[key] = f
     kwargs: dict[str, Any] = {}
     for key, value in checked_keys(what, data, by_key).items():
-        name = by_key[key].name
+        name, where = by_key[key].name, f"{what}.{key}"
         if name in kwargs:
             spellings = " or ".join(repr(k) for k in data if by_key[k].name == name)
             raise ValueError(f"give {spellings}, not both")
-        kwargs[name] = _decode_value(hints[name], value, f"{what}.{key}")
+        tp = hints[name]
+        if dataclasses.is_dataclass(tp):
+            value = decode(tp, value, where)
+        try:
+            kwargs[name] = _checked(tp, value, where)
+        except TypeError as exc:  # reading reports every bad value as a ValueError
+            raise ValueError(str(exc)) from None
     return cls(**kwargs)
-
-
-def _decode_value(tp: Any, value: Any, where: str) -> Any:
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _decode_value(tp, value, where)
-    if dataclasses.is_dataclass(tp):
-        return decode(tp, value, where)
-    if origin is tuple:
-        variadic = args[-1] is Ellipsis
-        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
-            size = "" if variadic else f" of {len(args)}"
-            raise ValueError(f"{where} must be an array{size}, got {value!r}")
-        items = args[:1] * len(value) if variadic else args
-        return tuple(
-            _decode_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))
-        )
-    if tp is str and not isinstance(value, str):
-        raise ValueError(f"{where} must be a string, got {value!r}")
-    try:
-        return value if tp is str else _CHECKS[tp](where, value)
-    except TypeError as exc:  # reading reports every bad value as a ValueError
-        raise ValueError(str(exc)) from None
 
 
 class JsonRecord:

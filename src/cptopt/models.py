@@ -225,6 +225,9 @@ class CptModel(JsonRecord):
     weight_plus: WeightSpec = WeightSpec()
     weight_minus: WeightSpec = WeightSpec()
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @classmethod
     def identity(cls, reference: float = 0.0) -> "CptModel":
         """Undistorted model; the value functional reduces to E[X - reference]."""

@@ -214,7 +214,7 @@ class TestSspEpisode:
             )
 
     def test_non_finite_features_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="features must be finite"):
+        with pytest.raises(ValueError, match=r"^features\[0\]\[0\]\[0\] must be finite"):
             SspMdp(
                 transitions=(((1.0, 0.0), (0.5, 0.5)),),
                 rewards=((0.0, 1.0),),
@@ -222,7 +222,7 @@ class TestSspEpisode:
             )
 
     def test_nan_kernel_entry_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="transitions must be finite"):
+        with pytest.raises(ValueError, match=r"^transitions\[0\]\[1\]\[0\] must be finite"):
             SspMdp(
                 transitions=(((1.0, 0.0), (np.nan, 1.0)),),
                 rewards=((0.0, 1.0),),

@@ -147,7 +147,7 @@ class TestExperimentConfig:
     )
     def test_mu_must_be_a_distribution(self, mu):
         finite = not np.isnan(mu).any()
-        message = "mu must be nonnegative and sum to 1" if finite else "mu must be finite"
+        message = "mu must be nonnegative and sum to 1" if finite else r"mu\[0\] must be finite"
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(mu=mu)
 

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import types
 from pathlib import Path
 
@@ -92,16 +93,18 @@ class TestTopology:
             TrafficConfig(service_rate=2, switch_loss=3)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, where",
         [
-            ("rows", 1.5), ("cols", 2.0), ("burst_size", 1.5), ("service_rate", 2.5),
-            ("switch_loss", 0.5), ("baseline_seed", 1.5), ("baseline_cycle", 3.0),
-            ("baseline_horizon", 2000.0), ("timer_bin", 2.5), ("queue_bins", (4.5, 12)),
-            ("rows", True), ("service_rate", np.True_), ("queue_bins", (4, True)),
+            ("rows", 1.5, "rows"), ("cols", 2.0, "cols"), ("burst_size", 1.5, "burst_size"),
+            ("service_rate", 2.5, "service_rate"), ("switch_loss", 0.5, "switch_loss"),
+            ("baseline_seed", 1.5, "baseline_seed"), ("baseline_cycle", 3.0, "baseline_cycle"),
+            ("baseline_horizon", 2000.0, "baseline_horizon"), ("timer_bin", 2.5, "timer_bin"),
+            ("queue_bins", (4.5, 12), "queue_bins[0]"), ("rows", True, "rows"),
+            ("service_rate", np.True_, "service_rate"), ("queue_bins", (4, True), "queue_bins[1]"),
         ],
     )
-    def test_non_integer_in_an_int_field_is_rejected(self, field, value):
-        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+    def test_non_integer_in_an_int_field_is_rejected(self, field, value, where):
+        with pytest.raises(TypeError, match=rf"^{re.escape(where)} must be an integer"):
             TrafficConfig(**{field: value})
 
     def test_integer_like_fields_are_stored_as_int(self):

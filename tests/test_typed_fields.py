@@ -133,7 +133,8 @@ def test_bad_field_value_is_rejected_naming_the_field(case, bad):
     cls, name, tp, depth = case
     record = VALID[cls]()
     error = ValueError if tp is float and isinstance(bad, float) else TypeError
-    with pytest.raises(error, match=rf"^{name} must be "):
+    # a tuple item is named by its index, ``lo[0]``
+    with pytest.raises(error, match=rf"^{re.escape(name + '[0]' * depth)} must be "):
         replaced(record, name, bad, depth)
 
 
@@ -421,6 +422,76 @@ def test_float_asarray_pattern():
         assert _FLOAT_ASARRAY.search(text), text
     for text in ("np.asarray(x)", "np.asarray(x, dtype=np.float32)", "np.asarray(x) + float(y)"):
         assert not _FLOAT_ASARRAY.search(text), text
+
+
+# construction applies reading's rules to tuples, strings and nested configs;
+# each case once built (or failed later, far from the field) at construction
+WRONG_SHAPE_OR_TYPE = {
+    "three queue bins": (
+        lambda: TrafficConfig(queue_bins=[4, 12, 20]),
+        "queue_bins must be an array of 2, got [4, 12, 20]",
+    ),
+    "one queue bin": (
+        lambda: TrafficConfig(queue_bins=[4]), "queue_bins must be an array of 2, got [4]"
+    ),
+    "a bare queue bin": (
+        lambda: TrafficConfig(queue_bins=5), "queue_bins must be an array of 2, got 5"
+    ),
+    "a string of rates": (
+        lambda: TrafficConfig(arrival_rates="0.5"), "arrival_rates must be an array, got '0.5'"
+    ),
+    "traffic as a dict": (
+        lambda: ExperimentConfig(traffic={"rows": 3}),
+        "traffic must be a TrafficConfig, got {'rows': 3}",
+    ),
+    "no schedules": (
+        lambda: ExperimentConfig(schedules=None), "schedules must be a SpsaSchedules, got None"
+    ),
+    "no utility": (lambda: CptModel(utility=None), "utility must be a UtilitySpec, got None"),
+    "a utility for a weight": (
+        lambda: CptModel(weight_plus=UtilitySpec()),
+        f"weight_plus must be a WeightSpec, got {UtilitySpec()!r}",
+    ),
+    "a numeric kind": (lambda: WeightSpec(kind=1), "kind must be a string, got 1"),
+    "a bare bound": (lambda: BoxConstraint(0.0, (1.0,)), "lo must be an array, got 0.0"),
+    "a bare reward row": (
+        lambda: dataclasses.replace(two_state_chain(), rewards=(1.0,)),
+        "rewards[0] must be an array, got 1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPE_OR_TYPE)
+def test_wrong_shape_or_type_fails_at_construction_naming_the_field(case):
+    build, message = WRONG_SHAPE_OR_TYPE[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+# the same values read from JSON: the same message, after the record's name
+READ_AS_CONSTRUCTED = {
+    "three queue bins": (TrafficConfig, {"queue_bins": [4, 12, 20]}),
+    "one queue bin": (TrafficConfig, {"queue_bins": [4]}),
+    "a bare queue bin": (TrafficConfig, {"queue_bins": 5}),
+    "a string of rates": (TrafficConfig, {"arrival_rates": "0.5"}),
+    "a numeric kind": (WeightSpec, {"kind": 1}),
+}
+
+
+@pytest.mark.parametrize("case", READ_AS_CONSTRUCTED)
+def test_reading_and_construction_give_one_message(case):
+    cls, doc = READ_AS_CONSTRUCTED[case]
+    message = f"{cls.__name__}.{WRONG_SHAPE_OR_TYPE[case][1]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.from_dict(doc)
+
+
+def test_tuple_fields_take_lists_and_arrays():
+    config = TrafficConfig(queue_bins=[4, 12], arrival_rates=np.array([0.5, 0.5, 0.25, 0.25]))
+    assert config.queue_bins == (4, 12) and config.arrival_rates == (0.5, 0.5, 0.25, 0.25)
+    assert TrafficConfig.from_json(config.to_json()) == config
+    box = BoxConstraint(np.zeros(2, np.float32), np.array([1, 2]))
+    assert box.lo == (0.0, 0.0) and [type(v) for v in box.hi] == [int, int]
 
 
 def test_nested_tuple_items_are_stored_as_python_numbers():
