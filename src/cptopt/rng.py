@@ -8,8 +8,8 @@ evaluated in any order or in parallel without changing results.
 
 The stream of ``substream(root, *path)`` is, bit for bit, numpy's
 ``default_rng(SeedSequence(entropy, spawn_key=key + path))``, where
-``entropy`` and ``key`` are the root's (an int root, taken through
-``operator.index`` as path elements are, has an empty key).  The
+``entropy`` and ``key`` are the root's (an int root, read as an integer like
+the path elements, so that a bool is refused, has an empty key).  The
 seed sequence's mixing is done here, in Python, on 32-bit integer words; it
 is the algorithm numpy documents as stable across versions (the hashmix and
 mix constants, a pool of four words, and the entropy zero-padded to the pool
@@ -35,6 +35,8 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
+
+from ._codec import as_int
 
 RootSeed = Union[int, np.random.SeedSequence]
 
@@ -164,14 +166,20 @@ def _state_words64(pool: tuple, n: int) -> list[int]:
 
 
 def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
-    """The root's entropy and the full spawn key ``root key + path``."""
+    """The root's entropy and the full spawn key ``root key + path``.
+
+    An int root and each path element are read by :func:`as_int`, so a bool
+    or a float raises TypeError; a negative one raises ValueError.
+    """
     if isinstance(root, np.random.SeedSequence):
         entropy, key = root.entropy, root.spawn_key
     else:
-        entropy, key = operator.index(root), ()
+        # an exact int, the usual root and path element, is read as given
+        entropy, key = root if type(root) is int else as_int("root", root), ()
         if entropy < 0:
             raise ValueError("expected non-negative integer")
-    path = tuple(map(operator.index, path))
+    if not all(type(p) is int for p in path):
+        path = tuple([as_int(f"path[{i}]", p) for i, p in enumerate(path)])
     if path and min(path) < 0:
         raise ValueError("expected non-negative integer")
     return entropy, key + path
@@ -207,10 +215,8 @@ class _StreamSeed(ISpawnableSeedSequence):
 
 def subseed(root: RootSeed, *path: int) -> np.random.SeedSequence:
     """Derive the seed sequence for ``path`` under ``root``."""
-    if isinstance(root, np.random.SeedSequence):
-        key = tuple(root.spawn_key) + tuple(path)
-        return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
-    return np.random.SeedSequence(entropy=operator.index(root), spawn_key=tuple(path))
+    entropy, key = _address(root, path)
+    return np.random.SeedSequence(entropy=entropy, spawn_key=key)
 
 
 def substream(root: RootSeed, *path: int) -> np.random.Generator:

@@ -112,12 +112,38 @@ def test_float_root_rejected(root):
             derive(root, 1)
 
 
-@pytest.mark.parametrize("root", [3, np.int64(3), np.uint32(3), True])
+@pytest.mark.parametrize("element", [3.7, 3.0, np.float64(3.0)])
+def test_float_path_element_rejected(element):
+    for derive in (substream, stream_id, subseed):
+        with pytest.raises(TypeError, match=r"^path\[1\] must be an integer"):
+            derive(3, 1, element)
+
+
+@pytest.mark.parametrize(
+    "root, path, name",
+    [(True, (1,), "root"), (np.True_, (1,), "root"), (1, (True,), r"path\[0\]"),
+     (np.random.SeedSequence(1), (2, False), r"path\[1\]")],
+)
+def test_bool_root_or_path_element_rejected(root, path, name):
+    # True once addressed root 1's stream, as "1:1"
+    for derive in (substream, stream_id, subseed):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            derive(root, *path)
+
+
+@pytest.mark.parametrize("root", [3, np.int64(3), np.uint32(3)])
 def test_integer_roots_address_their_int_value(root):
     value = int(root)
     assert stream_id(root, 1) == f"{value}:1"
     assert_same_stream(substream(root, 1), reference_rng(value, (), (1,)))
     assert subseed(root, 1).entropy == value
+
+
+def test_integer_like_path_elements_address_their_int_value():
+    path = (np.int64(3), np.uint8(2))
+    assert stream_id(5, *path) == "5:3,2"
+    assert_same_stream(substream(5, *path), reference_rng(5, (), (3, 2)))
+    assert subseed(5, *path).spawn_key == (3, 2)
 
 
 def test_subseed_is_a_seed_sequence():
