@@ -101,7 +101,8 @@ class TrafficObjective:
     The optimizer's per-trajectory sample budget ``m`` is read as simulation
     steps: the evaluator runs ``ceil(m / horizon)`` fixed-horizon episodes and
     pools their per-path delay samples, so a growing batch schedule tightens
-    the value estimates as training progresses.
+    the value estimates as training progresses.  As for
+    ``ReturnEnv.sample_returns``, ``m`` must be at least 1.
     """
 
     def __init__(
@@ -123,7 +124,10 @@ class TrafficObjective:
 
     def __call__(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
         policy = BoltzmannSignPolicy(theta, self.grid)
-        episodes = max(1, -(-as_int("m", m) // self.horizon))
+        m = as_int("m", m)
+        if m < 1:
+            raise ValueError("need at least one sample")
+        episodes = -(-m // self.horizon)
         pooled: list[list[float]] = [[] for _ in range(self.grid.n_paths)]
         for _ in range(episodes):
             episode = traffic_episode(self.grid, policy, self.horizon, rng)

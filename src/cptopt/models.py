@@ -196,6 +196,7 @@ class WeightSpec(JsonRecord):
         return out
 
     def __call__(self, p: float) -> float:
+        p = as_float("p", p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], got {p}")
         return float(self.apply(np.asarray(p)))

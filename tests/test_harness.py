@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptopt import CptModel, composite_cpt, estimate_cpt, harness
+from cptopt import CptModel, GaussianMeanEnv, composite_cpt, estimate_cpt, harness
 from cptopt.envs.traffic import BoltzmannSignPolicy, TrafficConfig, TrafficGrid, traffic_episode
 from cptopt.harness import (
     ExperimentConfig,
@@ -24,7 +24,7 @@ from cptopt.harness import (
     run_experiment,
 )
 from cptopt.rng import substream
-from cptopt.spsa import OptimizationError, SpsaSchedules
+from cptopt.spsa import OptimizationError, SpsaSchedules, return_evaluator
 
 IDENTITY = CptModel.identity()
 
@@ -191,6 +191,18 @@ class TestTrafficObjective:
         theta = np.ones(objective.grid.feature_dim)
         with pytest.raises(TypeError, match="m must be an integer"):
             objective(theta, m, substream(0))
+
+    @pytest.mark.parametrize("m", [0, -5])
+    @pytest.mark.parametrize("evaluator", ["return_evaluator", "TrafficObjective"])
+    def test_batch_below_one_rejected_by_both_evaluators(self, evaluator, m):
+        # the traffic objective once ran one episode for any m below 1
+        if evaluator == "return_evaluator":
+            evaluate, dim = return_evaluator(GaussianMeanEnv(), IDENTITY), 1
+        else:
+            evaluate = TrafficObjective(TrafficGrid(TrafficConfig()), (0.25,) * 4, IDENTITY, 10)
+            dim = evaluate.grid.feature_dim
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            evaluate(np.ones(dim), m, substream(0))
 
     @pytest.mark.parametrize("mu", [(0.5, 0.5), (0.2,) * 5])
     def test_path_weight_count_must_match_grid(self, mu):

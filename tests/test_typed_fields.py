@@ -220,6 +220,7 @@ ARGUMENTS = {
         0.1, 0.1, 1, v
     ),
     "GaussianMeanEnv.noise_std": lambda v: GaussianMeanEnv(noise_std=v),
+    "WeightSpec.p": lambda v: WeightSpec.tversky_kahneman(0.61)(v),
 }
 
 
