@@ -119,7 +119,7 @@ class DiscreteDist:
         if np.any(ps < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(ps.sum() - 1.0) > _PROB_ATOL:
-            raise ValueError(f"probabilities must sum to 1, got {ps.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(ps.sum())!r}")
         order = np.argsort(xs, kind="stable")
         xs, ps = xs[order], ps[order]
         first = np.concatenate(([True], xs[1:] != xs[:-1]))

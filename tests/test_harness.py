@@ -1,5 +1,6 @@
 """Composite objective and the avg/eut/cpt experiment pipeline."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -270,6 +271,17 @@ class TestRunExperiment:
         taken.write_text("")
         with pytest.raises(FileExistsError):
             run_experiment(SMALL, taken)
+
+    def test_non_uniform_path_weights_weight_each_path_score(self, tmp_path):
+        mu = (0.1, 0.2, 0.3, 0.4)
+        result = run_experiment(dataclasses.replace(SMALL, mu=mu), tmp_path)
+        for name in VARIANTS:
+            table = np.loadtxt(tmp_path / f"scores_{name}.csv", delimiter=",", skiprows=1)
+            totals, per_path = table[:, 1], table[:, 2:]
+            np.testing.assert_array_equal(totals, per_path @ np.asarray(mu))
+            np.testing.assert_array_equal(totals, result.scores[name])
+            # the uniform weights would have given other totals
+            assert not np.array_equal(totals, per_path @ np.full(4, 0.25))
 
     def test_trace_csv_dimension(self, tmp_path):
         run_experiment(SMALL, tmp_path)
