@@ -196,7 +196,6 @@ class TestTrafficObjective:
     @pytest.mark.parametrize("m", [0, -5])
     @pytest.mark.parametrize("evaluator", ["return_evaluator", "TrafficObjective"])
     def test_batch_below_one_rejected_by_both_evaluators(self, evaluator, m):
-        # the traffic objective once ran one episode for any m below 1
         if evaluator == "return_evaluator":
             evaluate, dim = return_evaluator(GaussianMeanEnv(), IDENTITY), 1
         else:

@@ -425,8 +425,8 @@ def test_float_asarray_pattern():
         assert not _FLOAT_ASARRAY.search(text), text
 
 
-# construction applies reading's rules to tuples, strings and nested configs;
-# each case once built (or failed later, far from the field) at construction
+# construction applies reading's rules to tuples, strings and nested configs,
+# so each case fails there, naming the field
 WRONG_SHAPE_OR_TYPE = {
     "three queue bins": (
         lambda: TrafficConfig(queue_bins=[4, 12, 20]),
