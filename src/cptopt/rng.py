@@ -18,7 +18,15 @@ four words the pool absorbs one word at a time, so the pool and hash
 constant reached after the entropy and all but the last key element are
 shared by every sibling stream.  They are kept in a small dict (cleared when
 full), and a stream costs the last element's mixing plus the eight state
-words that numpy's ``PCG64`` seeds itself from.
+words that numpy's ``PCG64`` seeds itself from (four 64-bit words, whose hash
+constants are computed at import).
+
+An optimizer iteration draws from the streams ``substream(seed, n, role)``
+of its roles (perturbation, then one per objective evaluation).
+:func:`_role_streams` derives them in one pass: the address and the state
+after ``(seed, n)`` are worked out once per iteration, and each role then
+costs one absorbed word, its four seeding words and the ``Generator``.  The
+streams are those of :func:`substream`, bit for bit.
 
 ``substream(...).bit_generator.seed_seq`` is not a
 ``SeedSequence`` but a lighter :class:`numpy.random.bit_generator.
@@ -34,6 +42,7 @@ import operator
 from typing import Optional, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from ._codec import as_int
@@ -78,24 +87,41 @@ def _entropy_words(entropy) -> tuple[int, ...]:
     return tuple(w for part in entropy for w in _entropy_words(part))
 
 
-def _absorb(pool: tuple, h: int, word: int) -> tuple[tuple, int]:
-    """Mix one more word into every pool entry (the tail of numpy's mix_entropy)."""
-    out = []
-    for x in pool:
-        v = word ^ h
-        h = (h * _MULT_A) & _MASK32
-        v = (v * h) & _MASK32
-        v ^= v >> _XSHIFT
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * v) & _MASK32
-        out.append(r ^ (r >> _XSHIFT))
-    return tuple(out), h
+def _chain(h: int) -> tuple[int, int, int, int, int]:
+    """The hash constant ``h`` and the four it steps through while a word is
+    absorbed; they do not depend on the word or the pool."""
+    h1 = (h * _MULT_A) & _MASK32
+    h2 = (h1 * _MULT_A) & _MASK32
+    h3 = (h2 * _MULT_A) & _MASK32
+    return h, h1, h2, h3, (h3 * _MULT_A) & _MASK32
+
+
+def _absorb(pool: tuple, chain: tuple, word: int) -> tuple:
+    """Mix one more word into every pool entry (the tail of numpy's
+    mix_entropy), unrolled over the four entries; ``chain`` is
+    :func:`_chain` of the hash constant, and its last entry the next one."""
+    a, b, c, d = pool
+    h0, h1, h2, h3, h4 = chain
+    v = ((word ^ h0) * h1) & _MASK32
+    r = (_MIX_MULT_L * a - _MIX_MULT_R * (v ^ (v >> _XSHIFT))) & _MASK32
+    a = r ^ (r >> _XSHIFT)
+    v = ((word ^ h1) * h2) & _MASK32
+    r = (_MIX_MULT_L * b - _MIX_MULT_R * (v ^ (v >> _XSHIFT))) & _MASK32
+    b = r ^ (r >> _XSHIFT)
+    v = ((word ^ h2) * h3) & _MASK32
+    r = (_MIX_MULT_L * c - _MIX_MULT_R * (v ^ (v >> _XSHIFT))) & _MASK32
+    c = r ^ (r >> _XSHIFT)
+    v = ((word ^ h3) * h4) & _MASK32
+    r = (_MIX_MULT_L * d - _MIX_MULT_R * (v ^ (v >> _XSHIFT))) & _MASK32
+    return a, b, c, r ^ (r >> _XSHIFT)
 
 
 def _extend(state: tuple[tuple, int], element: int) -> tuple[tuple, int]:
     """Mix the words of one key element into a (pool, hash constant) state."""
     pool, h = state
     for w in _words(element):
-        pool, h = _absorb(pool, h, w)
+        chain = _chain(h)
+        pool, h = _absorb(pool, chain, w), chain[-1]
     return pool, h
 
 
@@ -118,10 +144,10 @@ def _root_state(words: tuple[int, ...]) -> tuple[tuple, int]:
                 v ^= v >> _XSHIFT
                 r = (_MIX_MULT_L * mixer[dst] - _MIX_MULT_R * v) & _MASK32
                 mixer[dst] = r ^ (r >> _XSHIFT)
-    pool = tuple(mixer)
+    state = tuple(mixer), h
     for w in words[_POOL_SIZE:]:
-        pool, h = _absorb(pool, h, w)
-    return pool, h
+        state = _extend(state, w)
+    return state
 
 
 def _prefix_state(entropy, prefix: tuple[int, ...]) -> tuple[tuple, int]:
@@ -139,10 +165,23 @@ def _prefix_state(entropy, prefix: tuple[int, ...]) -> tuple[tuple, int]:
     return state
 
 
-# hash constants of numpy's generate_state, (before, after) for the low and
-# the high half of each 64-bit word; they do not depend on the pool.  The
-# table grows by rebinding a new tuple, so no thread sees it half built.
+def _hash_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Hash constants of numpy's generate_state, (before, after) for the low
+    and the high half of each of ``n`` 64-bit words; they do not depend on
+    the pool."""
+    table, h = [], _INIT_B
+    for _ in range(n):
+        h1 = (h * _MULT_B) & _MASK32
+        h2 = (h1 * _MULT_B) & _MASK32
+        table.append((h, h1, h1, h2))
+        h = h2
+    return tuple(table)
+
+
+# the table for any n, grown by rebinding a new tuple, so no thread sees it
+# half built; and the four words PCG64 seeds itself from, made at import
 _STATE_HASHES: tuple[tuple[int, int, int, int], ...] = ()
+_SEED_HASHES = _hash_table(4)
 
 
 def _state_words64(pool: tuple, n: int) -> list[int]:
@@ -150,19 +189,31 @@ def _state_words64(pool: tuple, n: int) -> list[int]:
     global _STATE_HASHES
     hashes = _STATE_HASHES
     if len(hashes) < n:
-        table, h = [], _INIT_B
-        for _ in range(n):
-            h1 = (h * _MULT_B) & _MASK32
-            h2 = (h1 * _MULT_B) & _MASK32
-            table.append((h, h1, h1, h2))
-            h = h2
-        _STATE_HASHES = hashes = tuple(table)
+        _STATE_HASHES = hashes = _hash_table(n)
     out = []
     for i, (lo_before, lo_after, hi_before, hi_after) in enumerate(hashes[:n]):
         lo = ((pool[(2 * i) % _POOL_SIZE] ^ lo_before) * lo_after) & _MASK32
         hi = ((pool[(2 * i + 1) % _POOL_SIZE] ^ hi_before) * hi_after) & _MASK32
         out.append((lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32))
     return out
+
+
+def _seed_words(pool: tuple) -> np.ndarray:
+    """``generate_state(4, np.uint64)``, the one call ``PCG64`` makes,
+    unrolled: word i reads pool entries 2i and 2i + 1, modulo the pool size."""
+    a, b, c, d = pool
+    (lb0, la0, hb0, ha0), (lb1, la1, hb1, ha1), (lb2, la2, hb2, ha2), (lb3, la3, hb3, ha3) = (
+        _SEED_HASHES
+    )
+    lo, hi = ((a ^ lb0) * la0) & _MASK32, ((b ^ hb0) * ha0) & _MASK32
+    w0 = (lo ^ (lo >> _XSHIFT)) | (hi ^ (hi >> _XSHIFT)) << 32
+    lo, hi = ((c ^ lb1) * la1) & _MASK32, ((d ^ hb1) * ha1) & _MASK32
+    w1 = (lo ^ (lo >> _XSHIFT)) | (hi ^ (hi >> _XSHIFT)) << 32
+    lo, hi = ((a ^ lb2) * la2) & _MASK32, ((b ^ hb2) * ha2) & _MASK32
+    w2 = (lo ^ (lo >> _XSHIFT)) | (hi ^ (hi >> _XSHIFT)) << 32
+    lo, hi = ((c ^ lb3) * la3) & _MASK32, ((d ^ hb3) * ha3) & _MASK32
+    w3 = (lo ^ (lo >> _XSHIFT)) | (hi ^ (hi >> _XSHIFT)) << 32
+    return np.array([w0, w1, w2, w3], np.uint64)
 
 
 def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
@@ -188,16 +239,15 @@ def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
 class _StreamSeed(ISpawnableSeedSequence):
     """Mixed pool of one substream, in the role numpy's SeedSequence plays."""
 
-    def __init__(self, entropy, spawn_key: tuple[int, ...]):
+    def __init__(self, entropy, spawn_key: tuple[int, ...], pool: tuple):
         self.entropy = entropy
         self.spawn_key = spawn_key
-        state = _prefix_state(entropy, spawn_key[:-1])
-        if spawn_key:
-            state = _extend(state, spawn_key[-1])
-        self._pool = state[0]
+        self._pool = pool
         self._spawner: Optional[np.random.SeedSequence] = None
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # the one call PCG64 makes
+            return _seed_words(self._pool)
         dtype = np.dtype(dtype)
         if dtype == np.uint64:
             return np.array(_state_words64(self._pool, n_words), np.uint64)
@@ -221,7 +271,24 @@ def subseed(root: RootSeed, *path: int) -> np.random.SeedSequence:
 
 def substream(root: RootSeed, *path: int) -> np.random.Generator:
     """Generator for the substream addressed by ``path`` under ``root``."""
-    return np.random.Generator(np.random.PCG64(_StreamSeed(*_address(root, path))))
+    entropy, key = _address(root, path)
+    state = _prefix_state(entropy, key[:-1])
+    if key:
+        state = _extend(state, key[-1])
+    return Generator(PCG64(_StreamSeed(entropy, key, state[0])))
+
+
+def _role_streams(root: RootSeed, n: int, count: int) -> list[np.random.Generator]:
+    """``[substream(root, n, r) for r in range(count)]`` in one pass: the
+    address and the ``(root, n)`` prefix state are worked out once, and each
+    role (one word, ``r < 2**32``) costs one more absorbed word."""
+    entropy, key = _address(root, (n,))
+    pool, h = _extend(_prefix_state(entropy, key[:-1]), key[-1])
+    chain = _chain(h)
+    return [
+        Generator(PCG64(_StreamSeed(entropy, key + (r,), _absorb(pool, chain, r))))
+        for r in range(count)
+    ]
 
 
 def stream_id(root: RootSeed, *path: int) -> str:

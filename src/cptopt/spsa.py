@@ -24,7 +24,10 @@ with :func:`return_evaluator`.
 
 Randomness is drawn from counter-based substreams keyed by
 (iteration, role), so the per-iteration evaluations could run concurrently
-without changing any result.
+without changing any result.  Each iteration derives all its role streams,
+``substream(seed, n, role)``, in one pass (:func:`cptopt.rng._role_streams`):
+the seed's address and the state after ``(seed, n)`` are worked out once,
+then each role adds one word.
 
 The Newton step's Cholesky solve calls LAPACK through ``scipy.linalg``,
 imported on its first call; the gradient optimizer needs only numpy.
@@ -57,7 +60,7 @@ from numpy.linalg import LinAlgError
 from ._codec import _type_hints, as_array, as_float, as_int, check_fields, check_finite
 from .estimator import estimate_cpt
 from .models import CptModel
-from .rng import RootSeed, substream
+from .rng import RootSeed, _role_streams
 
 __all__ = [
     "BoxConstraint",
@@ -262,29 +265,31 @@ class RunTrace:
             len(self.final_theta) if self.final_theta is not None else 0
         )
         hints = _type_hints(IterationRecord)
-        columns = []  # (field name, annotation)
+        writer = csv.writer(out, lineterminator="\n")
+        header, columns = [], []  # columns: (field name, its cells' format)
         for f in dataclasses.fields(IterationRecord):
             tp = hints[f.name]
             if typing.get_origin(tp) is typing.Union:  # Optional[X]
                 if self.h_bar is None:
                     continue
                 tp = typing.get_args(tp)[0]
-            columns.append((f.name, tp))
-        writer = csv.writer(out, lineterminator="\n")
-        header = []
-        for name, tp in columns:
             spread = typing.get_origin(tp) is tuple
-            header += [f"{name}_{i}" for i in range(dim)] if spread else [name]
+            header += [f"{f.name}_{i}" for i in range(dim)] if spread else [f.name]
+            columns.append((f.name, _cell_format(tp)))
         writer.writerow(header)
         for r in self.records:
-            writer.writerow([c for name, tp in columns for c in _cells(tp, getattr(r, name))])
+            writer.writerow([c for name, cells in columns for c in cells(getattr(r, name))])
 
 
-def _cells(tp: Any, value: Any) -> list:
-    """CSV cells of one record field: one per item of a tuple."""
+def _cell_format(tp: Any) -> Callable[[Any], list]:
+    """The CSV cells of a record field of annotation ``tp``, worked out once
+    per column: one cell per item of a tuple."""
     if typing.get_origin(tp) is tuple:
-        return [cell for v in value for cell in _cells(typing.get_args(tp)[0], v)]
-    return [int(value)] if tp is int else [repr(float(value))]
+        item = _cell_format(typing.get_args(tp)[0])
+        return lambda value: [cell for v in value for cell in item(v)]
+    if tp is int:
+        return lambda value: [int(value)]
+    return lambda value: [repr(float(value))]
 
 
 def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -455,24 +460,22 @@ def _climb(
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     theta = _validate_start(box, theta0)
     newton = pd_floor is not None
+    roles = _TRAJ_CENTER + 1 if newton else _TRAJ_MINUS + 1
     trace = RunTrace(h_bar=np.zeros((box.dim, box.dim)) if newton else None)
     for n in range(1, iters + 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
-        rng_perturb = substream(seed, n, _PERTURB)
-        dv = rademacher_vector(rng_perturb, box.dim)
+        # substream(seed, n, role) for each role, derived in one pass
+        streams = _role_streams(seed, n, roles)
+        dv = rademacher_vector(streams[_PERTURB], box.dim)
         if not newton:
             shift = delta * dv
         else:
-            dv_hat = rademacher_vector(rng_perturb, box.dim)
+            dv_hat = rademacher_vector(streams[_PERTURB], box.dim)
             shift = delta * (dv + dv_hat)
-        c_plus = _evaluate(
-            evaluate, theta + shift, m, substream(seed, n, _TRAJ_PLUS), n, trace, "+"
-        )
-        c_minus = _evaluate(
-            evaluate, theta - shift, m, substream(seed, n, _TRAJ_MINUS), n, trace, "-"
-        )
+        c_plus = _evaluate(evaluate, theta + shift, m, streams[_TRAJ_PLUS], n, trace, "+")
+        c_minus = _evaluate(evaluate, theta - shift, m, streams[_TRAJ_MINUS], n, trace, "-")
         c_center = None if not newton else _evaluate(
-            evaluate, theta, m, substream(seed, n, _TRAJ_CENTER), n, trace, "0"
+            evaluate, theta, m, streams[_TRAJ_CENTER], n, trace, "0"
         )
         trace.records.append(
             IterationRecord(
@@ -551,6 +554,16 @@ def return_evaluator(env, model: CptModel) -> Evaluator:
     return evaluate
 
 
+def _check_env(env, model: CptModel, schedules: SpsaSchedules, box: BoxConstraint) -> None:
+    """The checks both environment optimizers make before iteration 1."""
+    _check_alpha(schedules, model)
+    if box.dim != env.dim:
+        raise ValueError(
+            f"box has dimension {box.dim} but the environment's parameter has "
+            f"dimension {env.dim}"
+        )
+
+
 def optimize_spsa_g(
     env,
     model: CptModel,
@@ -564,9 +577,10 @@ def optimize_spsa_g(
 
     Per iteration, ``m_n`` returns are sampled at each of the two perturbed
     parameters and fed through the order-statistics estimator.
-    ``schedules.alpha`` may not exceed the model weights' Holder order.
+    ``schedules.alpha`` may not exceed the model weights' Holder order, and
+    the box must have the environment's dimension.
     """
-    _check_alpha(schedules, model)
+    _check_env(env, model, schedules, box)
     return ascend(return_evaluator(env, model), schedules, box, theta0, iters, seed)
 
 
@@ -582,7 +596,7 @@ def optimize_spsa_n(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Second-order variant of :func:`optimize_spsa_g` (three trajectories)."""
-    _check_alpha(schedules, model)
+    _check_env(env, model, schedules, box)
     return ascend_newton(
         return_evaluator(env, model),
         schedules,

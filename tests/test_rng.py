@@ -191,3 +191,94 @@ def test_threads_sharing_the_caches_draw_numpys_streams(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+# the one-pass derivation of an iteration's role streams
+
+
+@given(
+    entropy=entropies,
+    key=keys,
+    n=st.one_of(
+        st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 + 1)),
+        st.integers(0, 2**70),
+        st.integers(0, 2**63 - 1).map(np.int64),
+    ),
+    count=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_role_streams_match_substream_and_numpy(entropy, key, n, count):
+    for root in roots(entropy, key):
+        got = rng._role_streams(root, n, count)
+        assert len(got) == count
+        for r, stream in enumerate(got):
+            want = substream(root, n, r)
+            assert stream.bit_generator.state == want.bit_generator.state
+            assert stream.bit_generator.seed_seq.spawn_key == tuple(key) + (int(n), r)
+            assert_same_stream(stream, reference_rng(entropy, key, (n, r)))
+            assert_same_stream(want, reference_rng(entropy, key, (n, r)))
+
+
+@pytest.mark.parametrize("root", [7, np.random.SeedSequence(7, spawn_key=(0,))])
+def test_role_streams_spawn_numpys_children(root):
+    key = tuple(getattr(root, "spawn_key", ()))
+    for r, stream in enumerate(rng._role_streams(root, 3, 4)):
+        for got, want in zip(stream.spawn(2), reference_rng(7, key, (3, r)).spawn(2)):
+            assert_same_stream(got, want)
+        seed_seq = stream.bit_generator.seed_seq
+        for n_words, dtype in ((4, np.uint64), (3, np.uint64), (5, np.uint32)):
+            want = np.random.SeedSequence(7, spawn_key=key + (3, r)).generate_state(n_words, dtype)
+            assert seed_seq.generate_state(n_words, dtype).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "root, n, error",
+    [(-1, 1, ValueError), (1, -1, ValueError), (True, 1, TypeError), (1, True, TypeError),
+     (1, 2.0, TypeError), (1.0, 2, TypeError)],
+)
+def test_role_streams_check_the_address(root, n, error):
+    with pytest.raises(error):
+        rng._role_streams(root, n, 4)
+
+
+def test_threads_deriving_role_streams_draw_numpys_streams(monkeypatch):
+    # every derivation starts from an empty state-hash table and every fourth
+    # from an empty prefix dict, while the threads derive each iteration's
+    # four streams in one pass; a shared or half-seen state would change a
+    # stream
+    monkeypatch.setattr(rng, "_STATE_HASHES", ())
+    monkeypatch.setattr(rng, "_PREFIXES", {})
+    roots_ = [seed if seed % 2 else np.random.SeedSequence(seed, spawn_key=(0,)) for seed in range(5)]
+    iterations = [(i, n) for i in range(len(roots_)) for n in range(60)]
+    want = {
+        (i, n): [
+            reference_rng(i, tuple(getattr(roots_[i], "spawn_key", ())), (n, r))
+            .bit_generator.state
+            for r in range(4)
+        ]
+        for i, n in iterations
+    }
+    bad, start = [], threading.Barrier(8)
+
+    def work(offset):
+        start.wait(timeout=10)
+        for j, (i, n) in enumerate(iterations[offset:] + iterations[:offset]):
+            rng._STATE_HASHES = ()
+            if j % 4 == 0:
+                rng._PREFIXES.clear()
+            got = [s.bit_generator.state for s in rng._role_streams(roots_[i], n, 4)]
+            if got != want[i, n]:
+                bad.append((i, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(17 * t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []

@@ -488,6 +488,26 @@ class TestAscend:
         assert a.records == b.records
         assert np.array_equal(a.final_theta, b.final_theta)
 
+    @pytest.mark.parametrize("entry", [optimize_spsa_g, optimize_spsa_n])
+    @pytest.mark.parametrize("box_dim, env_dim", [(1, 2), (3, 2), (2, 1)])
+    def test_box_of_another_dimension_rejected_before_iteration_one(self, entry, box_dim, env_dim):
+        calls = []
+
+        class CountingEnv(GaussianMeanEnv):
+            def sample_returns(self, theta, m, rng):
+                calls.append(m)
+                return super().sample_returns(theta, m, rng)
+
+        env = CountingEnv(optimum=(2.0,) * env_dim, curvatures=(1.0,) * env_dim)
+        box = BoxConstraint.cube(0.0, 4.0, box_dim)
+        with pytest.raises(
+            ValueError,
+            match=rf"^box has dimension {box_dim} but the environment's parameter "
+            rf"has dimension {env_dim}$",
+        ):
+            entry(env, IDENTITY, SCHEDULES, box, [1.0] * box_dim, 3, 0)
+        assert calls == []
+
     def test_trace_records_schedule_values(self):
         env = GaussianMeanEnv()
         trace = optimize_spsa_g(env, IDENTITY, SCHEDULES, BOX_1D, [0.5], 3, 1)
