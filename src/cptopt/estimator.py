@@ -174,7 +174,7 @@ def counts_from_samples(samples: Sequence[float], dist: DiscreteDist) -> np.ndar
     idx_clipped = np.minimum(idx, dist.size - 1)
     if not np.all(support[idx_clipped] == arr):
         bad = arr[support[idx_clipped] != arr]
-        raise ValueError(f"sample value {bad[0]!r} is not a support point")
+        raise ValueError(f"sample value {float(bad[0])!r} is not a support point")
     return np.bincount(idx_clipped, minlength=dist.size)
 
 
@@ -197,13 +197,16 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     # NaN sorts last and infinities to the ends, so the ends show them all
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise ValueError("samples must be finite")
-    first = np.empty(n + 1, dtype=bool)  # first[j]: j == n or xs[j] opens a run
-    first[0] = first[n] = True
-    np.not_equal(xs[1:], xs[:-1], out=first[1:n])
+    # the one comparison pass: first[j] marks j == 0, j == n or xs[j] opening
+    # a run; the inner marks alone decide whether there is a tie, and only a
+    # tied batch, which needs the runs, marks the ends
+    first = np.empty(n + 1, dtype=bool)
+    inner = first[1:n]
+    np.not_equal(xs[1:], xs[:-1], inner)
     ref = model.utility.reference
     k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
     m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
-    if np.count_nonzero(first) == n + 1:  # no ties: each sample is a run
+    if np.count_nonzero(inner) == n - 1:  # no ties: each sample is a run
         if n <= _CACHED_MAX_N:
             return _tie_free_sum(xs, k, m, model)
         values = xs
@@ -213,6 +216,7 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
             return grid, grid
 
     else:
+        first[0] = first[n] = True
         below = first.nonzero()[0]  # samples under each run, ending at n
         values = xs[below[:-1]]
         k, m = int(below.searchsorted(k)), int(below.searchsorted(m))  # in runs
@@ -244,14 +248,31 @@ def _increments(weight_plus, weight_minus, n: int) -> tuple[np.ndarray, np.ndarr
 
 def _tie_free_sum(xs, k, m, model) -> CptEstimate:
     """:func:`_rank_weighted_sum`'s one block on a small tie-free ``xs``, the
-    sorted copy, with its weight increments taken from the cache: the same
-    products are written over ``xs`` and each side is reduced once."""
+    sorted copy, with its weight increments taken from the cache.
+
+    Each side's products are written over its own part of ``xs`` in place,
+    in the utility's order: the distance from the reference, its power when
+    the exponent is not 1, then (losses) the loss aversion, then the weight
+    increment.  ``xs[k:]`` lie strictly above the reference and ``xs[:m]``
+    strictly below it, so every distance is positive and the utilities'
+    clamp at zero changes nothing: the bits are those of ``gain_values`` and
+    ``loss_values``.  Each side is then reduced once.
+    """
     n, u = xs.size, model.utility
     d_plus, d_minus = _increments(model.weight_plus, model.weight_minus, n)
+    gains, losses = xs[k:], xs[:m]
+    np.subtract(gains, u.reference, gains)
+    if u.sigma_plus != 1.0:
+        np.power(gains, u.sigma_plus, gains)
     # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
-    np.multiply(u.gain_values(xs[k:]), d_plus[: n - k][::-1], xs[k:])
-    np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
-    return CptEstimate(n, float(np.add.reduce(xs[k:])), float(np.add.reduce(xs[:m])))
+    np.multiply(gains, d_plus[: n - k][::-1], gains)
+    np.subtract(u.reference, losses, losses)
+    if u.sigma_minus != 1.0:
+        np.power(losses, u.sigma_minus, losses)
+    if u.loss_aversion != 1.0:  # a product with 1.0 is exact
+        np.multiply(losses, u.loss_aversion, losses)
+    np.multiply(losses, d_minus[:m], losses)
+    return CptEstimate(n, float(np.add.reduce(gains)), float(np.add.reduce(losses)))
 
 
 def _rank_weighted_sum(values, k, m, shares, model) -> tuple[float, float]:

@@ -683,6 +683,13 @@ class TestDiscreteEstimator:
         counts = counts_from_samples([2.0, 2.0, -1.0, 5.0], dist)
         assert counts.tolist() == [1, 2, 1]
 
+    @pytest.mark.parametrize("sample", [0.5, np.float64(0.5), np.float32(0.5)])
+    def test_unknown_sample_is_named_as_a_float(self, sample):
+        dist = DiscreteDist((0.0, 1.0), (0.5, 0.5), 1)
+        with pytest.raises(ValueError) as info:
+            counts_from_samples([sample], dist)
+        assert str(info.value) == "sample value 0.5 is not a support point"
+
     @pytest.mark.parametrize(
         "counts",
         [[True, True], np.array([True, False]), [True, 2], [2, np.True_], (np.False_, 3)],
@@ -1118,6 +1125,123 @@ class TestIncrementCache:
         assert len(estimator._INCREMENTS) == 1
         assert all(x is y for x, y in zip(next(iter(estimator._INCREMENTS.values())), entry))
         assert a != b  # the utilities differ; only the weights are shared
+
+
+def _verbatim_tie_free_sum(xs, k, m, model):
+    """The tie-free small-batch sum as it was before it wrote the utilities
+    over ``xs`` itself, copied verbatim: through ``gain_values`` and
+    ``loss_values``."""
+    n, u = xs.size, model.utility
+    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
+    np.multiply(u.gain_values(xs[k:]), d_plus[: n - k][::-1], xs[k:])
+    np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
+    return CptEstimate(n, float(np.add.reduce(xs[k:])), float(np.add.reduce(xs[:m])))
+
+
+def _planted_no_loss_aversion(xs, k, m, model):
+    """A faulty in-place sum: the loss aversion is left out."""
+    n, u = xs.size, model.utility
+    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    gains, losses = xs[k:], xs[:m]
+    np.power(gains - u.reference, u.sigma_plus, gains)
+    np.multiply(gains, d_plus[: n - k][::-1], gains)
+    np.power(u.reference - losses, u.sigma_minus, losses)
+    np.multiply(losses, d_minus[:m], losses)
+    return CptEstimate(n, float(np.add.reduce(gains)), float(np.add.reduce(losses)))
+
+
+def _planted_unreversed_gains(xs, k, m, model):
+    """A faulty in-place sum: the lowest gain takes the top gain's increment."""
+    n, u = xs.size, model.utility
+    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    np.multiply(u.gain_values(xs[k:]), d_plus[: n - k], xs[k:])
+    np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
+    return CptEstimate(n, float(np.add.reduce(xs[k:])), float(np.add.reduce(xs[:m])))
+
+
+IN_PLACE_REFERENCES = (0.0, 0.4, -0.4)
+
+
+def _in_place_models(ref):
+    """The identity, expected-utility, Tversky-Kahneman and Prelec models."""
+    utility = UtilitySpec.piecewise_power(0.88, 0.7, 2.25, reference=ref)
+    return (
+        CptModel.identity(ref),
+        CptModel.expected_utility(reference=ref),
+        CptModel.tversky_kahneman(reference=ref),
+        CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
+    )
+
+
+def _in_place_batch(n, side, ref, seed):
+    """A tie-free batch of ``n`` samples around ``ref``: mixed, all gains
+    (strictly above ``ref``) or all losses (strictly below it)."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.normal(0.0, rng.choice((1e-3, 1.0, 30.0)), n)
+    if side == "gains":
+        offsets = np.abs(offsets) + 1e-9
+    elif side == "losses":
+        offsets = -np.abs(offsets) - 1e-9
+    samples = ref + offsets
+    assert np.unique(samples).size == n
+    return samples
+
+
+def _in_place_mismatches(tie_free_sum, cases):
+    """The (n, side, reference, model) cases where ``tie_free_sum`` on the
+    sorted copy gives other bits than the verbatim sum."""
+    bad = []
+    for n, side, ref, seed in cases:
+        samples = _in_place_batch(n, side, ref, seed)
+        xs = np.sort(samples)
+        for model in _in_place_models(ref):
+            k = int(xs.searchsorted(ref, "right"))
+            m = int(xs.searchsorted(ref, "left"))
+            want = _bits(_verbatim_tie_free_sum(xs.copy(), k, m, model))
+            if _bits(tie_free_sum(xs.copy(), k, m, model)) != want:
+                bad.append((n, side, ref, model))
+            elif tie_free_sum is estimator._tie_free_sum:
+                assert _bits(estimate_cpt(samples, model)) == want
+    return bad
+
+
+IN_PLACE_EDGE_CASES = [
+    (n, side, ref, 17)
+    for n in (2, 3, 10, 60, 142, _CACHED_MAX_N - 1, _CACHED_MAX_N)
+    for side in ("mixed", "gains", "losses")
+    for ref in IN_PLACE_REFERENCES
+]
+
+
+class TestInPlaceTieFreeSum:
+    """The small tie-free sum writes the utilities over the sorted copy in
+    place, with the bits of ``gain_values`` and ``loss_values``."""
+
+    def test_edge_sizes_match_the_verbatim_sum(self):
+        assert _in_place_mismatches(estimator._tie_free_sum, IN_PLACE_EDGE_CASES) == []
+
+    @given(
+        n=st.integers(2, _CACHED_MAX_N),
+        side=st.sampled_from(("mixed", "gains", "losses")),
+        ref=st.sampled_from(IN_PLACE_REFERENCES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_batches_match_the_verbatim_sum(self, n, side, ref, seed):
+        assert _in_place_mismatches(estimator._tie_free_sum, [(n, side, ref, seed)]) == []
+
+    @pytest.mark.parametrize("planted", [_planted_no_loss_aversion, _planted_unreversed_gains])
+    def test_a_planted_fault_is_caught(self, planted):
+        assert _in_place_mismatches(planted, IN_PLACE_EDGE_CASES) != []
+
+    def test_sorted_samples_at_the_reference_are_neither_gain_nor_loss(self):
+        # the sample equal to the reference is left as it is: it scores zero
+        model = CptModel.tversky_kahneman(reference=0.4)
+        xs = np.array([-1.0, 0.4, 2.0])
+        est = estimator._tie_free_sum(xs, 2, 1, model)
+        assert xs[1] == 0.4
+        assert _bits(est) == _bits(_verbatim_tie_free_sum(np.array([-1.0, 0.4, 2.0]), 2, 1, model))
 
 
 class TestSampleSizeCalculators:
