@@ -1163,17 +1163,6 @@ def _planted_unreversed_gains(xs, k, m, model):
 IN_PLACE_REFERENCES = (0.0, 0.4, -0.4)
 
 
-def _in_place_models(ref):
-    """The identity, expected-utility, Tversky-Kahneman and Prelec models."""
-    utility = UtilitySpec.piecewise_power(0.88, 0.7, 2.25, reference=ref)
-    return (
-        CptModel.identity(ref),
-        CptModel.expected_utility(reference=ref),
-        CptModel.tversky_kahneman(reference=ref),
-        CptModel(utility, WeightSpec.prelec(0.65), WeightSpec.prelec(0.5)),
-    )
-
-
 def _in_place_batch(n, side, ref, seed):
     """A tie-free batch of ``n`` samples around ``ref``: mixed, all gains
     (strictly above ``ref``) or all losses (strictly below it)."""
@@ -1195,7 +1184,7 @@ def _in_place_mismatches(tie_free_sum, cases):
     for n, side, ref, seed in cases:
         samples = _in_place_batch(n, side, ref, seed)
         xs = np.sort(samples)
-        for model in _in_place_models(ref):
+        for model in _family_models(ref):
             k = int(xs.searchsorted(ref, "right"))
             m = int(xs.searchsorted(ref, "left"))
             want = _bits(_verbatim_tie_free_sum(xs.copy(), k, m, model))
