@@ -21,12 +21,19 @@ full), and a stream costs the last element's mixing plus the eight state
 words that numpy's ``PCG64`` seeds itself from (four 64-bit words, whose hash
 constants are computed at import).
 
-An optimizer iteration draws from the streams ``substream(seed, n, role)``
-of its roles (perturbation, then one per objective evaluation).
-:func:`_role_streams` derives them in one pass: the address and the state
-after ``(seed, n)`` are worked out once per iteration, and each role then
-costs one absorbed word, its four seeding words and the ``Generator``.  The
-streams are those of :func:`substream`, bit for bit.
+An optimizer run draws, at each iteration n, from the streams
+``substream(seed, n, role)`` of its roles (perturbation, then one per
+objective evaluation).  :func:`_iteration_streams` derives them a chunk of
+``_CHUNK`` iterations at a time (the last chunk stops at the run's last
+iteration): :func:`_chunk_seeds` mixes every iteration's word, then every
+role's word, into the pool after the seed, and works out the four PCG64
+seeding words of each stream, all on numpy ``uint64`` arrays; each
+iteration then only builds its ``PCG64`` bit generators from those words.
+An iteration number of two or more 32-bit words changes the hash constants
+its role mixes with, so a chunk that reaches ``n >= 2**32`` is mixed one
+stream at a time in Python.  The streams are those of :func:`substream`,
+bit for bit; :func:`substream` itself keeps the Python mixing, which is
+cheaper for a single stream than any array call.
 
 ``substream(...).bit_generator.seed_seq`` is not a
 ``SeedSequence`` but a lighter :class:`numpy.random.bit_generator.
@@ -39,7 +46,7 @@ first use, so ``Generator.spawn`` returns numpy's own children.
 from __future__ import annotations
 
 import operator
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -237,17 +244,19 @@ def _address(root: RootSeed, path: tuple) -> tuple[object, tuple[int, ...]]:
 
 
 class _StreamSeed(ISpawnableSeedSequence):
-    """Mixed pool of one substream, in the role numpy's SeedSequence plays."""
+    """Mixed pool of one substream, in the role numpy's SeedSequence plays;
+    ``words``, when given, are the pool's precomputed PCG64 seeding words."""
 
-    def __init__(self, entropy, spawn_key: tuple[int, ...], pool: tuple):
+    def __init__(self, entropy, spawn_key: tuple[int, ...], pool, words=None):
         self.entropy = entropy
         self.spawn_key = spawn_key
         self._pool = pool
+        self._words: Optional[np.ndarray] = words
         self._spawner: Optional[np.random.SeedSequence] = None
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words == 4 and dtype is np.uint64:  # the one call PCG64 makes
-            return _seed_words(self._pool)
+            return _seed_words(self._pool) if self._words is None else self._words.copy()
         dtype = np.dtype(dtype)
         if dtype == np.uint64:
             return np.array(_state_words64(self._pool, n_words), np.uint64)
@@ -278,17 +287,70 @@ def substream(root: RootSeed, *path: int) -> np.random.Generator:
     return Generator(PCG64(_StreamSeed(entropy, key, state[0])))
 
 
-def _role_streams(root: RootSeed, n: int, count: int) -> list[np.random.Generator]:
-    """``[substream(root, n, r) for r in range(count)]`` in one pass: the
-    address and the ``(root, n)`` prefix state are worked out once, and each
-    role (one word, ``r < 2**32``) costs one more absorbed word."""
-    entropy, key = _address(root, (n,))
-    pool, h = _extend(_prefix_state(entropy, key[:-1]), key[-1])
+# iterations seeded by one array pass: enough that the pass's fixed cost
+# (about 40 us of ufunc calls) is small beside its streams', few enough that
+# a long run never holds more than one chunk of seeds
+_CHUNK = 256
+
+# _SEED_HASHES as arrays over the four seeding words: word i hashes pool
+# entries 2i and 2i + 1 (mod 4) into its low and its high half
+_LO_BEFORE, _LO_AFTER, _HI_BEFORE, _HI_AFTER = (
+    np.array(column, np.uint64) for column in zip(*_SEED_HASHES)
+)
+_LO_ENTRIES, _HI_ENTRIES = [0, 2, 0, 2], [1, 3, 1, 3]
+
+
+def _absorb_array(pool: np.ndarray, chain: tuple, words: np.ndarray) -> np.ndarray:
+    """:func:`_absorb` on ``uint64`` arrays of 32-bit values: each
+    ``words[..., 0]`` mixed into the four-entry ``pool[..., :]``, broadcast."""
+    v = ((words ^ np.array(chain[:-1], np.uint64)) * np.array(chain[1:], np.uint64)) & _MASK32
+    r = (_MIX_MULT_L * pool - _MIX_MULT_R * (v ^ (v >> _XSHIFT))) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _chunk_seeds(root: RootSeed, first: int, count: int, roles: int) -> list[list[_StreamSeed]]:
+    """The seeds of ``substream(root, n, r)`` for ``first <= n < first +
+    count`` and ``r < roles``, one list of roles per n.
+
+    While every n is one 32-bit word, the pass runs on arrays: each n, then
+    each role (its own word), is absorbed into the pool after the root, and
+    the resulting pools give the four PCG64 seeding words of every stream.
+    """
+    entropy, key = _address(root, (first,))
+    key = key[:-1]
+    pool, h = _prefix_state(entropy, key)
+    ns = range(first, first + count)
+    if ns[-1] > _MASK32:  # the hash constants depend on each n's word count
+        seeds = []
+        for n in ns:
+            pool_n, h_n = _extend((pool, h), n)
+            chain = _chain(h_n)
+            seeds.append([
+                _StreamSeed(entropy, key + (n, r), _absorb(pool_n, chain, r))
+                for r in range(roles)
+            ])
+        return seeds
     chain = _chain(h)
+    pools = _absorb_array(np.array(pool, np.uint64), chain, np.array(ns, np.uint64)[:, None])
+    pools = _absorb_array(
+        pools[:, None, :], _chain(chain[-1]), np.arange(roles, dtype=np.uint64)[:, None]
+    )
+    lo = ((pools[..., _LO_ENTRIES] ^ _LO_BEFORE) * _LO_AFTER) & _MASK32
+    hi = ((pools[..., _HI_ENTRIES] ^ _HI_BEFORE) * _HI_AFTER) & _MASK32
+    words = iter(((lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32)).reshape(-1, 4))
     return [
-        Generator(PCG64(_StreamSeed(entropy, key + (r,), _absorb(pool, chain, r))))
-        for r in range(count)
+        [_StreamSeed(entropy, key + (n, r), p, next(words)) for r, p in enumerate(row)]
+        for n, row in zip(ns, pools.tolist())
     ]
+
+
+def _iteration_streams(root: RootSeed, iters: int, roles: int) -> Iterator[list[PCG64]]:
+    """For n = 1..iters in turn, the bit generators of ``substream(root, n,
+    r)`` for ``r < roles``, seeded from :func:`_chunk_seeds` a chunk of up to
+    ``_CHUNK`` iterations at a time."""
+    for first in range(1, iters + 1, _CHUNK):
+        for seeds in _chunk_seeds(root, first, min(_CHUNK, iters + 1 - first), roles):
+            yield [PCG64(seed) for seed in seeds]
 
 
 def stream_id(root: RootSeed, *path: int) -> str:

@@ -24,10 +24,16 @@ with :func:`return_evaluator`.
 
 Randomness is drawn from counter-based substreams keyed by
 (iteration, role), so the per-iteration evaluations could run concurrently
-without changing any result.  Each iteration derives all its role streams,
-``substream(seed, n, role)``, in one pass (:func:`cptopt.rng._role_streams`):
-the seed's address and the state after ``(seed, n)`` are worked out once,
-then each role adds one word.
+without changing any result.  The run's role streams, ``substream(seed, n,
+role)``, are seeded a chunk of iterations at a time
+(:func:`cptopt.rng._iteration_streams`), so an iteration only builds its
+bit generators.  The perturbation role needs no ``Generator``: its +/-1
+signs are the top bit of each 32-bit half of the bit generator's raw 64-bit
+output, low half first, which is what :func:`rademacher_vector` draws from
+a fresh ``Generator`` on the same stream (``Generator.integers(0, 2)`` takes
+the top bit of each 32-bit draw, and a 64-bit output gives its low half
+first).  SPSA-N's two vectors are one run of 2d signs, as two
+``rademacher_vector`` calls share a buffered half at odd d.
 
 The Newton step's Cholesky solve calls LAPACK through ``scipy.linalg``,
 imported on its first call; the gradient optimizer needs only numpy.
@@ -56,11 +62,12 @@ from typing import Any, Callable, IO, Optional, Union
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from numpy.random import Generator
 
 from ._codec import _type_hints, as_array, as_float, as_int, check_fields, check_finite
 from .estimator import estimate_cpt
 from .models import CptModel
-from .rng import RootSeed, _role_streams
+from .rng import RootSeed, _iteration_streams
 
 __all__ = [
     "BoxConstraint",
@@ -300,6 +307,18 @@ def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=d) * 2.0 - 1.0
 
 
+# rademacher_vector's entry for a drawn 0 and for a drawn 1
+_SIGN_OF_BIT = np.array([-1.0, 1.0])
+
+
+def _signs(bit_generator, count: int) -> np.ndarray:
+    """The ``count`` signs that :func:`rademacher_vector` calls draw, in
+    turn, from a fresh ``Generator(bit_generator)``: the top bit of each
+    32-bit half of the raw 64-bit output, low half first."""
+    halves = bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+    return _SIGN_OF_BIT.take(halves[:count] >> 31)
+
+
 def _check_perturbation(name: str, perturb: np.ndarray) -> np.ndarray:
     perturb = as_array(name, np.atleast_1d(perturb), 1, finite=False)
     if not np.all(np.abs(perturb) == 1.0):
@@ -462,25 +481,27 @@ def _climb(
     newton = pd_floor is not None
     roles = _TRAJ_CENTER + 1 if newton else _TRAJ_MINUS + 1
     trace = RunTrace(h_bar=np.zeros((box.dim, box.dim)) if newton else None)
-    for n in range(1, iters + 1):
+    # the bit generators of substream(seed, n, role) for each role
+    for n, bits in enumerate(_iteration_streams(seed, iters, roles), 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
-        # substream(seed, n, role) for each role, derived in one pass
-        streams = _role_streams(seed, n, roles)
-        dv = rademacher_vector(streams[_PERTURB], box.dim)
         if not newton:
+            dv = _signs(bits[_PERTURB], box.dim)
             shift = delta * dv
         else:
-            dv_hat = rademacher_vector(streams[_PERTURB], box.dim)
+            signs = _signs(bits[_PERTURB], 2 * box.dim)
+            dv, dv_hat = signs[: box.dim], signs[box.dim :]
             shift = delta * (dv + dv_hat)
-        c_plus = _evaluate(evaluate, theta + shift, m, streams[_TRAJ_PLUS], n, trace, "+")
-        c_minus = _evaluate(evaluate, theta - shift, m, streams[_TRAJ_MINUS], n, trace, "-")
+        c_plus = _evaluate(evaluate, theta + shift, m, Generator(bits[_TRAJ_PLUS]), n, trace, "+")
+        c_minus = _evaluate(
+            evaluate, theta - shift, m, Generator(bits[_TRAJ_MINUS]), n, trace, "-"
+        )
         c_center = None if not newton else _evaluate(
-            evaluate, theta, m, streams[_TRAJ_CENTER], n, trace, "0"
+            evaluate, theta, m, Generator(bits[_TRAJ_CENTER]), n, trace, "0"
         )
         trace.records.append(
             IterationRecord(
                 n=n,
-                theta=tuple(theta),
+                theta=tuple(theta.tolist()),
                 c_plus=c_plus,
                 c_minus=c_minus,
                 gamma=gamma,

@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,87 +194,146 @@ def test_threads_sharing_the_caches_draw_numpys_streams(monkeypatch):
     assert bad == []
 
 
-# the one-pass derivation of an iteration's role streams
+# an optimizer run's role streams, derived a chunk of iterations at a time
 
 
-@given(
-    entropy=entropies,
-    key=keys,
-    n=st.one_of(
-        st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 + 1)),
-        st.integers(0, 2**70),
-        st.integers(0, 2**63 - 1).map(np.int64),
-    ),
-    count=st.integers(1, 4),
-)
-@settings(max_examples=200, deadline=None)
-def test_role_streams_match_substream_and_numpy(entropy, key, n, count):
-    for root in roots(entropy, key):
-        got = rng._role_streams(root, n, count)
-        assert len(got) == count
-        for r, stream in enumerate(got):
-            want = substream(root, n, r)
-            assert stream.bit_generator.state == want.bit_generator.state
-            assert stream.bit_generator.seed_seq.spawn_key == tuple(key) + (int(n), r)
+def chunk_streams(root, first, count, roles):
+    """``_chunk_seeds``' seeds as numpy Generators, one list of roles per n."""
+    seeds = rng._chunk_seeds(root, first, count, roles)
+    return [[Generator(PCG64(seed)) for seed in row] for row in seeds]
+
+
+def assert_chunk_streams(root, entropy, key, first, count, roles):
+    got = chunk_streams(root, first, count, roles)
+    assert [len(row) for row in got] == [roles] * count
+    for n, row in enumerate(got, int(first)):
+        for r, stream in enumerate(row):
+            assert stream.bit_generator.seed_seq.spawn_key == tuple(key) + (n, r)
+            assert stream.bit_generator.state == substream(root, n, r).bit_generator.state
             assert_same_stream(stream, reference_rng(entropy, key, (n, r)))
-            assert_same_stream(want, reference_rng(entropy, key, (n, r)))
 
 
-@pytest.mark.parametrize("root", [7, np.random.SeedSequence(7, spawn_key=(0,))])
-def test_role_streams_spawn_numpys_children(root):
-    key = tuple(getattr(root, "spawn_key", ()))
-    for r, stream in enumerate(rng._role_streams(root, 3, 4)):
-        for got, want in zip(stream.spawn(2), reference_rng(7, key, (3, r)).spawn(2)):
-            assert_same_stream(got, want)
-        seed_seq = stream.bit_generator.seed_seq
-        for n_words, dtype in ((4, np.uint64), (3, np.uint64), (5, np.uint32)):
-            want = np.random.SeedSequence(7, spawn_key=key + (3, r)).generate_state(n_words, dtype)
-            assert seed_seq.generate_state(n_words, dtype).tolist() == want.tolist()
+# a chunk's first n: the vector path up to 2**32 - 1, then the scalar one
+firsts = st.one_of(
+    st.sampled_from((0, 1, 256, 257, 2**32 - 8, 2**32 - 2, 2**32, 2**64 + 1)),
+    st.integers(0, 2**33),
+    st.integers(0, 2**70),
+)
+
+
+@given(entropy=entropies, key=keys, first=firsts, count=st.integers(1, 9), roles=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_chunk_seeds_match_substream_and_numpy(entropy, key, first, count, roles):
+    for root in roots(entropy, key):
+        assert_chunk_streams(root, entropy, key, first, count, roles)
 
 
 @pytest.mark.parametrize(
-    "root, n, error",
+    "first, count",
+    [(1, 1), (1, 256), (257, 256), (2**32 - 256, 256), (2**32 - 2, 256), (2**32 - 2, 3)],
+)
+@pytest.mark.parametrize(
+    "entropy, key", [(2**200 + 3, ()), (7, (0,)), ([1, 2**33, 5], (3, 2**40))]
+)
+def test_full_chunks_and_the_word_edge_match_numpy(entropy, key, first, count):
+    for root in roots(entropy, key):
+        assert_chunk_streams(root, entropy, key, first, count, 4 if count < 256 else 2)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("roles", [1, 3, 4])
+def test_iteration_streams_chunk_the_run_and_stop_at_its_last_iteration(monkeypatch, iters, roles):
+    root = np.random.SeedSequence(5, spawn_key=(2,))
+    chunks = []
+
+    def spy(*args):
+        chunks.append(args[1:])
+        return chunk_seeds(*args)
+
+    chunk_seeds = rng._chunk_seeds
+    monkeypatch.setattr(rng, "_chunk_seeds", spy)
+    got = list(rng._iteration_streams(root, iters, roles))
+    starts = range(1, iters + 1, rng._CHUNK)
+    assert chunks == [(s, min(rng._CHUNK, iters + 1 - s), roles) for s in starts]
+    assert len(got) == iters
+    for n, row in enumerate(got, 1):
+        assert [type(b) for b in row] == [PCG64] * roles
+        for r, bits in enumerate(row):
+            assert bits.state == substream(root, n, r).bit_generator.state
+
+
+@pytest.mark.parametrize("first", [3, 2**32 + 3])
+@pytest.mark.parametrize("root", [7, np.random.SeedSequence(7, spawn_key=(0,))])
+def test_chunk_seeds_spawn_and_generate_numpys_state(root, first):
+    key = tuple(getattr(root, "spawn_key", ()))
+    for n, row in enumerate(chunk_streams(root, first, 2, 4), first):
+        for r, stream in enumerate(row):
+            for got, want in zip(stream.spawn(2), reference_rng(7, key, (n, r)).spawn(2)):
+                assert_same_stream(got, want)
+            seed_seq = stream.bit_generator.seed_seq
+            for n_words, dtype in ((4, np.uint64), (3, np.uint64), (5, np.uint32), (8, np.uint64)):
+                want = np.random.SeedSequence(7, spawn_key=key + (n, r))
+                want = want.generate_state(n_words, dtype)
+                assert seed_seq.generate_state(n_words, dtype).tolist() == want.tolist()
+            with pytest.raises(ValueError):
+                seed_seq.generate_state(2, np.float64)
+
+
+def test_chunk_seeding_words_are_a_fresh_copy_each_call():
+    seed = rng._chunk_seeds(11, 1, 2, 3)[1][2]
+    want = np.random.SeedSequence(11, spawn_key=(2, 2)).generate_state(4, np.uint64)
+    first = seed.generate_state(4, np.uint64)
+    first[:] = 0
+    second = seed.generate_state(4, np.uint64)
+    assert second is not first and second.flags.c_contiguous
+    assert second.dtype == np.uint64 and second.tolist() == want.tolist()
+    assert PCG64(seed).state == PCG64(np.random.SeedSequence(11, spawn_key=(2, 2))).state
+
+
+@pytest.mark.parametrize(
+    "root, first, error",
     [(-1, 1, ValueError), (1, -1, ValueError), (True, 1, TypeError), (1, True, TypeError),
      (1, 2.0, TypeError), (1.0, 2, TypeError)],
 )
-def test_role_streams_check_the_address(root, n, error):
+def test_chunk_seeds_check_the_address(root, first, error):
     with pytest.raises(error):
-        rng._role_streams(root, n, 4)
+        rng._chunk_seeds(root, first, 3, 4)
 
 
-def test_threads_deriving_role_streams_draw_numpys_streams(monkeypatch):
-    # every derivation starts from an empty state-hash table and every fourth
-    # from an empty prefix dict, while the threads derive each iteration's
-    # four streams in one pass; a shared or half-seen state would change a
-    # stream
+def test_threads_deriving_iteration_streams_draw_numpys_streams(monkeypatch):
+    # every run starts from an empty state-hash table and every fourth from an
+    # empty prefix dict, while the threads seed their runs chunk by chunk
+    # (a chunk of 4 iterations, so each 60-iteration run takes 15); a shared
+    # or half-seen state would change a stream
     monkeypatch.setattr(rng, "_STATE_HASHES", ())
     monkeypatch.setattr(rng, "_PREFIXES", {})
+    monkeypatch.setattr(rng, "_CHUNK", 4)
     roots_ = [seed if seed % 2 else np.random.SeedSequence(seed, spawn_key=(0,)) for seed in range(5)]
-    iterations = [(i, n) for i in range(len(roots_)) for n in range(60)]
     want = {
-        (i, n): [
-            reference_rng(i, tuple(getattr(roots_[i], "spawn_key", ())), (n, r))
-            .bit_generator.state
-            for r in range(4)
+        i: [
+            [reference_rng(i, tuple(getattr(root, "spawn_key", ())), (n, r)).bit_generator.state
+             for r in range(4)]
+            for n in range(1, 61)
         ]
-        for i, n in iterations
+        for i, root in enumerate(roots_)
     }
     bad, start = [], threading.Barrier(8)
 
     def work(offset):
         start.wait(timeout=10)
-        for j, (i, n) in enumerate(iterations[offset:] + iterations[:offset]):
+        for j in range(3 * len(roots_)):
+            i = (offset + j) % len(roots_)
             rng._STATE_HASHES = ()
             if j % 4 == 0:
                 rng._PREFIXES.clear()
-            got = [s.bit_generator.state for s in rng._role_streams(roots_[i], n, 4)]
-            if got != want[i, n]:
-                bad.append((i, n))
+            got = [[b.state for b in row] for row in rng._iteration_streams(roots_[i], 60, 4)]
+            if got != want[i]:
+                bad.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(17 * t,)) for t in range(8)]
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
         for t in threads:
             t.start()
         for t in threads:

@@ -41,6 +41,7 @@ from cptopt.spsa import (
     _eigenvalue_floor,
     _gradient,
     _newton_estimates,
+    _signs,
 )
 
 IDENTITY = CptModel.identity()
@@ -87,6 +88,38 @@ class TestRademacher:
         assert np.array_equal(
             rademacher_vector(substream(3), np.int64(4)), rademacher_vector(substream(3), 4)
         )
+
+
+def _rademacher_draws(stream, d, calls):
+    """``calls`` successive ``rademacher_vector(stream, d)`` draws, joined."""
+    return np.concatenate([rademacher_vector(stream, d) for _ in range(calls)])
+
+
+class TestRawBitSigns:
+    """The loop's signs from a fresh bit generator's raw output are the draws
+    ``rademacher_vector`` makes on a fresh ``Generator`` of the same stream:
+    one vector for SPSA-G, two in turn for SPSA-N."""
+
+    @given(
+        seed=st.integers(0, 2**200),
+        n=st.integers(0, 2**40),
+        d=st.integers(1, 48),
+        calls=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_signs_are_the_rademacher_draws(self, seed, n, d, calls):
+        got = _signs(substream(seed, n, 0).bit_generator, calls * d)
+        want = _rademacher_draws(substream(seed, n, 0), d, calls)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 49))
+    @pytest.mark.parametrize("calls", [1, 2], ids=["spsa-g", "spsa-n"])
+    def test_every_dimension_of_both_optimizers(self, d, calls):
+        for seed in range(25):
+            got = _signs(substream(seed, 1, 0).bit_generator, calls * d)
+            want = _rademacher_draws(substream(seed, 1, 0), d, calls)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpsaGradient:
@@ -507,6 +540,14 @@ class TestAscend:
         ):
             entry(env, IDENTITY, SCHEDULES, box, [1.0] * box_dim, 3, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("climb", [ascend, ascend_newton])
+    def test_records_hold_python_floats(self, climb):
+        box = BoxConstraint.cube(-1.0, 1.0, 2)
+        trace = climb(deterministic(lambda t: -float(t @ t)), SCHEDULES, box, [0.5, -0.25], 3, 1)
+        assert all(type(v) is float for r in trace.records for v in r.theta)
+        assert "np.float64" not in repr(trace.records)
+        assert pickle.loads(pickle.dumps(trace.records)) == trace.records
 
     def test_trace_records_schedule_values(self):
         env = GaussianMeanEnv()
