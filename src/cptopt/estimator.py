@@ -72,11 +72,13 @@ _PROB_ATOL = 1e-12
 # terms of each side evaluated at a time: small enough that a block's
 # temporaries stay in cache, large enough that numpy's per-call cost is small
 _BLOCK = 8192
-# (weight_plus, weight_minus, n) -> both sides' read-only weight increments
-# w((j+1)/n) - w(j/n), j = 0..n-1, for tie-free batches of n <= _CACHED_MAX_N;
-# an entry is at most 16 KiB, so the cleared-when-full dict holds at most
-# 4 MiB.  An entry is a pure function of its key, so threads racing on the
-# dict can only recompute an entry, never read a wrong one.
+# (kind and eta of weight_plus, of weight_minus, n) -> both sides' read-only
+# weight increments w((j+1)/n) - w(j/n), j = 0..n-1, for tie-free batches of
+# n <= _CACHED_MAX_N (the fields, not the frozen specs, whose generated hash
+# rebuilds a tuple on every call); an entry is at most 16 KiB, so the
+# cleared-when-full dict holds at most 4 MiB.  An entry is a pure function of
+# its key, so threads racing on the dict can only recompute an entry, never
+# read a wrong one.
 _INCREMENTS: dict = {}
 _INCREMENTS_MAX = 256
 _CACHED_MAX_N = 1024
@@ -233,7 +235,7 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
 
 def _increments(weight_plus, weight_minus, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Both sides' weight increments on the j/n grid, from the module cache."""
-    key = (weight_plus, weight_minus, n)
+    key = (weight_plus.kind, weight_plus.eta, weight_minus.kind, weight_minus.eta, n)
     entry = _INCREMENTS.get(key)
     if entry is None:
         grid = np.arange(n + 1) / n

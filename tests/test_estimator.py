@@ -1049,6 +1049,11 @@ def cached_batches(draw):
     return samples, model
 
 
+def _cache_key(model, n):
+    w_plus, w_minus = model.weight_plus, model.weight_minus
+    return (w_plus.kind, w_plus.eta, w_minus.kind, w_minus.eta, n)
+
+
 class TestIncrementCache:
     """Small tie-free batches take their weight increments from a cache."""
 
@@ -1062,7 +1067,7 @@ class TestIncrementCache:
         assert _bits(estimate_cpt(samples, model)) == want  # a miss fills the entry
         assert _bits(estimate_cpt(samples[::-1], model)) == want  # a hit reads it
         if samples.size <= _CACHED_MAX_N:
-            assert (model.weight_plus, model.weight_minus, samples.size) in estimator._INCREMENTS
+            assert _cache_key(model, samples.size) in estimator._INCREMENTS
         else:
             assert not estimator._INCREMENTS
 
@@ -1081,11 +1086,30 @@ class TestIncrementCache:
                     assert _bits(estimate_cpt(samples, model)) == want
         assert len(estimator._INCREMENTS) == 3 * len(weights) ** 2
 
+    def test_equal_specs_share_an_entry_and_distinct_etas_never_do(self):
+        estimator._INCREMENTS.clear()
+        samples = np.random.default_rng(5).normal(0.0, 1.0, 40)
+        eta = 0.61
+        first, equal = tk_model(eta, eta), tk_model(eta, eta)
+        assert first.weight_plus is not equal.weight_plus and first.weight_plus == equal.weight_plus
+        estimate_cpt(samples, first)
+        entry = estimator._INCREMENTS[_cache_key(first, 40)]
+        assert _bits(estimate_cpt(samples, equal)) == _bits(_per_sample_estimate(samples, equal))
+        assert len(estimator._INCREMENTS) == 1
+        assert estimator._INCREMENTS[_cache_key(equal, 40)] is entry
+        # the next eta up, on either side, reads its own increments
+        near = math.nextafter(eta, 1.0)
+        for model in (tk_model(near, eta), tk_model(eta, near), tk_model(near, near)):
+            want = _bits(_per_sample_estimate(samples, model))
+            assert _bits(estimate_cpt(samples, model)) == want
+        assert len(estimator._INCREMENTS) == 4
+        assert estimator._INCREMENTS[_cache_key(first, 40)] is entry
+
     def test_entries_are_read_only(self):
         estimator._INCREMENTS.clear()
         model = tk_model(0.61, 0.69)
         estimate_cpt(np.random.default_rng(0).normal(0.0, 1.0, 30), model)
-        for d in estimator._INCREMENTS[(model.weight_plus, model.weight_minus, 30)]:
+        for d in estimator._INCREMENTS[_cache_key(model, 30)]:
             assert d.shape == (30,) and not d.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 d[0] = 1.0
