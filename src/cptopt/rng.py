@@ -25,13 +25,13 @@ An optimizer run draws, at each iteration n, from the streams
 ``substream(seed, n, role)`` of its roles (perturbation, then one per
 objective evaluation).  :func:`_iteration_streams` derives them a chunk of
 ``_CHUNK`` iterations at a time (the last chunk stops at the run's last
-iteration): :func:`_chunk_seeds` mixes every iteration's word, then every
+iteration): :func:`_chunk_pools` mixes every iteration's word, then every
 role's word, into the pool after the seed, and works out the four PCG64
 seeding words of each stream, all on numpy ``uint64`` arrays; each
 iteration then only builds its ``PCG64`` bit generators from those words.
 An iteration number of two or more 32-bit words changes the hash constants
-its role mixes with, so a chunk that reaches ``n >= 2**32`` is mixed one
-stream at a time in Python.  The streams are those of :func:`substream`,
+its role mixes with, so a chunk that reaches ``n >= 2**32`` mixes its pools
+one stream at a time in Python.  The streams are those of :func:`substream`,
 bit for bit; :func:`substream` itself keeps the Python mixing, which is
 cheaper for a single stream than any array call.
 
@@ -308,49 +308,47 @@ def _absorb_array(pool: np.ndarray, chain: tuple, words: np.ndarray) -> np.ndarr
     return r ^ (r >> _XSHIFT)
 
 
-def _chunk_seeds(root: RootSeed, first: int, count: int, roles: int) -> list[list[_StreamSeed]]:
-    """The seeds of ``substream(root, n, r)`` for ``first <= n < first +
-    count`` and ``r < roles``, one list of roles per n.
+def _chunk_pools(entropy, key: tuple, ns: range, roles: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed pools and the four PCG64 seeding words of the streams
+    ``substream(root, n, r)`` for ``n`` in ``ns`` and ``r < roles``, where
+    the root's address is ``entropy`` and ``key``: two ``uint64`` arrays of
+    shape ``(len(ns), roles, 4)``.
 
-    While every n is one 32-bit word, the pass runs on arrays: each n, then
-    each role (its own word), is absorbed into the pool after the root, and
-    the resulting pools give the four PCG64 seeding words of every stream.
+    While every n is one 32-bit word, the mixing runs on arrays: each n, then
+    each role (its own word), is absorbed into the pool after the root.
     """
-    entropy, key = _address(root, (first,))
-    key = key[:-1]
     pool, h = _prefix_state(entropy, key)
-    ns = range(first, first + count)
     if ns[-1] > _MASK32:  # the hash constants depend on each n's word count
-        seeds = []
+        pools = []
         for n in ns:
             pool_n, h_n = _extend((pool, h), n)
             chain = _chain(h_n)
-            seeds.append([
-                _StreamSeed(entropy, key + (n, r), _absorb(pool_n, chain, r))
-                for r in range(roles)
-            ])
-        return seeds
-    chain = _chain(h)
-    pools = _absorb_array(np.array(pool, np.uint64), chain, np.array(ns, np.uint64)[:, None])
-    pools = _absorb_array(
-        pools[:, None, :], _chain(chain[-1]), np.arange(roles, dtype=np.uint64)[:, None]
-    )
+            pools.append([_absorb(pool_n, chain, r) for r in range(roles)])
+        pools = np.array(pools, np.uint64)
+    else:
+        chain = _chain(h)
+        pools = _absorb_array(np.array(pool, np.uint64), chain, np.array(ns, np.uint64)[:, None])
+        pools = _absorb_array(
+            pools[:, None, :], _chain(chain[-1]), np.arange(roles, dtype=np.uint64)[:, None]
+        )
     lo = ((pools[..., _LO_ENTRIES] ^ _LO_BEFORE) * _LO_AFTER) & _MASK32
     hi = ((pools[..., _HI_ENTRIES] ^ _HI_BEFORE) * _HI_AFTER) & _MASK32
-    words = iter(((lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32)).reshape(-1, 4))
-    return [
-        [_StreamSeed(entropy, key + (n, r), p, next(words)) for r, p in enumerate(row)]
-        for n, row in zip(ns, pools.tolist())
-    ]
+    return pools, (lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32)
 
 
 def _iteration_streams(root: RootSeed, iters: int, roles: int) -> Iterator[list[PCG64]]:
     """For n = 1..iters in turn, the bit generators of ``substream(root, n,
-    r)`` for ``r < roles``, seeded from :func:`_chunk_seeds` a chunk of up to
-    ``_CHUNK`` iterations at a time."""
+    r)`` for ``r < roles``, mixed by :func:`_chunk_pools` a chunk of up to
+    ``_CHUNK`` iterations at a time; each iteration builds only its own."""
+    entropy, key = _address(root, ())
     for first in range(1, iters + 1, _CHUNK):
-        for seeds in _chunk_seeds(root, first, min(_CHUNK, iters + 1 - first), roles):
-            yield [PCG64(seed) for seed in seeds]
+        ns = range(first, min(first + _CHUNK, iters + 1))
+        pools, words = _chunk_pools(entropy, key, ns, roles)
+        for n, pool, word in zip(ns, pools, words):
+            yield [
+                PCG64(_StreamSeed(entropy, key + (n, r), p, w))
+                for r, (p, w) in enumerate(zip(pool.tolist(), word))
+            ]
 
 
 def stream_id(root: RootSeed, *path: int) -> str:

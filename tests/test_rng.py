@@ -197,23 +197,22 @@ def test_threads_sharing_the_caches_draw_numpys_streams(monkeypatch):
 # an optimizer run's role streams, derived a chunk of iterations at a time
 
 
-def chunk_streams(root, first, count, roles):
-    """``_chunk_seeds``' seeds as numpy Generators, one list of roles per n."""
-    seeds = rng._chunk_seeds(root, first, count, roles)
-    return [[Generator(PCG64(seed)) for seed in row] for row in seeds]
+def assert_chunk_matches_numpy(root, first, count, roles):
+    """``_chunk_pools`` against each stream's numpy ``SeedSequence``: its
+    mixed pool and the four words ``PCG64`` seeds itself from."""
+    entropy, key = rng._address(root, ())
+    ns = range(first, first + count)
+    pools, words = rng._chunk_pools(entropy, key, ns, roles)
+    assert pools.shape == words.shape == (count, roles, 4)
+    assert pools.dtype == words.dtype == np.uint64
+    for i, n in enumerate(ns):
+        for r in range(roles):
+            want = np.random.SeedSequence(entropy, spawn_key=tuple(key) + (n, r))
+            assert pools[i, r].tolist() == want.pool.tolist()
+            assert words[i, r].tolist() == want.generate_state(4, np.uint64).tolist()
 
 
-def assert_chunk_streams(root, entropy, key, first, count, roles):
-    got = chunk_streams(root, first, count, roles)
-    assert [len(row) for row in got] == [roles] * count
-    for n, row in enumerate(got, int(first)):
-        for r, stream in enumerate(row):
-            assert stream.bit_generator.seed_seq.spawn_key == tuple(key) + (n, r)
-            assert stream.bit_generator.state == substream(root, n, r).bit_generator.state
-            assert_same_stream(stream, reference_rng(entropy, key, (n, r)))
-
-
-# a chunk's first n: the vector path up to 2**32 - 1, then the scalar one
+# a chunk's first n: the array mixing up to 2**32 - 1, then the scalar one
 firsts = st.one_of(
     st.sampled_from((0, 1, 256, 257, 2**32 - 8, 2**32 - 2, 2**32, 2**64 + 1)),
     st.integers(0, 2**33),
@@ -223,9 +222,9 @@ firsts = st.one_of(
 
 @given(entropy=entropies, key=keys, first=firsts, count=st.integers(1, 9), roles=st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
-def test_chunk_seeds_match_substream_and_numpy(entropy, key, first, count, roles):
+def test_chunk_pools_match_numpy(entropy, key, first, count, roles):
     for root in roots(entropy, key):
-        assert_chunk_streams(root, entropy, key, first, count, roles)
+        assert_chunk_matches_numpy(root, first, count, roles)
 
 
 @pytest.mark.parametrize(
@@ -237,67 +236,68 @@ def test_chunk_seeds_match_substream_and_numpy(entropy, key, first, count, roles
 )
 def test_full_chunks_and_the_word_edge_match_numpy(entropy, key, first, count):
     for root in roots(entropy, key):
-        assert_chunk_streams(root, entropy, key, first, count, 4 if count < 256 else 2)
+        assert_chunk_matches_numpy(root, first, count, 4 if count < 256 else 2)
 
 
 @pytest.mark.parametrize("iters", [0, 1, 2, 255, 256, 257, 600])
 @pytest.mark.parametrize("roles", [1, 3, 4])
-def test_iteration_streams_chunk_the_run_and_stop_at_its_last_iteration(monkeypatch, iters, roles):
-    root = np.random.SeedSequence(5, spawn_key=(2,))
-    chunks = []
+@pytest.mark.parametrize("root", [2**200 + 3, np.random.SeedSequence(5, spawn_key=(2,))])
+def test_iteration_streams_chunk_the_run_and_stop_at_its_last_iteration(
+    monkeypatch, root, iters, roles
+):
+    chunks, chunk_pools = [], rng._chunk_pools
 
-    def spy(*args):
-        chunks.append(args[1:])
-        return chunk_seeds(*args)
+    def spy(entropy, key, ns, roles):
+        chunks.append((ns.start, ns.stop, roles))
+        return chunk_pools(entropy, key, ns, roles)
 
-    chunk_seeds = rng._chunk_seeds
-    monkeypatch.setattr(rng, "_chunk_seeds", spy)
+    monkeypatch.setattr(rng, "_chunk_pools", spy)
     got = list(rng._iteration_streams(root, iters, roles))
     starts = range(1, iters + 1, rng._CHUNK)
-    assert chunks == [(s, min(rng._CHUNK, iters + 1 - s), roles) for s in starts]
+    assert chunks == [(s, min(s + rng._CHUNK, iters + 1), roles) for s in starts]
     assert len(got) == iters
+    key = tuple(getattr(root, "spawn_key", ()))
     for n, row in enumerate(got, 1):
         assert [type(b) for b in row] == [PCG64] * roles
         for r, bits in enumerate(row):
+            assert bits.seed_seq.spawn_key == key + (n, r)
             assert bits.state == substream(root, n, r).bit_generator.state
 
 
-@pytest.mark.parametrize("first", [3, 2**32 + 3])
 @pytest.mark.parametrize("root", [7, np.random.SeedSequence(7, spawn_key=(0,))])
-def test_chunk_seeds_spawn_and_generate_numpys_state(root, first):
+def test_iteration_streams_spawn_and_generate_numpys_state(root):
     key = tuple(getattr(root, "spawn_key", ()))
-    for n, row in enumerate(chunk_streams(root, first, 2, 4), first):
-        for r, stream in enumerate(row):
+    for n, row in enumerate(rng._iteration_streams(root, 3, 4), 1):
+        for r, bits in enumerate(row):
+            stream = Generator(bits)
+            assert_same_stream(stream, reference_rng(7, key, (n, r)))
             for got, want in zip(stream.spawn(2), reference_rng(7, key, (n, r)).spawn(2)):
                 assert_same_stream(got, want)
-            seed_seq = stream.bit_generator.seed_seq
             for n_words, dtype in ((4, np.uint64), (3, np.uint64), (5, np.uint32), (8, np.uint64)):
                 want = np.random.SeedSequence(7, spawn_key=key + (n, r))
                 want = want.generate_state(n_words, dtype)
-                assert seed_seq.generate_state(n_words, dtype).tolist() == want.tolist()
+                assert bits.seed_seq.generate_state(n_words, dtype).tolist() == want.tolist()
             with pytest.raises(ValueError):
-                seed_seq.generate_state(2, np.float64)
+                bits.seed_seq.generate_state(2, np.float64)
 
 
-def test_chunk_seeding_words_are_a_fresh_copy_each_call():
-    seed = rng._chunk_seeds(11, 1, 2, 3)[1][2]
+def test_seeding_words_are_a_fresh_copy_each_call():
+    seed_seq = list(rng._iteration_streams(11, 2, 3))[1][2].seed_seq
     want = np.random.SeedSequence(11, spawn_key=(2, 2)).generate_state(4, np.uint64)
-    first = seed.generate_state(4, np.uint64)
+    first = seed_seq.generate_state(4, np.uint64)
     first[:] = 0
-    second = seed.generate_state(4, np.uint64)
+    second = seed_seq.generate_state(4, np.uint64)
     assert second is not first and second.flags.c_contiguous
     assert second.dtype == np.uint64 and second.tolist() == want.tolist()
-    assert PCG64(seed).state == PCG64(np.random.SeedSequence(11, spawn_key=(2, 2))).state
+    assert PCG64(seed_seq).state == PCG64(np.random.SeedSequence(11, spawn_key=(2, 2))).state
 
 
 @pytest.mark.parametrize(
-    "root, first, error",
-    [(-1, 1, ValueError), (1, -1, ValueError), (True, 1, TypeError), (1, True, TypeError),
-     (1, 2.0, TypeError), (1.0, 2, TypeError)],
+    "root, error", [(-1, ValueError), (True, TypeError), (np.True_, TypeError), (1.0, TypeError)]
 )
-def test_chunk_seeds_check_the_address(root, first, error):
+def test_iteration_streams_check_the_root(root, error):
     with pytest.raises(error):
-        rng._chunk_seeds(root, first, 3, 4)
+        next(rng._iteration_streams(root, 3, 4))
 
 
 def test_threads_deriving_iteration_streams_draw_numpys_streams(monkeypatch):
