@@ -46,7 +46,7 @@ first use, so ``Generator.spawn`` returns numpy's own children.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -247,7 +247,7 @@ class _StreamSeed(ISpawnableSeedSequence):
     """Mixed pool of one substream, in the role numpy's SeedSequence plays;
     ``words``, when given, are the pool's precomputed PCG64 seeding words."""
 
-    def __init__(self, entropy, spawn_key: tuple[int, ...], pool, words=None):
+    def __init__(self, entropy, spawn_key: tuple[int, ...], pool: Sequence[int], words=None):
         self.entropy = entropy
         self.spawn_key = spawn_key
         self._pool = pool

@@ -27,12 +27,12 @@ Randomness is drawn from counter-based substreams keyed by
 without changing any result.  The run's role streams, ``substream(seed, n,
 role)``, are seeded a chunk of iterations at a time
 (:func:`cptopt.rng._iteration_streams`), so an iteration only builds its
-bit generators.  The perturbation role needs no ``Generator``: its +/-1
-signs are the top bit of each 32-bit half of the bit generator's raw 64-bit
-output, low half first, which is what :func:`rademacher_vector` draws from
-a fresh ``Generator`` on the same stream (``Generator.integers(0, 2)`` takes
-the top bit of each 32-bit draw, and a 64-bit output gives its low half
-first).  SPSA-N's two vectors are one run of 2d signs, as two
+bit generators.  The perturbation role needs no ``Generator``.  Its +/-1
+signs are the top bit of each 32-bit half of the raw 64-bit output, low
+half first.  These are the draws :func:`rademacher_vector` makes on a fresh
+``Generator`` of the same stream: ``integers(0, 2)`` takes the top bit of
+each 32-bit draw, and the bit generator splits a 64-bit output low half
+first.  SPSA-N draws its two vectors as one run of 2d signs, since two
 ``rademacher_vector`` calls share a buffered half at odd d.
 
 The Newton step's Cholesky solve calls LAPACK through ``scipy.linalg``,
