@@ -1,9 +1,12 @@
 """Regenerate the SPSA golden master after an intentional change.
 
-``spsa_golden.json`` freezes four optimizer runs: SPSA-G and SPSA-N on a 2-d
+``spsa_golden.json`` freezes six optimizer runs: SPSA-G and SPSA-N on a 2-d
 anisotropic Gaussian bowl (identity model; SPSA-N with ``hessian_scale=0.5``
 and ``pd_floor=1.0``) and on the two-state SSP chain (Tversky-Kahneman
-model).  Each case holds its inputs next to the run's records, final theta
+model); SPSA-N on a 3-d bowl for 300 iterations, past the 256 iterations
+whose streams are seeded together, with a ``pd_floor`` of 2.0 that the
+eigenvalue floor binds at most iterations; and SPSA-G on a 5-d bowl, whose
+five signs take three raw 64-bit outputs.  Each case holds its inputs next to the run's records, final theta
 and (SPSA-N) running curvature matrix.  Every float is stored as
 ``float.hex`` so the comparison is exact.
 
@@ -29,6 +32,10 @@ from cptopt.spsa import BoxConstraint, SpsaSchedules, optimize_spsa_g, optimize_
 HERE = Path(__file__).parent
 
 BOWL = {"kind": "gaussian", "optimum": [2.0, 2.0], "curvatures": [1.0, 10.0], "noise_std": 0.1}
+BOWL_3D = {"kind": "gaussian", "optimum": [2.0, 2.0, 2.0], "curvatures": [1.0, 4.0, 10.0],
+           "noise_std": 0.1}
+BOWL_5D = {"kind": "gaussian", "optimum": [2.0] * 5, "curvatures": [1.0, 2.0, 4.0, 6.0, 10.0],
+           "noise_std": 0.1}
 CHAIN = {"kind": "ssp_two_state_chain"}
 BOWL_SCHEDULES = {"a0": 1.0, "a_offset": 0.0, "nu": 0.5, "alpha": 1.0}
 CHAIN_SCHEDULES = {"nu": 0.5, "alpha": 0.61}
@@ -47,6 +54,12 @@ CASES = [
      "model": CptModel.tversky_kahneman().to_dict(), "schedules": CHAIN_SCHEDULES,
      "box": [0.1, 10.0], "theta0": [1.0, 1.0], "iters": 20, "seed": 14,
      "newton": {"hessian_scale": 1.0, "pd_floor": 1e-4}},
+    {"name": "n_bowl_3d", "algo": "spsa-n", "env": BOWL_3D, "model": CptModel.identity().to_dict(),
+     "schedules": BOWL_SCHEDULES, "box": [0.0, 4.0], "theta0": [0.5, 0.5, 0.5],
+     "iters": 300, "seed": 15, "newton": {"hessian_scale": 0.5, "pd_floor": 2.0}},
+    {"name": "g_bowl_5d", "algo": "spsa-g", "env": BOWL_5D, "model": CptModel.identity().to_dict(),
+     "schedules": BOWL_SCHEDULES, "box": [0.0, 4.0], "theta0": [0.5] * 5,
+     "iters": 40, "seed": 16, "newton": None},
 ]
 
 
