@@ -13,6 +13,9 @@ class ReturnEnv:
     """Sampler interface for parameterized return distributions.
 
     Subclasses implement ``dim`` and ``_sample``, which receives checked input.
+    ``optimize_spsa_g`` and ``optimize_spsa_n`` call ``_sample`` directly
+    with evaluation points and batch sizes the loop built itself, so an
+    override of ``sample_returns`` does not reach them.
     """
 
     @property

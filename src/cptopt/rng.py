@@ -28,7 +28,12 @@ objective evaluation).  :func:`_iteration_streams` derives them a chunk of
 iteration): :func:`_chunk_pools` mixes every iteration's word, then every
 role's word, into the pool after the seed, and works out the four PCG64
 seeding words of each stream, all on numpy ``uint64`` arrays; each
-iteration then only builds its ``PCG64`` bit generators from those words.
+iteration then only builds the ``PCG64`` bit generators of its evaluation
+roles from those words.  The perturbation role needs only its first few
+raw outputs, the source of its +/-1 signs: the chunk pass works them out
+for every iteration at once, with PCG64's seeding and stepping written as
+128-bit arithmetic on ``uint64`` arrays of 32-bit limbs
+(:func:`_raw_outputs`), so no bit generator is built for that role.
 An iteration number of two or more 32-bit words changes the hash constants
 its role mixes with, so a chunk that reaches ``n >= 2**32`` mixes its pools
 one stream at a time in Python.  The streams are those of :func:`substream`,
@@ -308,11 +313,100 @@ def _absorb_array(pool: np.ndarray, chain: tuple, words: np.ndarray) -> np.ndarr
     return r ^ (r >> _XSHIFT)
 
 
-def _chunk_pools(entropy, key: tuple, ns: range, roles: int) -> tuple[np.ndarray, np.ndarray]:
+# PCG64's 128-bit multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# for j = 1..len, the limbs (see _affine_limbs) of (M**(j + 1), 1 + M + ... +
+# M**(j + 1)) mod 2**128, M the multiplier, along the last axis.  Seeding
+# leaves a PCG64 at state M * seed + (M + 1) * inc, and each output first
+# steps s -> M * s + inc, so the state of its j-th output is this affine map
+# of seed and inc.  Grown by rebinding, like _STATE_HASHES.
+_OUTPUT_JUMPS = np.zeros((4, 2, 0), np.uint64)
+
+# rademacher_vector's entry for a drawn 0 and for a drawn 1
+_SIGN_OF_BIT = np.array([-1.0, 1.0])
+
+
+def _output_jumps(count: int) -> np.ndarray:
+    """``_OUTPUT_JUMPS`` for j = 1..count, a ``(4, 2, count)`` array."""
+    global _OUTPUT_JUMPS
+    jumps = _OUTPUT_JUMPS
+    if jumps.shape[-1] < count:
+        columns, power, total = [], _PCG_MULT, 1 + _PCG_MULT
+        for _ in range(count):
+            power = (power * _PCG_MULT) & _MASK128
+            total = (total + power) & _MASK128
+            columns.append([[(v >> s) & _MASK32 for v in (power, total)] for s in (0, 32, 64, 96)])
+        _OUTPUT_JUMPS = jumps = np.array(columns, np.uint64).transpose(1, 2, 0).copy()
+    return jumps[..., :count]
+
+
+def _affine_limbs(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The four limbs of ``a[:, 0] * x[:, 0] + a[:, 1] * x[:, 1]`` mod 2**128,
+    broadcast, where each 128-bit number is four 32-bit limbs along axis 0,
+    low limb first, held in ``uint64``.
+
+    The product of limbs i and j fits in 64 bits.  Column i + j sums its low
+    half and column i + j + 1 its high half (at most 14 terms below 2**32
+    each); column 3 takes its products whole, since only its low 32 bits
+    are kept.  Then the carries are passed up.
+    """
+    cols = np.zeros((4,) + np.broadcast_shapes(a.shape[1:], x.shape[1:]), np.uint64)
+    for i in range(4):
+        for j in range(4 - i):
+            p = a[i] * x[j]
+            if i + j < 3:
+                cols[i + j] += p & _MASK32
+                cols[i + j + 1] += p >> 32
+            else:
+                cols[3] += p
+    cols = cols[:, 0] + cols[:, 1]
+    for k in range(1, 4):
+        cols[k] += cols[k - 1] >> 32
+    return cols & _MASK32
+
+
+def _raw_outputs(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``random_raw`` from a fresh ``PCG64``
+    seeded with each row of ``words`` (its four seeding words): a
+    ``(rows, count)`` ``uint64`` array.
+
+    PCG64 reads the words as a 128-bit seed ``w0:w1`` and increment
+    ``(w2:w3 << 1) | 1``, steps its LCG before each output, and outputs the
+    XSL-RR mix of the state: its two 64-bit halves xor-ed, rotated right by
+    the state's top six bits.  The j-th output's state is an affine map of
+    seed and increment (:func:`_output_jumps`), so every row and output is
+    worked out at once, with no bit generator.
+    """
+    w0, w1, w2, w3 = words.T
+    # the 64-bit halves, low first, of seed and increment, then their limbs
+    halves = np.stack([w1, w0, (w3 << 1) | 1, (w2 << 1) | (w3 >> 63)])
+    limbs = np.stack([halves & _MASK32, halves >> 32], 1).reshape(2, 4, -1, 1)
+    l0, l1, l2, l3 = _affine_limbs(_output_jumps(count)[:, :, None], limbs.transpose(1, 0, 2, 3))
+    x = (l0 ^ l2) | ((l1 ^ l3) << 32)
+    rot = l3 >> 26
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _raw_signs(words: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` signs that ``rademacher_vector`` calls draw, in turn,
+    from a fresh ``Generator(PCG64)`` seeded with each row of ``words``: the
+    top bit of each 32-bit half of the raw 64-bit output, low half first."""
+    raw = _raw_outputs(words, (count + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    return _SIGN_OF_BIT.take(halves[:, :count] >> 31)
+
+
+def _chunk_pools(
+    entropy, key: tuple, ns: range, roles: int, signs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mixed pools and the four PCG64 seeding words of the streams
     ``substream(root, n, r)`` for ``n`` in ``ns`` and ``r < roles``, where
     the root's address is ``entropy`` and ``key``: two ``uint64`` arrays of
-    shape ``(len(ns), roles, 4)``.
+    shape ``(len(ns), roles, 4)``; and the first ``signs`` +/-1 signs of
+    each ``substream(root, n, 0)`` (:func:`_raw_signs`), a ``(len(ns),
+    signs)`` float array.
 
     While every n is one 32-bit word, the mixing runs on arrays: each n, then
     each role (its own word), is absorbed into the pool after the root.
@@ -333,21 +427,26 @@ def _chunk_pools(entropy, key: tuple, ns: range, roles: int) -> tuple[np.ndarray
         )
     lo = ((pools[..., _LO_ENTRIES] ^ _LO_BEFORE) * _LO_AFTER) & _MASK32
     hi = ((pools[..., _HI_ENTRIES] ^ _HI_BEFORE) * _HI_AFTER) & _MASK32
-    return pools, (lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32)
+    words = (lo ^ (lo >> _XSHIFT)) | ((hi ^ (hi >> _XSHIFT)) << 32)
+    return pools, words, _raw_signs(words[:, 0], signs)
 
 
-def _iteration_streams(root: RootSeed, iters: int, roles: int) -> Iterator[list[PCG64]]:
-    """For n = 1..iters in turn, the bit generators of ``substream(root, n,
-    r)`` for ``r < roles``, mixed by :func:`_chunk_pools` a chunk of up to
-    ``_CHUNK`` iterations at a time; each iteration builds only its own."""
+def _iteration_streams(
+    root: RootSeed, iters: int, roles: int, signs: int
+) -> Iterator[tuple[np.ndarray, list[PCG64]]]:
+    """For n = 1..iters in turn, the first ``signs`` signs of ``substream(root,
+    n, 0)`` and the bit generators of ``substream(root, n, r)`` for ``0 < r <
+    roles``, worked out by :func:`_chunk_pools` a chunk of up to ``_CHUNK``
+    iterations at a time; each iteration builds only its own bit generators,
+    and none for role 0."""
     entropy, key = _address(root, ())
     for first in range(1, iters + 1, _CHUNK):
         ns = range(first, min(first + _CHUNK, iters + 1))
-        pools, words = _chunk_pools(entropy, key, ns, roles)
-        for n, pool, word in zip(ns, pools, words):
-            yield [
+        pools, words, chunk_signs = _chunk_pools(entropy, key, ns, roles, signs)
+        for n, pool, word, row in zip(ns, pools, words, chunk_signs):
+            yield row, [
                 PCG64(_StreamSeed(entropy, key + (n, r), p, w))
-                for r, (p, w) in enumerate(zip(pool.tolist(), word))
+                for r, p, w in zip(range(1, roles), pool[1:].tolist(), word[1:])
             ]
 
 

@@ -19,24 +19,30 @@ projected onto the box.  They differ only in the step rule:
   well-conditioned positive-definite matrices) for a Newton-style step.
 
 ``ascend``/``ascend_newton`` take any evaluator ``(theta, m, rng) -> value``;
-``optimize_spsa_g``/``_n`` build one from an environment's sampled returns
-with :func:`return_evaluator`.
+``optimize_spsa_g``/``_n`` build one from an environment's sampled returns.
+The loop builds every evaluation point inside the box and every batch size
+itself, so they sample through the environment's ``_sample``, without
+``sample_returns``' checks of theta and m, whenever the box and ``delta0``
+keep every evaluation point finite (:func:`return_evaluator` keeps the
+checks for other callers).
 
 Randomness is drawn from counter-based substreams keyed by
 (iteration, role), so the per-iteration evaluations could run concurrently
 without changing any result.  The run's role streams, ``substream(seed, n,
 role)``, are seeded a chunk of iterations at a time
-(:func:`cptopt.rng._iteration_streams`), so an iteration only builds its
-bit generators.  The perturbation role needs no ``Generator``.  Its +/-1
-signs are the top bit of each 32-bit half of the raw 64-bit output, low
-half first.  These are the draws :func:`rademacher_vector` makes on a fresh
-``Generator`` of the same stream: ``integers(0, 2)`` takes the top bit of
-each 32-bit draw, and the bit generator splits a 64-bit output low half
+(:func:`cptopt.rng._iteration_streams`), so an iteration only builds the
+bit generators of its evaluations.  The perturbation role has no bit
+generator at all: the chunk pass works out its +/-1 signs from the raw
+64-bit outputs of each iteration's stream, the top bit of each 32-bit half,
+low half first.  These are the draws :func:`rademacher_vector` makes on a
+fresh ``Generator`` of the same stream: ``integers(0, 2)`` takes the top bit
+of each 32-bit draw, and the bit generator splits a 64-bit output low half
 first.  SPSA-N draws its two vectors as one run of 2d signs, since two
 ``rademacher_vector`` calls share a buffered half at odd d.
 
-The Newton step's Cholesky solve calls LAPACK through ``scipy.linalg``,
-imported on its first call; the gradient optimizer needs only numpy.
+The Newton step calls LAPACK through ``scipy.linalg.lapack``, imported on
+its first call: ``dsyevd`` for the eigenvalue floor, then ``dpotrf`` and
+``dpotrs`` for the solve.  The gradient optimizer needs only numpy.
 
 Sign convention: the running curvature matrix ``h_bar`` estimates the
 objective's Hessian, which is negative-definite near a maximum.  The Newton
@@ -307,20 +313,10 @@ def rademacher_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=d) * 2.0 - 1.0
 
 
-# rademacher_vector's entry for a drawn 0 and for a drawn 1
-_SIGN_OF_BIT = np.array([-1.0, 1.0])
-
-
-def _signs(bit_generator, count: int) -> np.ndarray:
-    """The ``count`` signs that :func:`rademacher_vector` calls draw, in
-    turn, from a fresh ``Generator(bit_generator)``: the top bit of each
-    32-bit half of the raw 64-bit output, low half first."""
-    halves = bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
-    return _SIGN_OF_BIT.take(halves[:count] >> 31)
-
-
 def _check_perturbation(name: str, perturb: np.ndarray) -> np.ndarray:
     perturb = as_array(name, np.atleast_1d(perturb), 1, finite=False)
+    if not perturb.size:
+        raise ValueError(f"{name} must not be empty")
     if not np.all(np.abs(perturb) == 1.0):
         raise ValueError(f"{name} entries must be +1 or -1")
     return perturb
@@ -366,6 +362,10 @@ def spsa_n_estimates(
     c_plus, c_minus, delta, perturb = _check_two_point(c_plus, c_minus, delta, perturb)
     c_center = as_float("c_center", c_center)
     perturb_hat = _check_perturbation("perturb_hat", perturb_hat)
+    if perturb_hat.size != perturb.size:
+        raise ValueError(
+            f"perturb_hat has length {perturb_hat.size}, but perturb has length {perturb.size}"
+        )
     return _newton_estimates(c_plus, c_minus, c_center, delta, perturb, perturb_hat)
 
 
@@ -375,7 +375,7 @@ def _newton_estimates(
     """:func:`spsa_n_estimates` without its checks."""
     grad = _gradient(c_plus, c_minus, delta, perturb)
     curvature = (c_plus + c_minus - 2.0 * c_center) / delta**2
-    return grad, curvature * np.outer(perturb, perturb_hat)
+    return grad, curvature * (perturb[:, None] * perturb_hat)
 
 
 def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
@@ -391,16 +391,31 @@ def psd_project(h: np.ndarray, kappa: float) -> np.ndarray:
     h = as_array("h", h, 2)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"h must be square, got shape {h.shape}")
+    if not h.size:
+        raise ValueError("h must not be empty")
     return _eigenvalue_floor(h, kappa)[0]
 
 
 def _eigenvalue_floor(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`psd_project` without its checks, and the ascending eigenvalues
-    of the symmetrized ``h`` before the floor."""
+    of the symmetrized ``h`` before the floor.
+
+    ``np.linalg.eigh`` without its wrapper: the LAPACK routine it calls,
+    ``dsyevd`` on the lower triangle, gives the same eigenvalues and
+    eigenvectors, and its error when they do not converge is kept.  The
+    eigenvectors come back Fortran-ordered; they are made C-ordered, as
+    ``eigh`` returns them, because the floor's matrix product can round
+    differently on the other layout.
+    """
+    from scipy.linalg import lapack
+
     sym = (h + h.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, eigvecs, info = lapack.dsyevd(sym, compute_v=1, lower=1)
+    if info > 0:
+        raise LinAlgError("Eigenvalues did not converge")
     if eigvals[0] >= kappa:
         return sym, eigvals
+    eigvecs = np.ascontiguousarray(eigvecs)
     clamped = np.maximum(eigvals, kappa)
     out = (eigvecs * clamped) @ eigvecs.T
     return (out + out.T) / 2.0, eigvals
@@ -481,22 +496,21 @@ def _climb(
     newton = pd_floor is not None
     roles = _TRAJ_CENTER + 1 if newton else _TRAJ_MINUS + 1
     trace = RunTrace(h_bar=np.zeros((box.dim, box.dim)) if newton else None)
-    # the bit generators of substream(seed, n, role) for each role
-    for n, bits in enumerate(_iteration_streams(seed, iters, roles), 1):
+    signs = 2 * box.dim if newton else box.dim
+    # the signs of substream(seed, n, _PERTURB) and the bit generators of the
+    # evaluation roles' substreams, _TRAJ_PLUS first
+    for n, (dv, bits) in enumerate(_iteration_streams(seed, iters, roles, signs), 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
         if not newton:
-            dv = _signs(bits[_PERTURB], box.dim)
             shift = delta * dv
         else:
-            signs = _signs(bits[_PERTURB], 2 * box.dim)
-            dv, dv_hat = signs[: box.dim], signs[box.dim :]
+            dv, dv_hat = dv[: box.dim], dv[box.dim :]
             shift = delta * (dv + dv_hat)
-        c_plus = _evaluate(evaluate, theta + shift, m, Generator(bits[_TRAJ_PLUS]), n, trace, "+")
-        c_minus = _evaluate(
-            evaluate, theta - shift, m, Generator(bits[_TRAJ_MINUS]), n, trace, "-"
-        )
+        plus, minus, *center = (Generator(b) for b in bits)
+        c_plus = _evaluate(evaluate, theta + shift, m, plus, n, trace, "+")
+        c_minus = _evaluate(evaluate, theta - shift, m, minus, n, trace, "-")
         c_center = None if not newton else _evaluate(
-            evaluate, theta, m, Generator(bits[_TRAJ_CENTER]), n, trace, "0"
+            evaluate, theta, m, center[0], n, trace, "0"
         )
         trace.records.append(
             IterationRecord(
@@ -568,21 +582,38 @@ def ascend_newton(
 
 def return_evaluator(env, model: CptModel) -> Evaluator:
     """Evaluator estimating the model value of ``env``'s sampled returns."""
+    return _returns_evaluator(env.sample_returns, model)
 
+
+def _returns_evaluator(sample, model: CptModel) -> Evaluator:
     def evaluate(theta: np.ndarray, m: int, rng: np.random.Generator) -> float:
-        return estimate_cpt(env.sample_returns(theta, m, rng), model).value
+        return estimate_cpt(sample(theta, m, rng), model).value
 
     return evaluate
 
 
-def _check_env(env, model: CptModel, schedules: SpsaSchedules, box: BoxConstraint) -> None:
-    """The checks both environment optimizers make before iteration 1."""
+def _env_evaluator(
+    env, model: CptModel, schedules: SpsaSchedules, box: BoxConstraint
+) -> Evaluator:
+    """Both environment optimizers' checks before iteration 1, and their
+    evaluator.
+
+    The loop evaluates at theta and ``theta +/- s``, with theta in the box,
+    every entry of ``s`` at most ``2 delta_n <= 2 delta0`` in magnitude and
+    batch sizes of at least 1, so ``sample_returns``' checks can only fail on
+    an evaluation point that overflows.  When the box's largest magnitude plus
+    2 delta0 is finite, none can, and the returns are drawn by ``_sample``
+    without the checks; otherwise by ``sample_returns``, whose "theta must be
+    finite" names the failure.
+    """
     _check_alpha(schedules, model)
     if box.dim != env.dim:
         raise ValueError(
             f"box has dimension {box.dim} but the environment's parameter has "
             f"dimension {env.dim}"
         )
+    reach = max(map(abs, box.lo + box.hi)) + 2.0 * schedules.delta0
+    return _returns_evaluator(env._sample if math.isfinite(reach) else env.sample_returns, model)
 
 
 def optimize_spsa_g(
@@ -601,8 +632,8 @@ def optimize_spsa_g(
     ``schedules.alpha`` may not exceed the model weights' Holder order, and
     the box must have the environment's dimension.
     """
-    _check_env(env, model, schedules, box)
-    return ascend(return_evaluator(env, model), schedules, box, theta0, iters, seed)
+    evaluate = _env_evaluator(env, model, schedules, box)
+    return ascend(evaluate, schedules, box, theta0, iters, seed)
 
 
 def optimize_spsa_n(
@@ -617,9 +648,9 @@ def optimize_spsa_n(
     hessian_scale: float = 1.0,
 ) -> RunTrace:
     """Second-order variant of :func:`optimize_spsa_g` (three trajectories)."""
-    _check_env(env, model, schedules, box)
+    evaluate = _env_evaluator(env, model, schedules, box)
     return ascend_newton(
-        return_evaluator(env, model),
+        evaluate,
         schedules,
         box,
         theta0,

@@ -23,6 +23,8 @@ from cptopt import (
     ascend,
     estimate_cpt_discrete,
     psd_project,
+    spsa_gradient,
+    spsa_n_estimates,
 )
 from cptopt.envs.ssp import SspMdp, two_state_chain
 from cptopt.envs.traffic import (
@@ -231,6 +233,27 @@ CASES = {
     ),
     "psd_project.h": (
         lambda: psd_project(np.ones((2, 3)), 0.1), ValueError, "h must be square, got shape (2, 3)"
+    ),
+    # a 0x0 h once raised IndexError from the eigenvalue floor
+    "psd_project.h.empty": (
+        lambda: psd_project(np.zeros((0, 0)), 1.0), ValueError, "h must not be empty"
+    ),
+    # an empty perturbation once gave an empty gradient, and two of different
+    # lengths a non-square "Hessian"
+    "spsa_gradient.perturb.empty": (
+        lambda: spsa_gradient(1.0, 0.0, 0.1, np.array([])), ValueError, "perturb must not be empty"
+    ),
+    "spsa_n_estimates.perturb.empty": (
+        lambda: spsa_n_estimates(1.0, 0.0, 0.5, 0.1, [], [1.0]),
+        ValueError, "perturb must not be empty",
+    ),
+    "spsa_n_estimates.perturb_hat.empty": (
+        lambda: spsa_n_estimates(1.0, 0.0, 0.5, 0.1, [1.0], np.array([])),
+        ValueError, "perturb_hat must not be empty",
+    ),
+    "spsa_n_estimates.perturb_hat.length": (
+        lambda: spsa_n_estimates(1.0, 0.0, 0.5, 0.1, [1.0], [1.0, -1.0]),
+        ValueError, "perturb_hat has length 2, but perturb has length 1",
     ),
     "ascend.iters": (
         lambda: ascend(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cptopt import rng
 from cptopt.rng import stream_id, subseed, substream
+from cptopt.spsa import rademacher_vector
 
 # word-boundary values: one, two and three 32-bit words
 _EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**128, 2**160 + 7)
@@ -197,15 +198,24 @@ def test_threads_sharing_the_caches_draw_numpys_streams(monkeypatch):
 # an optimizer run's role streams, derived a chunk of iterations at a time
 
 
-def assert_chunk_matches_numpy(root, first, count, roles):
+def reference_signs(entropy, key, n, count):
+    """``rademacher_vector``'s draw of ``count`` signs from numpy's own
+    stream of ``(entropy, key + (n, 0))``."""
+    return rademacher_vector(reference_rng(entropy, tuple(key), (n, 0)), count)
+
+
+def assert_chunk_matches_numpy(root, first, count, roles, signs=3):
     """``_chunk_pools`` against each stream's numpy ``SeedSequence``: its
-    mixed pool and the four words ``PCG64`` seeds itself from."""
+    mixed pool and the four words ``PCG64`` seeds itself from; and role 0's
+    signs against the draws of ``rademacher_vector`` from its stream."""
     entropy, key = rng._address(root, ())
     ns = range(first, first + count)
-    pools, words = rng._chunk_pools(entropy, key, ns, roles)
+    pools, words, got_signs = rng._chunk_pools(entropy, key, ns, roles, signs)
     assert pools.shape == words.shape == (count, roles, 4)
     assert pools.dtype == words.dtype == np.uint64
+    assert got_signs.shape == (count, signs)
     for i, n in enumerate(ns):
+        assert got_signs[i].tobytes() == reference_signs(entropy, key, n, signs).tobytes()
         for r in range(roles):
             want = np.random.SeedSequence(entropy, spawn_key=tuple(key) + (n, r))
             assert pools[i, r].tolist() == want.pool.tolist()
@@ -220,11 +230,34 @@ firsts = st.one_of(
 )
 
 
-@given(entropy=entropies, key=keys, first=firsts, count=st.integers(1, 9), roles=st.integers(1, 4))
+@given(
+    entropy=entropies,
+    key=keys,
+    first=firsts,
+    count=st.integers(1, 9),
+    roles=st.integers(1, 4),
+    signs=st.integers(1, 97),
+)
 @settings(max_examples=200, deadline=None)
-def test_chunk_pools_match_numpy(entropy, key, first, count, roles):
+def test_chunk_pools_match_numpy(entropy, key, first, count, roles, signs):
     for root in roots(entropy, key):
-        assert_chunk_matches_numpy(root, first, count, roles)
+        assert_chunk_matches_numpy(root, first, count, roles, signs)
+
+
+@given(
+    words=st.lists(
+        st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4), min_size=1, max_size=5
+    ),
+    count=st.integers(0, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_raw_outputs_are_a_fresh_pcg64s(words, count):
+    words = np.array(words, np.uint64)
+    got = rng._raw_outputs(words, count)
+    assert got.shape == (len(words), count) and got.dtype == np.uint64
+    for row, w in zip(got, words):
+        bits = PCG64(rng._StreamSeed(0, (), (0, 0, 0, 0), w))
+        assert row.tolist() == bits.random_raw(count).tolist()
 
 
 @pytest.mark.parametrize(
@@ -247,19 +280,20 @@ def test_iteration_streams_chunk_the_run_and_stop_at_its_last_iteration(
 ):
     chunks, chunk_pools = [], rng._chunk_pools
 
-    def spy(entropy, key, ns, roles):
-        chunks.append((ns.start, ns.stop, roles))
-        return chunk_pools(entropy, key, ns, roles)
+    def spy(entropy, key, ns, roles, signs):
+        chunks.append((ns.start, ns.stop, roles, signs))
+        return chunk_pools(entropy, key, ns, roles, signs)
 
     monkeypatch.setattr(rng, "_chunk_pools", spy)
-    got = list(rng._iteration_streams(root, iters, roles))
+    got = list(rng._iteration_streams(root, iters, roles, 5))
     starts = range(1, iters + 1, rng._CHUNK)
-    assert chunks == [(s, min(s + rng._CHUNK, iters + 1), roles) for s in starts]
+    assert chunks == [(s, min(s + rng._CHUNK, iters + 1), roles, 5) for s in starts]
     assert len(got) == iters
-    key = tuple(getattr(root, "spawn_key", ()))
-    for n, row in enumerate(got, 1):
-        assert [type(b) for b in row] == [PCG64] * roles
-        for r, bits in enumerate(row):
+    entropy, key = rng._address(root, ())
+    for n, (signs, row) in enumerate(got, 1):
+        assert signs.tobytes() == reference_signs(entropy, key, n, 5).tobytes()
+        assert [type(b) for b in row] == [PCG64] * (roles - 1)  # none for role 0
+        for r, bits in enumerate(row, 1):
             assert bits.seed_seq.spawn_key == key + (n, r)
             assert bits.state == substream(root, n, r).bit_generator.state
 
@@ -267,8 +301,8 @@ def test_iteration_streams_chunk_the_run_and_stop_at_its_last_iteration(
 @pytest.mark.parametrize("root", [7, np.random.SeedSequence(7, spawn_key=(0,))])
 def test_iteration_streams_spawn_and_generate_numpys_state(root):
     key = tuple(getattr(root, "spawn_key", ()))
-    for n, row in enumerate(rng._iteration_streams(root, 3, 4), 1):
-        for r, bits in enumerate(row):
+    for n, (_, row) in enumerate(rng._iteration_streams(root, 3, 4, 1), 1):
+        for r, bits in enumerate(row, 1):
             stream = Generator(bits)
             assert_same_stream(stream, reference_rng(7, key, (n, r)))
             for got, want in zip(stream.spawn(2), reference_rng(7, key, (n, r)).spawn(2)):
@@ -282,7 +316,7 @@ def test_iteration_streams_spawn_and_generate_numpys_state(root):
 
 
 def test_seeding_words_are_a_fresh_copy_each_call():
-    seed_seq = list(rng._iteration_streams(11, 2, 3))[1][2].seed_seq
+    seed_seq = list(rng._iteration_streams(11, 2, 3, 1))[1][1][1].seed_seq  # n = 2, role 2
     want = np.random.SeedSequence(11, spawn_key=(2, 2)).generate_state(4, np.uint64)
     first = seed_seq.generate_state(4, np.uint64)
     first[:] = 0
@@ -297,22 +331,25 @@ def test_seeding_words_are_a_fresh_copy_each_call():
 )
 def test_iteration_streams_check_the_root(root, error):
     with pytest.raises(error):
-        next(rng._iteration_streams(root, 3, 4))
+        next(rng._iteration_streams(root, 3, 4, 2))
 
 
 def test_threads_deriving_iteration_streams_draw_numpys_streams(monkeypatch):
-    # every run starts from an empty state-hash table and every fourth from an
-    # empty prefix dict, while the threads seed their runs chunk by chunk
-    # (a chunk of 4 iterations, so each 60-iteration run takes 15); a shared
-    # or half-seen state would change a stream
+    # every run starts from an empty state-hash table and output-jump table,
+    # and every fourth from an empty prefix dict, while the threads seed their
+    # runs chunk by chunk (a chunk of 4 iterations, so each 60-iteration run
+    # takes 15) and draw runs of 2..6 signs, so the jump table keeps growing;
+    # a shared or half-seen state would change a stream or a sign
     monkeypatch.setattr(rng, "_STATE_HASHES", ())
     monkeypatch.setattr(rng, "_PREFIXES", {})
+    monkeypatch.setattr(rng, "_OUTPUT_JUMPS", rng._OUTPUT_JUMPS[..., :0])
     monkeypatch.setattr(rng, "_CHUNK", 4)
     roots_ = [seed if seed % 2 else np.random.SeedSequence(seed, spawn_key=(0,)) for seed in range(5)]
     want = {
         i: [
-            [reference_rng(i, tuple(getattr(root, "spawn_key", ())), (n, r)).bit_generator.state
-             for r in range(4)]
+            [reference_signs(i, getattr(root, "spawn_key", ()), n, 2 + i).tolist()]
+            + [reference_rng(i, tuple(getattr(root, "spawn_key", ())), (n, r)).bit_generator.state
+               for r in range(1, 4)]
             for n in range(1, 61)
         ]
         for i, root in enumerate(roots_)
@@ -324,9 +361,11 @@ def test_threads_deriving_iteration_streams_draw_numpys_streams(monkeypatch):
         for j in range(3 * len(roots_)):
             i = (offset + j) % len(roots_)
             rng._STATE_HASHES = ()
+            rng._OUTPUT_JUMPS = rng._OUTPUT_JUMPS[..., :0]
             if j % 4 == 0:
                 rng._PREFIXES.clear()
-            got = [[b.state for b in row] for row in rng._iteration_streams(roots_[i], 60, 4)]
+            streams = rng._iteration_streams(roots_[i], 60, 4, 2 + i)
+            got = [[signs.tolist()] + [b.state for b in row] for signs, row in streams]
             if got != want[i]:
                 bad.append(i)
 

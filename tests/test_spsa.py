@@ -31,6 +31,7 @@ from cptopt import (
     spsa_n_estimates,
     substream,
 )
+from cptopt import rng
 from cptopt.envs import SspReturnEnv
 from cptopt.envs.ssp import two_state_chain
 from cptopt._codec import as_array, as_float
@@ -41,7 +42,6 @@ from cptopt.spsa import (
     _eigenvalue_floor,
     _gradient,
     _newton_estimates,
-    _signs,
 )
 
 IDENTITY = CptModel.identity()
@@ -95,31 +95,66 @@ def _rademacher_draws(stream, d, calls):
     return np.concatenate([rademacher_vector(stream, d) for _ in range(calls)])
 
 
+def assert_rademacher_draws(root, n, row, d, calls):
+    """``row`` holds the ``calls`` vectors of ``d`` signs that
+    ``rademacher_vector`` draws in turn from a fresh ``substream(root, n, 0)``,
+    which are also its one run of ``calls * d``."""
+    want = _rademacher_draws(substream(root, n, 0), d, calls)
+    assert row.dtype == want.dtype == np.float64
+    assert row.tobytes() == want.tobytes()
+    assert row.tobytes() == rademacher_vector(substream(root, n, 0), calls * d).tobytes()
+
+
+roots = st.one_of(
+    st.integers(0, 2**200),
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+        st.integers(0, 2**70),
+        st.lists(st.integers(0, 2**40), max_size=2).map(tuple),
+    ),
+)
+
+
 class TestRawBitSigns:
-    """The loop's signs from a fresh bit generator's raw output are the draws
-    ``rademacher_vector`` makes on a fresh ``Generator`` of the same stream:
-    one vector for SPSA-G, two in turn for SPSA-N."""
+    """The signs the chunk pass works out for the perturbation role are the
+    draws ``rademacher_vector`` makes on a fresh ``Generator`` of its stream
+    ``substream(root, n, 0)``: one vector for SPSA-G, two in turn (one run of
+    2d) for SPSA-N."""
 
     @given(
-        seed=st.integers(0, 2**200),
-        n=st.integers(0, 2**40),
-        d=st.integers(1, 48),
-        calls=st.integers(1, 3),
+        root=roots,
+        first=st.one_of(
+            st.sampled_from((1, 255, 256, 257, 2**32 - 2, 2**32, 2**64 + 1)),
+            st.integers(1, 2**40),
+        ),
+        count=st.integers(1, 3),
+        d=st.one_of(st.integers(1, 48), st.just(432)),
+        calls=st.integers(1, 2),
     )
     @settings(max_examples=300, deadline=None)
-    def test_signs_are_the_rademacher_draws(self, seed, n, d, calls):
-        got = _signs(substream(seed, n, 0).bit_generator, calls * d)
-        want = _rademacher_draws(substream(seed, n, 0), d, calls)
-        assert got.dtype == want.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+    def test_signs_are_the_rademacher_draws(self, root, first, count, d, calls):
+        entropy, key = rng._address(root, ())
+        ns = range(first, first + count)
+        signs = rng._chunk_pools(entropy, key, ns, 1, calls * d)[2]
+        assert signs.shape == (count, calls * d)
+        for n, row in zip(ns, signs):
+            assert_rademacher_draws(root, n, row, d, calls)
 
-    @pytest.mark.parametrize("d", range(1, 49))
+    @pytest.mark.parametrize("d", [*range(1, 49), 432])
     @pytest.mark.parametrize("calls", [1, 2], ids=["spsa-g", "spsa-n"])
     def test_every_dimension_of_both_optimizers(self, d, calls):
-        for seed in range(25):
-            got = _signs(substream(seed, 1, 0).bit_generator, calls * d)
-            want = _rademacher_draws(substream(seed, 1, 0), d, calls)
-            assert got.tobytes() == want.tobytes()
+        for root in (d, np.random.SeedSequence(d, spawn_key=(3,))):
+            for n, (row, bits) in enumerate(rng._iteration_streams(root, 3, 2 + calls, calls * d), 1):
+                assert len(bits) == 1 + calls
+                assert_rademacher_draws(root, n, row, d, calls)
+
+    @pytest.mark.parametrize("d, calls", [(1, 1), (5, 1), (1, 2), (3, 2)])
+    def test_every_iteration_across_the_chunk_edge(self, d, calls):
+        iters = rng._CHUNK + 2
+        streams = rng._iteration_streams(11, iters, 2 + calls, calls * d)
+        for n, (row, _) in enumerate(streams, 1):
+            assert_rademacher_draws(11, n, row, d, calls)
+        assert n == iters
 
 
 class TestSpsaGradient:
@@ -407,6 +442,128 @@ class TestCholeskySolve:
             _cholesky_solve(a, b)
 
 
+def _numpy_eigenvalue_floor(h, kappa):
+    """``_eigenvalue_floor`` as it called ``np.linalg.eigh``, kept verbatim."""
+    sym = (h + h.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals[0] >= kappa:
+        return sym, eigvals
+    clamped = np.maximum(eigvals, kappa)
+    out = (eigvecs * clamped) @ eigvecs.T
+    return (out + out.T) / 2.0, eigvals
+
+
+def _floor_outcome(floor, h, kappa):
+    """The floor's output as ``float.hex`` strings, or its error."""
+    try:
+        return [[float(v).hex() for v in np.ravel(a)] for a in floor(h, kappa)]
+    except LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+class TestEigenvalueFloor:
+    """The floor through LAPACK's dsyevd gives numpy eigh's bits."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 33, 48, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_numpys_eigh(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        bound = 0
+        for _ in range(6):
+            raw = rng.normal(0.0, scale, (dim, dim))
+            # indefinite, where the floor binds, and positive-definite above it
+            for h in (raw, raw @ raw.T + scale * np.eye(dim)):
+                for kappa in (1e-4 * scale, 0.5 * scale):
+                    want = _floor_outcome(_numpy_eigenvalue_floor, h, kappa)
+                    bound += float.fromhex(want[1][0]) < kappa
+                    assert _floor_outcome(_eigenvalue_floor, h, kappa) == want
+        assert 0 < bound < 24
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_matches_numpys_eigh_on_non_finite_entries(self, dim, bad):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            h = rng.normal(size=(dim, dim))
+            h[tuple(rng.integers(0, dim, 2))] = bad
+            with np.errstate(invalid="ignore"):
+                want = _floor_outcome(_numpy_eigenvalue_floor, h, 0.5)
+                assert _floor_outcome(_eigenvalue_floor, h, 0.5) == want
+
+    def test_no_convergence_raises_numpys_error(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        def unconverged(a, compute_v, lower):
+            return np.zeros(len(a)), np.eye(len(a)), 1
+
+        monkeypatch.setattr(lapack, "dsyevd", unconverged)
+        with pytest.raises(LinAlgError, match="^Eigenvalues did not converge$"):
+            psd_project(np.eye(2), 0.5)
+        with pytest.raises(OptimizationError) as info:
+            ascend_newton(deterministic(lambda t: -float(t @ t)), SpsaSchedules(alpha=1.0),
+                          BoxConstraint.cube(0.0, 4.0, 2), [1.0, 1.0], 3, 0)
+        assert str(info.value) == "step failed at iteration 1: Eigenvalues did not converge"
+        assert type(info.value.__cause__) is LinAlgError
+        assert info.value.iteration == 1 and len(info.value.trace.records) == 1
+
+
+def _quadratic(a, b):
+    """``c(t) = t A t / 2 + b t``, whose Hessian is ``A`` and gradient ``A t + b``."""
+    return lambda t: 0.5 * float(t @ a @ t) + float(b @ t)
+
+
+quadratics = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=d * d, max_size=d * d),
+        st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d),
+        st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+    )
+)
+
+
+class TestEnumerationAverages:
+    """Averaged over every perturbation, the estimators recover a quadratic's
+    gradient and (SPSA-N) twice its Hessian in every entry; bias and noise
+    cancel exactly, so only rounding is left."""
+
+    @staticmethod
+    def _problem(problem):
+        a, b, theta = problem
+        d = len(b)
+        a = np.reshape(a, (d, d))
+        a = (a + a.T) / 2.0
+        return d, a, np.array(b), np.array(theta)
+
+    @given(problem=quadratics, delta=st.floats(0.1, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_spsa_n_average_is_the_gradient_and_twice_the_hessian(self, problem, delta):
+        d, a, b, theta = self._problem(problem)
+        c = _quadratic(a, b)
+        signs = [np.array(v) for v in itertools.product((-1.0, 1.0), repeat=d)]
+        grads, hessians = [], []
+        for dv, dv_hat in itertools.product(signs, repeat=2):
+            shift = delta * (dv + dv_hat)
+            grad, hess = spsa_n_estimates(
+                c(theta + shift), c(theta - shift), c(theta), delta, dv, dv_hat
+            )
+            grads.append(grad)
+            hessians.append(hess)
+        assert len(hessians) == 4**d
+        assert np.mean(hessians, axis=0) == pytest.approx(2.0 * a, abs=1e-8)
+        assert np.mean(grads, axis=0) == pytest.approx(a @ theta + b, abs=1e-8)
+
+    @given(problem=quadratics, delta=st.floats(0.1, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_spsa_g_average_is_the_gradient(self, problem, delta):
+        d, a, b, theta = self._problem(problem)
+        c = _quadratic(a, b)
+        grads = [
+            spsa_gradient(c(theta + delta * dv), c(theta - delta * dv), delta, dv)
+            for dv in map(np.array, itertools.product((-1.0, 1.0), repeat=d))
+        ]
+        assert np.mean(grads, axis=0) == pytest.approx(a @ theta + b, abs=1e-8)
+
+
 SCHEDULES = SpsaSchedules(alpha=1.0)
 BOX_1D = BoxConstraint.cube(0.0, 4.0, 1)
 
@@ -526,10 +683,10 @@ class TestAscend:
     def test_box_of_another_dimension_rejected_before_iteration_one(self, entry, box_dim, env_dim):
         calls = []
 
-        class CountingEnv(GaussianMeanEnv):
-            def sample_returns(self, theta, m, rng):
+        class CountingEnv(GaussianMeanEnv):  # the optimizers sample through _sample
+            def _sample(self, theta, m, rng):
                 calls.append(m)
-                return super().sample_returns(theta, m, rng)
+                return super()._sample(theta, m, rng)
 
         env = CountingEnv(optimum=(2.0,) * env_dim, curvatures=(1.0,) * env_dim)
         box = BoxConstraint.cube(0.0, 4.0, box_dim)
@@ -540,6 +697,42 @@ class TestAscend:
         ):
             entry(env, IDENTITY, SCHEDULES, box, [1.0] * box_dim, 3, 0)
         assert calls == []
+        # the count sees every evaluation of a run that starts
+        entry(env, IDENTITY, SCHEDULES, BoxConstraint.cube(0.0, 4.0, env_dim), [1.0] * env_dim, 1, 0)
+        assert calls == [10] * (2 if entry is optimize_spsa_g else 3)
+
+    # the cause each of seeds 1-6 fails with: theta or the samples not finite
+    OVERFLOW_MESSAGES = {
+        optimize_spsa_g: "tttsst",
+        optimize_spsa_n: "sstsss",
+    }
+
+    @pytest.mark.parametrize("entry", [optimize_spsa_g, optimize_spsa_n])
+    def test_an_evaluation_point_that_overflows_fails_as_sample_returns_does(self, entry):
+        # the box and delta0 let theta + shift overflow, so the optimizers keep
+        # sample_returns' check of theta; a point that stays finite overflows
+        # the bowl's mean instead
+        box = BoxConstraint.cube(-1.7e308, 1.7e308, 1)
+        schedules = SpsaSchedules(alpha=1.0, delta0=1e308)
+        causes = {"t": "theta must be finite", "s": "samples must be finite"}
+        for seed, cause in enumerate(self.OVERFLOW_MESSAGES[entry], 1):
+            with np.errstate(over="ignore"), pytest.raises(OptimizationError) as info:
+                entry(GaussianMeanEnv(), IDENTITY, schedules, box, [1.6e308], 5, seed)
+            assert str(info.value) == (
+                f"objective evaluation (+) failed at iteration 1: ValueError: {causes[cause]}"
+            )
+
+    @pytest.mark.parametrize("entry", [optimize_spsa_g, optimize_spsa_n])
+    def test_the_optimizers_sample_without_sample_returns(self, entry):
+        # evaluation points inside the box plus 2 delta0 cannot overflow, so
+        # the loop's own theta and m skip sample_returns' checks
+        class Unchecked(GaussianMeanEnv):
+            def sample_returns(self, theta, m, rng):
+                raise AssertionError("sample_returns was called")
+
+        trace = entry(Unchecked(), IDENTITY, SCHEDULES, BOX_1D, [0.5], 3, 0)
+        want = entry(GaussianMeanEnv(), IDENTITY, SCHEDULES, BOX_1D, [0.5], 3, 0)
+        assert trace.records == want.records
 
     @pytest.mark.parametrize("climb", [ascend, ascend_newton])
     def test_records_hold_python_floats(self, climb):
@@ -572,10 +765,10 @@ class TestAscendNewton:
     def test_bad_newton_argument_rejected_before_iteration_one(self, entry, name, value):
         calls = []
 
-        class CountingEnv(GaussianMeanEnv):
-            def sample_returns(self, theta, m, rng):
+        class CountingEnv(GaussianMeanEnv):  # the optimizers sample through _sample
+            def _sample(self, theta, m, rng):
                 calls.append(m)
-                return super().sample_returns(theta, m, rng)
+                return super()._sample(theta, m, rng)
 
         def evaluate(theta, m, rng):
             calls.append(m)
