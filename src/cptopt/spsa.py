@@ -496,17 +496,18 @@ def _climb(
     newton = pd_floor is not None
     roles = _TRAJ_CENTER + 1 if newton else _TRAJ_MINUS + 1
     trace = RunTrace(h_bar=np.zeros((box.dim, box.dim)) if newton else None)
-    signs = 2 * box.dim if newton else box.dim
+    count = 2 * box.dim if newton else box.dim
     # the signs of substream(seed, n, _PERTURB) and the bit generators of the
     # evaluation roles' substreams, _TRAJ_PLUS first
-    for n, (dv, bits) in enumerate(_iteration_streams(seed, iters, roles, signs), 1):
+    for n, (signs, bits) in enumerate(_iteration_streams(seed, iters, roles, count), 1):
         gamma, delta, m = schedules.gamma(n), schedules.delta(n), schedules.batch(n)
         if not newton:
+            dv = signs
             shift = delta * dv
         else:
-            dv, dv_hat = dv[: box.dim], dv[box.dim :]
+            dv, dv_hat = signs[: box.dim], signs[box.dim :]
             shift = delta * (dv + dv_hat)
-        plus, minus, *center = (Generator(b) for b in bits)
+        plus, minus, *center = [Generator(b) for b in bits]
         c_plus = _evaluate(evaluate, theta + shift, m, plus, n, trace, "+")
         c_minus = _evaluate(evaluate, theta - shift, m, minus, n, trace, "-")
         c_center = None if not newton else _evaluate(

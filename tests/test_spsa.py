@@ -144,7 +144,8 @@ class TestRawBitSigns:
     @pytest.mark.parametrize("calls", [1, 2], ids=["spsa-g", "spsa-n"])
     def test_every_dimension_of_both_optimizers(self, d, calls):
         for root in (d, np.random.SeedSequence(d, spawn_key=(3,))):
-            for n, (row, bits) in enumerate(rng._iteration_streams(root, 3, 2 + calls, calls * d), 1):
+            streams = rng._iteration_streams(root, 3, 2 + calls, calls * d)
+            for n, (row, bits) in enumerate(streams, 1):
                 assert len(bits) == 1 + calls
                 assert_rademacher_draws(root, n, row, d, calls)
 
@@ -698,7 +699,8 @@ class TestAscend:
             entry(env, IDENTITY, SCHEDULES, box, [1.0] * box_dim, 3, 0)
         assert calls == []
         # the count sees every evaluation of a run that starts
-        entry(env, IDENTITY, SCHEDULES, BoxConstraint.cube(0.0, 4.0, env_dim), [1.0] * env_dim, 1, 0)
+        box = BoxConstraint.cube(0.0, 4.0, env_dim)
+        entry(env, IDENTITY, SCHEDULES, box, [1.0] * env_dim, 1, 0)
         assert calls == [10] * (2 if entry is optimize_spsa_g else 3)
 
     # the cause each of seeds 1-6 fails with: theta or the samples not finite
