@@ -1,12 +1,16 @@
 """Regenerate the SPSA golden master after an intentional change.
 
-``spsa_golden.json`` freezes six optimizer runs: SPSA-G and SPSA-N on a 2-d
+``spsa_golden.json`` freezes eight optimizer runs: SPSA-G and SPSA-N on a 2-d
 anisotropic Gaussian bowl (identity model; SPSA-N with ``hessian_scale=0.5``
 and ``pd_floor=1.0``) and on the two-state SSP chain (Tversky-Kahneman
 model); SPSA-N on a 3-d bowl for 300 iterations, past the 256 iterations
 whose streams are seeded together, with a ``pd_floor`` of 2.0 that the
-eigenvalue floor binds at most iterations; and SPSA-G on a 5-d bowl, whose
-five signs take three raw 64-bit outputs.  Each case holds its inputs next to the run's records, final theta
+eigenvalue floor binds at most iterations; SPSA-G on a 5-d bowl, whose
+five signs take three raw 64-bit outputs; SPSA-G on a 1-d bowl under the
+Tversky-Kahneman model, whose tie-free batches take the small estimator path
+with a utility exponent below 1; and SPSA-G on a chain that continues with
+probability 0.9 and truncates after 5 steps, so most episodes hit the cap.
+Each case holds its inputs next to the run's records, final theta
 and (SPSA-N) running curvature matrix.  Every float is stored as
 ``float.hex`` so the comparison is exact.
 
@@ -36,7 +40,9 @@ BOWL_3D = {"kind": "gaussian", "optimum": [2.0, 2.0, 2.0], "curvatures": [1.0, 4
            "noise_std": 0.1}
 BOWL_5D = {"kind": "gaussian", "optimum": [2.0] * 5, "curvatures": [1.0, 2.0, 4.0, 6.0, 10.0],
            "noise_std": 0.1}
+BOWL_1D = {"kind": "gaussian", "optimum": [2.0], "curvatures": [2.0], "noise_std": 0.1}
 CHAIN = {"kind": "ssp_two_state_chain"}
+TRUNCATING_CHAIN = {"kind": "ssp_two_state_chain", "continue_prob": 0.9, "t_max": 5}
 BOWL_SCHEDULES = {"a0": 1.0, "a_offset": 0.0, "nu": 0.5, "alpha": 1.0}
 CHAIN_SCHEDULES = {"nu": 0.5, "alpha": 0.61}
 
@@ -60,6 +66,12 @@ CASES = [
     {"name": "g_bowl_5d", "algo": "spsa-g", "env": BOWL_5D, "model": CptModel.identity().to_dict(),
      "schedules": BOWL_SCHEDULES, "box": [0.0, 4.0], "theta0": [0.5] * 5,
      "iters": 40, "seed": 16, "newton": None},
+    {"name": "g_bowl_tk", "algo": "spsa-g", "env": BOWL_1D,
+     "model": CptModel.tversky_kahneman().to_dict(), "schedules": CHAIN_SCHEDULES,
+     "box": [0.0, 4.0], "theta0": [1.0], "iters": 40, "seed": 17, "newton": None},
+    {"name": "g_ssp_trunc", "algo": "spsa-g", "env": TRUNCATING_CHAIN,
+     "model": CptModel.tversky_kahneman().to_dict(), "schedules": CHAIN_SCHEDULES,
+     "box": [-10.0, 10.0], "theta0": [-2.0, 2.0], "iters": 20, "seed": 18, "newton": None},
 ]
 
 
@@ -68,7 +80,7 @@ def run_case(case: dict):
     if spec["kind"] == "gaussian":
         env = GaussianMeanEnv(spec["optimum"], spec["curvatures"], spec["noise_std"])
     else:
-        env = SspReturnEnv(two_state_chain())
+        env = SspReturnEnv(two_state_chain(**{k: v for k, v in spec.items() if k != "kind"}))
     model = CptModel.from_dict(case["model"])
     schedules = SpsaSchedules(**case["schedules"])
     box = BoxConstraint.cube(*case["box"], env.dim)

@@ -1157,7 +1157,7 @@ def _golden_run(case):
     if spec["kind"] == "gaussian":
         env = GaussianMeanEnv(spec["optimum"], spec["curvatures"], spec["noise_std"])
     else:
-        env = SspReturnEnv(two_state_chain())
+        env = SspReturnEnv(two_state_chain(**{k: v for k, v in spec.items() if k != "kind"}))
     box = BoxConstraint.cube(*case["box"], env.dim)
     args = (env, CptModel.from_dict(case["model"]), SpsaSchedules(**case["schedules"]),
             box, case["theta0"], case["iters"], case["seed"])
