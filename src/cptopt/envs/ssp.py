@@ -7,12 +7,18 @@ optimizers: the policy class is Boltzmann in linear features, so the episode
 return distribution is a smooth function of the feature weights.
 
 Sampling reads cached cdfs.  Every choice, of an action or of a next state,
-draws one double ``u = rng.random()`` and takes ``bisect_right(cdf, u)``: the
-index, and the one double consumed, that ``Generator.choice(k, p=p)`` gives,
-because the cdf is built with choice's own checks, cumsum and normalization.
-An ``SspMdp`` builds its kernel rows' cdfs once, at construction; a
-``BoltzmannPolicy`` builds a state's action cdf on the state's first visit, so
-a state that is never visited is never evaluated.
+takes one double ``u`` and returns ``bisect_right(cdf, u)``: the index that
+``Generator.choice(k, p=p)`` gives on the same double, because the cdf is
+built with choice's own checks, cumsum and normalization.  A batch of ``m``
+episodes is rolled out one episode after another from paired block draws:
+while ``r`` episodes are unfinished, one ``rng.random(2 * r)`` is walked in
+pairs, the action's double then the next state's.  Each unfinished episode
+needs at least one more step, so no block reaches past the doubles that ``m``
+episodes drawing one ``rng.random()`` per choice would consume: the returns,
+and the generator's state after the batch, are those of the one-by-one
+draws.  An ``SspMdp`` builds its kernel rows' cdfs once, at construction; a
+``BoltzmannPolicy`` builds a state's action cdf on the state's first visit,
+so a state that is never visited is never evaluated.
 """
 
 from __future__ import annotations
@@ -168,19 +174,39 @@ def ssp_episode(
 
     Each step draws two doubles: the action's, then the next state's.
     """
-    kernel = mdp._kernel_cdfs  # type: ignore[attr-defined]
-    random = rng.random
-    state = mdp.start
-    total = 0.0
-    steps = 0
-    while state != 0:
-        if steps >= mdp.t_max:
-            return EpisodeResult(total, steps, True)
-        action = bisect_right(policy.action_cdf(state), random())
-        total += mdp.rewards[state - 1][action]
-        state = bisect_right(kernel[state - 1][action], random())
-        steps += 1
-    return EpisodeResult(total, steps, False)
+    return EpisodeResult(*_rollout(mdp, policy, 1, rng)[0])
+
+
+def _rollout(
+    mdp: SspMdp, policy: BoltzmannPolicy, m: int, rng: np.random.Generator
+) -> list[tuple[float, int, bool]]:
+    """``m`` episodes' (return, length, truncated), rolled out one after
+    another from paired block draws (see the module docstring)."""
+    if policy.mdp is not mdp and policy.mdp != mdp:
+        raise ValueError("the policy was built for another SspMdp than the one rolled out")
+    start, t_max = mdp.start, mdp.t_max
+    if start == 0:
+        return [(0.0, 0, False)] * m
+    kernel, rewards = mdp._kernel_cdfs, mdp.rewards  # type: ignore[attr-defined]
+    cdfs = [None] * mdp.n_states  # action cdfs by state, filled on first visit
+    episodes: list[tuple[float, int, bool]] = []
+    state, total, steps = start, 0.0, 0
+    left = m
+    while left:
+        draws = iter(rng.random(2 * left).tolist())
+        for u_action, u_state in zip(draws, draws):
+            cdf = cdfs[state]
+            if cdf is None:
+                cdf = cdfs[state] = policy.action_cdf(state)
+            action = bisect_right(cdf, u_action)
+            total += rewards[state - 1][action]
+            state = bisect_right(kernel[state - 1][action], u_state)
+            steps += 1
+            if state == 0 or steps == t_max:
+                episodes.append((total, steps, state != 0))
+                state, total, steps = start, 0.0, 0
+        left = m - len(episodes)
+    return episodes
 
 
 class SspReturnEnv(ReturnEnv):
@@ -195,7 +221,7 @@ class SspReturnEnv(ReturnEnv):
 
     def _sample(self, theta: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         policy = BoltzmannPolicy(tuple(theta), self.mdp)
-        return np.asarray([ssp_episode(self.mdp, policy, rng).ret for _ in range(m)])
+        return np.array([ret for ret, _, _ in _rollout(self.mdp, policy, m, rng)])
 
 
 def two_state_chain(

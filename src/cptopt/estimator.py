@@ -73,7 +73,9 @@ _PROB_ATOL = 1e-12
 # temporaries stay in cache, large enough that numpy's per-call cost is small
 _BLOCK = 8192
 # (kind and eta of weight_plus, of weight_minus, n) -> both sides' read-only
-# weight increments w((j+1)/n) - w(j/n), j = 0..n-1, for tie-free batches of
+# weight increments w((j+1)/n) - w(j/n), j = 0..n-1 (w+'s reversed, from
+# j = n-1 down, so the k-th sorted sample's gain increment sits at [k]), for
+# tie-free batches of
 # n <= _CACHED_MAX_N (the fields, not the frozen specs, whose generated hash
 # rebuilds a tuple on every call); an entry is at most 16 KiB, so the
 # cleared-when-full dict holds at most 4 MiB.  An entry is a pure function of
@@ -207,8 +209,9 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
     np.not_equal(xs[1:], xs[:-1], inner)
     ref = model.utility.reference
     k = int(xs.searchsorted(ref, "right"))  # xs[k:] are the gains
-    m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
     if np.count_nonzero(inner) == n - 1:  # no ties: each sample is a run
+        # xs[:m] are the losses; at most one sample, xs[k-1], equals ref
+        m = k - 1 if k and xs[k - 1] == ref else k
         if n <= _CACHED_MAX_N:
             return _tie_free_sum(xs, k, m, model)
         values = xs
@@ -218,6 +221,7 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
             return grid, grid
 
     else:
+        m = int(xs.searchsorted(ref, "left"))  # xs[:m] are the losses
         first[0] = first[n] = True
         below = first.nonzero()[0]  # samples under each run, ending at n
         values = xs[below[:-1]]
@@ -234,12 +238,14 @@ def estimate_cpt(samples: Sequence[float], model: CptModel) -> CptEstimate:
 
 
 def _increments(weight_plus, weight_minus, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' weight increments on the j/n grid, from the module cache."""
+    """Both sides' weight increments on the j/n grid, from the module cache:
+    w+'s reversed and contiguous, w-'s in grid order."""
     key = (weight_plus.kind, weight_plus.eta, weight_minus.kind, weight_minus.eta, n)
     entry = _INCREMENTS.get(key)
     if entry is None:
         grid = np.arange(n + 1) / n
-        entry = tuple(np.diff(w.apply(grid)) for w in (weight_plus, weight_minus))
+        d_plus, d_minus = (np.diff(w.apply(grid)) for w in (weight_plus, weight_minus))
+        entry = (d_plus[::-1].copy(), d_minus)
         for d in entry:
             d.flags.writeable = False
         if len(_INCREMENTS) >= _INCREMENTS_MAX:
@@ -258,19 +264,29 @@ def _tie_free_sum(xs, k, m, model) -> CptEstimate:
     increment.  ``xs[k:]`` lie strictly above the reference and ``xs[:m]``
     strictly below it, so every distance is positive and the utilities'
     clamp at zero changes nothing: the bits are those of ``gain_values`` and
-    ``loss_values``.  Each side is then reduced once.
+    ``loss_values``.  When both sides share one exponent, the distances and
+    powers are taken over all of ``xs`` at once: below the reference
+    ``|x - ref|`` is ``ref - x`` exactly, since rounding to nearest is
+    symmetric, and a sample at the reference, in neither side, becomes 0.
+    Each side is then reduced once.
     """
     n, u = xs.size, model.utility
     d_plus, d_minus = _increments(model.weight_plus, model.weight_minus, n)
     gains, losses = xs[k:], xs[:m]
-    np.subtract(gains, u.reference, gains)
-    if u.sigma_plus != 1.0:
-        np.power(gains, u.sigma_plus, gains)
+    if u.sigma_plus == u.sigma_minus:
+        np.subtract(xs, u.reference, xs)
+        np.abs(xs, xs)
+        if u.sigma_plus != 1.0:
+            np.power(xs, u.sigma_plus, xs)
+    else:
+        np.subtract(gains, u.reference, gains)
+        if u.sigma_plus != 1.0:
+            np.power(gains, u.sigma_plus, gains)
+        np.subtract(u.reference, losses, losses)
+        if u.sigma_minus != 1.0:
+            np.power(losses, u.sigma_minus, losses)
     # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
-    np.multiply(gains, d_plus[: n - k][::-1], gains)
-    np.subtract(u.reference, losses, losses)
-    if u.sigma_minus != 1.0:
-        np.power(losses, u.sigma_minus, losses)
+    np.multiply(gains, d_plus[k:], gains)
     if u.loss_aversion != 1.0:  # a product with 1.0 is exact
         np.multiply(losses, u.loss_aversion, losses)
     np.multiply(losses, d_minus[:m], losses)

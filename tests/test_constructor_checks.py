@@ -26,7 +26,7 @@ from cptopt import (
     spsa_gradient,
     spsa_n_estimates,
 )
-from cptopt.envs.ssp import SspMdp, two_state_chain
+from cptopt.envs.ssp import BoltzmannPolicy, SspMdp, _rollout, ssp_episode, two_state_chain
 from cptopt.envs.traffic import (
     BoltzmannSignPolicy,
     FixedCyclePolicy,
@@ -40,6 +40,13 @@ CHAIN = two_state_chain()
 
 def _mdp(**fields) -> SspMdp:
     return dataclasses.replace(CHAIN, **fields)
+
+
+# one transient state, one action, feature dim 1
+ONE_STATE = SspMdp(transitions=(((1.0, 0.0),),), rewards=((1.0,),), features=(((1.0,),),))
+OTHER_POLICY_MESSAGE = (
+    "the policy was built for another SspMdp than the one rolled out"
+)
 
 
 def _junction_mismatch():
@@ -57,6 +64,14 @@ CASES = {
         ValueError, "transitions, rewards and features must cover states 1..L",
     ),
     "SspMdp.start": (lambda: _mdp(start=2), ValueError, "start state 2 out of range"),
+    "ssp_episode.policy_mdp": (
+        lambda: ssp_episode(CHAIN, BoltzmannPolicy((0.0,), ONE_STATE), np.random.default_rng(0)),
+        ValueError, OTHER_POLICY_MESSAGE,
+    ),
+    "_rollout.policy_mdp": (
+        lambda: _rollout(ONE_STATE, BoltzmannPolicy((0.0, 0.0), CHAIN), 5, np.random.default_rng(0)),
+        ValueError, OTHER_POLICY_MESSAGE,
+    ),
     "SspMdp.t_max": (lambda: _mdp(t_max=0), ValueError, "t_max must be positive"),
     "SspMdp.empty_actions": (
         lambda: SspMdp(transitions=((),), rewards=((),), features=((),)),

@@ -14,6 +14,7 @@ from cptopt.envs.ssp import (
     EpisodeResult,
     SspMdp,
     SspReturnEnv,
+    _rollout,
     boltzmann_probs,
     ssp_episode,
     two_state_chain,
@@ -323,8 +324,26 @@ def _assert_same_draws(mdp, theta, n_episodes, seed):
     assert ours.random() == reference.random()
 
 
+def _assert_same_batch(mdp, theta, m, seed):
+    """A batch of ``m`` episodes draws what ``m`` episodes of one
+    ``Generator.choice`` per draw would, and leaves the generator as they do."""
+    policy = BoltzmannPolicy(tuple(theta), mdp)
+    sampled, rolled, reference = (substream(seed, 9) for _ in range(3))
+    want = [_choice_episode(mdp, policy, reference) for _ in range(m)]
+    got = SspReturnEnv(mdp).sample_returns(theta, m, sampled)
+    assert [x.hex() for x in got.tolist()] == [float(e.ret).hex() for e in want]
+    assert _rollout(mdp, policy, m, rolled) == want
+    assert rolled.bit_generator.state == reference.bit_generator.state
+    assert sampled.random() == reference.random()
+
+
+def _start_at_zero():
+    return dataclasses.replace(two_state_chain(), start=0)
+
+
 class TestSspSamplerEquivalence:
-    """``ssp_episode`` draws exactly what one ``Generator.choice`` per draw would."""
+    """``ssp_episode`` and the batch rollout draw exactly what one
+    ``Generator.choice`` per draw would."""
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -346,6 +365,50 @@ class TestSspSamplerEquivalence:
     )
     def test_chains(self, mdp, theta):
         _assert_same_draws(mdp, theta, 2000, 3)
+
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_batches_on_random_mdps(self, m):
+        for seed in range(3 * m, 3 * m + 3):
+            rng = np.random.default_rng(seed)
+            mdp = _random_mdp(rng)
+            _assert_same_batch(mdp, rng.normal(scale=3.0, size=mdp.feature_dim), m, seed)
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60))
+    @settings(max_examples=50, deadline=None)
+    def test_random_batches(self, seed, m):
+        rng = np.random.default_rng(seed)
+        mdp = _random_mdp(rng)
+        _assert_same_batch(mdp, rng.normal(scale=3.0, size=mdp.feature_dim), m, seed)
+
+    @pytest.mark.parametrize(
+        "mdp, theta",
+        [
+            (two_state_chain(continue_prob=0.9, t_max=5), (-2.0, 2.0)),
+            (two_state_chain(continue_prob=0.999, t_max=3), (-50.0, 50.0)),
+            (two_state_chain(t_max=1), (0.0, 0.0)),
+            (_start_at_zero(), (1.0, 1.0)),
+            (two_state_chain(), (1.0, 1.0)),
+        ],
+        ids=["truncating", "saturated-truncating", "t_max-1", "start-0", "default"],
+    )
+    def test_batches_on_chains(self, mdp, theta):
+        for m in range(1, 61):
+            _assert_same_batch(mdp, theta, m, m)
+
+    def test_start_at_zero_draws_nothing(self):
+        rng = substream(4)
+        state = rng.bit_generator.state
+        returns = SspReturnEnv(_start_at_zero()).sample_returns([1.0, 1.0], 7, rng)
+        assert returns.tolist() == [0.0] * 7
+        assert rng.bit_generator.state == state
+
+    def test_a_policy_for_an_equal_mdp_is_accepted(self):
+        mdp, twin = two_state_chain(), two_state_chain()
+        assert mdp is not twin and mdp == twin
+        policy = BoltzmannPolicy((1.0, 1.0), twin)
+        ours, reference = substream(6), substream(6)
+        got = [ssp_episode(mdp, policy, ours) for _ in range(20)]
+        assert got == [_choice_episode(twin, policy, reference) for _ in range(20)]
 
     def test_unvisited_state_is_never_evaluated(self):
         # state 2 is unreachable from state 1; its scores overflow at this theta

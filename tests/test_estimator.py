@@ -1105,6 +1105,16 @@ class TestIncrementCache:
         assert len(estimator._INCREMENTS) == 4
         assert estimator._INCREMENTS[_cache_key(first, 40)] is entry
 
+    def test_entries_hold_gain_increments_reversed_and_contiguous(self):
+        estimator._INCREMENTS.clear()
+        model = tk_model(0.61, 0.69)
+        estimate_cpt(np.random.default_rng(0).normal(0.0, 1.0, 30), model)
+        d_plus, d_minus = estimator._INCREMENTS[_cache_key(model, 30)]
+        want_plus, want_minus = _grid_increments(model, 30)
+        assert d_plus.tobytes() == want_plus[::-1].tobytes()
+        assert d_minus.tobytes() == want_minus.tobytes()
+        assert d_plus.flags.c_contiguous and d_minus.flags.c_contiguous
+
     def test_entries_are_read_only(self):
         estimator._INCREMENTS.clear()
         model = tk_model(0.61, 0.69)
@@ -1151,12 +1161,19 @@ class TestIncrementCache:
         assert a != b  # the utilities differ; only the weights are shared
 
 
+def _grid_increments(model, n):
+    """Both sides' weight increments w((j+1)/n) - w(j/n), j = 0..n-1, in grid
+    order: the cache's values, whatever its layout."""
+    grid = np.arange(n + 1) / n
+    return tuple(np.diff(w.apply(grid)) for w in (model.weight_plus, model.weight_minus))
+
+
 def _verbatim_tie_free_sum(xs, k, m, model):
     """The tie-free small-batch sum as it was before it wrote the utilities
-    over ``xs`` itself, copied verbatim: through ``gain_values`` and
-    ``loss_values``."""
+    over ``xs`` itself, copied verbatim but for its increments, which come in
+    grid order: through ``gain_values`` and ``loss_values``."""
     n, u = xs.size, model.utility
-    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    d_plus, d_minus = _grid_increments(model, n)
     # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
     np.multiply(u.gain_values(xs[k:]), d_plus[: n - k][::-1], xs[k:])
     np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
@@ -1166,7 +1183,7 @@ def _verbatim_tie_free_sum(xs, k, m, model):
 def _planted_no_loss_aversion(xs, k, m, model):
     """A faulty in-place sum: the loss aversion is left out."""
     n, u = xs.size, model.utility
-    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    d_plus, d_minus = _grid_increments(model, n)
     gains, losses = xs[k:], xs[:m]
     np.power(gains - u.reference, u.sigma_plus, gains)
     np.multiply(gains, d_plus[: n - k][::-1], gains)
@@ -1178,7 +1195,7 @@ def _planted_no_loss_aversion(xs, k, m, model):
 def _planted_unreversed_gains(xs, k, m, model):
     """A faulty in-place sum: the lowest gain takes the top gain's increment."""
     n, u = xs.size, model.utility
-    d_plus, d_minus = estimator._increments(model.weight_plus, model.weight_minus, n)
+    d_plus, d_minus = _grid_increments(model, n)
     np.multiply(u.gain_values(xs[k:]), d_plus[: n - k], xs[k:])
     np.multiply(u.loss_values(xs[:m]), d_minus[:m], xs[:m])
     return CptEstimate(n, float(np.add.reduce(xs[k:])), float(np.add.reduce(xs[:m])))
@@ -1248,13 +1265,149 @@ class TestInPlaceTieFreeSum:
     def test_a_planted_fault_is_caught(self, planted):
         assert _in_place_mismatches(planted, IN_PLACE_EDGE_CASES) != []
 
-    def test_sorted_samples_at_the_reference_are_neither_gain_nor_loss(self):
-        # the sample equal to the reference is left as it is: it scores zero
-        model = CptModel.tversky_kahneman(reference=0.4)
+    @pytest.mark.parametrize("sigmas, left", [((0.88, 0.88), 0.0), ((0.7, 0.9), 0.4)])
+    def test_sorted_samples_at_the_reference_are_neither_gain_nor_loss(self, sigmas, left):
+        # the sample equal to the reference scores zero: a shared exponent
+        # writes its distance, 0, over it, split exponents leave it as it is
+        utility = UtilitySpec.piecewise_power(*sigmas, 2.25, reference=0.4)
+        model = CptModel(utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69))
         xs = np.array([-1.0, 0.4, 2.0])
         est = estimator._tie_free_sum(xs, 2, 1, model)
-        assert xs[1] == 0.4
+        assert xs[1] == left
         assert _bits(est) == _bits(_verbatim_tie_free_sum(np.array([-1.0, 0.4, 2.0]), 2, 1, model))
+
+
+def _parent_tie_free_sum(xs, k, m, model):
+    """The small tie-free sum as it was before both sides shared one power and
+    the cache reversed w+'s increments, copied verbatim but for its
+    increments, which come in grid order."""
+    n, u = xs.size, model.utility
+    d_plus, d_minus = _grid_increments(model, n)
+    gains, losses = xs[k:], xs[:m]
+    np.subtract(gains, u.reference, gains)
+    if u.sigma_plus != 1.0:
+        np.power(gains, u.sigma_plus, gains)
+    # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)
+    np.multiply(gains, d_plus[: n - k][::-1], gains)
+    np.subtract(u.reference, losses, losses)
+    if u.sigma_minus != 1.0:
+        np.power(losses, u.sigma_minus, losses)
+    if u.loss_aversion != 1.0:  # a product with 1.0 is exact
+        np.multiply(losses, u.loss_aversion, losses)
+    np.multiply(losses, d_minus[:m], losses)
+    return CptEstimate(n, float(np.add.reduce(gains)), float(np.add.reduce(losses)))
+
+
+def _parent_small_estimate(samples, model):
+    """``estimate_cpt`` on a small tie-free batch as it was: both split
+    indices from their own ``searchsorted``, then the verbatim sum."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))
+    m = int(xs.searchsorted(ref, "left"))
+    return _parent_tie_free_sum(xs, k, m, model)
+
+
+def _utility_models(ref):
+    """Models over every exponent case at reference ``ref``: a shared exponent
+    not 1, split exponents (either one 1), unit exponents, with and without
+    loss aversion."""
+    utilities = [
+        UtilitySpec.identity(ref),
+        UtilitySpec.piecewise_power(1.0, 1.0, 2.25, ref),
+        UtilitySpec.piecewise_power(0.88, 0.88, 2.25, ref),
+        UtilitySpec.piecewise_power(0.5, 0.5, 1.0, ref),
+        UtilitySpec.piecewise_power(0.7, 0.9, 2.25, ref),
+        UtilitySpec.piecewise_power(1.0, 0.6, 1.5, ref),
+        UtilitySpec.piecewise_power(0.6, 1.0, 1.0, ref),
+    ]
+    weights = [
+        (WeightSpec.identity(), WeightSpec.identity()),
+        (WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)),
+        (WeightSpec.prelec(0.65), WeightSpec.power(2.0)),
+    ]
+    return [CptModel(u, *w) for u in utilities for w in weights]
+
+
+def _small_path_mismatches(samples, estimate=estimate_cpt):
+    """The (reference, model) pairs at which ``estimate`` of the tie-free
+    ``samples``, shifted to the reference, has other bits than the parent's
+    small-batch path."""
+    bad = []
+    for ref in (0.0, 0.4, -0.4):
+        for model in _utility_models(ref):
+            want = _bits(_parent_small_estimate(samples + ref, model))
+            if _bits(estimate(samples + ref, model)) != want:
+                bad.append((ref, model))
+    return bad
+
+
+def _planted_unreversed_cache(samples, model):
+    """A faulty small path: w+'s increments read in grid order at [k:]."""
+    xs = np.sort(samples)
+    ref = model.utility.reference
+    k = int(xs.searchsorted(ref, "right"))
+    m = int(xs.searchsorted(ref, "left"))
+    d_plus, d_minus = _grid_increments(model, xs.size)
+    gains, losses = model.utility.gain_values(xs[k:]), model.utility.loss_values(xs[:m])
+    return CptEstimate(
+        xs.size, float(np.add.reduce(gains * d_plus[k:])), float(np.add.reduce(losses * d_minus[:m]))
+    )
+
+
+def _planted_loss_count_is_gain_count(samples, model):
+    """A faulty small path: a sample at the reference counted as a loss."""
+    xs = np.sort(samples)
+    k = int(xs.searchsorted(model.utility.reference, "right"))
+    return estimator._tie_free_sum(xs, k, k, model)
+
+
+class TestSmallTieFreePath:
+    """A tie-free batch of n <= 1024 shares one power between both sides when
+    their exponents agree, reads w+'s increments reversed from the cache and
+    takes the loss count from the gain count: the estimate keeps the bits of
+    the path before these changes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 32, 142, _CACHED_MAX_N - 1, _CACHED_MAX_N])
+    @pytest.mark.parametrize("side", ["mixed", "gains", "losses"])
+    @pytest.mark.parametrize("at_reference", [False, True], ids=["off-ref", "at-ref"])
+    def test_edge_batches_match_the_parent_path(self, n, side, at_reference):
+        offsets = _in_place_batch(n, side, 0.0, n)
+        if at_reference:
+            offsets[n // 2] = 0.0  # one sample exactly at the reference
+        assert _small_path_mismatches(offsets) == []
+
+    @pytest.mark.parametrize("zero, ref", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_signed_zero_at_the_reference(self, zero, ref):
+        samples = np.array([-2.0, zero, 0.5, 3.0])
+        for model in _utility_models(ref):
+            want = _bits(_parent_small_estimate(samples, model))
+            assert _bits(estimate_cpt(samples, model)) == want
+            assert _bits(estimate_cpt(samples[::-1], model)) == want
+
+    @given(
+        n=st.integers(2, _CACHED_MAX_N),
+        side=st.sampled_from(("mixed", "gains", "losses")),
+        seed=st.integers(0, 2**32 - 1),
+        at_reference=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches_match_the_parent_path(self, n, side, seed, at_reference):
+        offsets = _in_place_batch(n, side, 0.0, seed)
+        if at_reference:
+            offsets[seed % n] = 0.0
+        assert _small_path_mismatches(offsets) == []
+
+    @pytest.mark.parametrize("planted", [_planted_unreversed_cache, _planted_loss_count_is_gain_count])
+    def test_a_planted_fault_is_caught(self, planted):
+        # among them seven losses and a sample at the reference: a sum of
+        # eight terms is pairwise, one of seven is not
+        caught = []
+        for n, side in itertools.product((3, 8, 9, 10), ("mixed", "losses")):
+            offsets = _in_place_batch(n, side, 0.0, n)
+            offsets[-1] = 0.0
+            caught += _small_path_mismatches(offsets, planted)
+        assert caught != []
 
 
 class TestSampleSizeCalculators:
