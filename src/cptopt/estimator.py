@@ -74,13 +74,12 @@ _PROB_ATOL = 1e-12
 _BLOCK = 8192
 # (kind and eta of weight_plus, of weight_minus, n) -> both sides' read-only
 # weight increments w((j+1)/n) - w(j/n), j = 0..n-1 (w+'s reversed, from
-# j = n-1 down, so the k-th sorted sample's gain increment sits at [k]), for
-# tie-free batches of
-# n <= _CACHED_MAX_N (the fields, not the frozen specs, whose generated hash
-# rebuilds a tuple on every call); an entry is at most 16 KiB, so the
-# cleared-when-full dict holds at most 4 MiB.  An entry is a pure function of
-# its key, so threads racing on the dict can only recompute an entry, never
-# read a wrong one.
+# j = n-1 down, so sorted sample k's gain increment sits at [k]), for
+# tie-free batches of n <= _CACHED_MAX_N (the fields, not the frozen specs,
+# whose generated hash rebuilds a tuple on every call); an entry is at most
+# 16 KiB, so the cleared-when-full dict holds at most 4 MiB.  An entry is a
+# pure function of its key, so threads racing on the dict can only recompute
+# an entry, never read a wrong one.
 _INCREMENTS: dict = {}
 _INCREMENTS_MAX = 256
 _CACHED_MAX_N = 1024
@@ -244,8 +243,12 @@ def _increments(weight_plus, weight_minus, n: int) -> tuple[np.ndarray, np.ndarr
     entry = _INCREMENTS.get(key)
     if entry is None:
         grid = np.arange(n + 1) / n
-        d_plus, d_minus = (np.diff(w.apply(grid)) for w in (weight_plus, weight_minus))
-        entry = (d_plus[::-1].copy(), d_minus)
+        w = weight_plus.apply(grid)
+        # w+((j+1)/n) - w+(j/n) from j = n-1 down, straight into its own
+        # array: copying a reversed np.diff left one freed buffer per entry
+        # and 0.2 MB more peak RSS on 40 rounds of the optimizer workload
+        d_plus = np.subtract(w[:0:-1], w[-2::-1], out=np.empty(n))
+        entry = (d_plus, np.diff(weight_minus.apply(grid)))
         for d in entry:
             d.flags.writeable = False
         if len(_INCREMENTS) >= _INCREMENTS_MAX:

@@ -44,9 +44,7 @@ def _mdp(**fields) -> SspMdp:
 
 # one transient state, one action, feature dim 1
 ONE_STATE = SspMdp(transitions=(((1.0, 0.0),),), rewards=((1.0,),), features=(((1.0,),),))
-OTHER_POLICY_MESSAGE = (
-    "the policy was built for another SspMdp than the one rolled out"
-)
+OTHER_POLICY_MESSAGE = "the policy was built for another SspMdp than the one rolled out"
 
 
 def _junction_mismatch():
@@ -69,7 +67,9 @@ CASES = {
         ValueError, OTHER_POLICY_MESSAGE,
     ),
     "_rollout.policy_mdp": (
-        lambda: _rollout(ONE_STATE, BoltzmannPolicy((0.0, 0.0), CHAIN), 5, np.random.default_rng(0)),
+        lambda: _rollout(
+            ONE_STATE, BoltzmannPolicy((0.0, 0.0), CHAIN), 5, np.random.default_rng(0)
+        ),
         ValueError, OTHER_POLICY_MESSAGE,
     ),
     "SspMdp.t_max": (lambda: _mdp(t_max=0), ValueError, "t_max must be positive"),

@@ -1270,17 +1270,20 @@ class TestInPlaceTieFreeSum:
         # the sample equal to the reference scores zero: a shared exponent
         # writes its distance, 0, over it, split exponents leave it as it is
         utility = UtilitySpec.piecewise_power(*sigmas, 2.25, reference=0.4)
-        model = CptModel(utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69))
+        model = CptModel(
+            utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
+        )
         xs = np.array([-1.0, 0.4, 2.0])
         est = estimator._tie_free_sum(xs, 2, 1, model)
         assert xs[1] == left
         assert _bits(est) == _bits(_verbatim_tie_free_sum(np.array([-1.0, 0.4, 2.0]), 2, 1, model))
 
 
-def _parent_tie_free_sum(xs, k, m, model):
+def _per_side_tie_free_sum(xs, k, m, model):
     """The small tie-free sum as it was before both sides shared one power and
     the cache reversed w+'s increments, copied verbatim but for its
-    increments, which come in grid order."""
+    increments, which come in grid order: each side its own distance and
+    power."""
     n, u = xs.size, model.utility
     d_plus, d_minus = _grid_increments(model, n)
     gains, losses = xs[k:], xs[:m]
@@ -1298,14 +1301,14 @@ def _parent_tie_free_sum(xs, k, m, model):
     return CptEstimate(n, float(np.add.reduce(gains)), float(np.add.reduce(losses)))
 
 
-def _parent_small_estimate(samples, model):
+def _per_side_small_estimate(samples, model):
     """``estimate_cpt`` on a small tie-free batch as it was: both split
     indices from their own ``searchsorted``, then the verbatim sum."""
     xs = np.sort(np.asarray(samples, dtype=float))
     ref = model.utility.reference
     k = int(xs.searchsorted(ref, "right"))
     m = int(xs.searchsorted(ref, "left"))
-    return _parent_tie_free_sum(xs, k, m, model)
+    return _per_side_tie_free_sum(xs, k, m, model)
 
 
 def _utility_models(ref):
@@ -1331,12 +1334,12 @@ def _utility_models(ref):
 
 def _small_path_mismatches(samples, estimate=estimate_cpt):
     """The (reference, model) pairs at which ``estimate`` of the tie-free
-    ``samples``, shifted to the reference, has other bits than the parent's
+    ``samples``, shifted to the reference, has other bits than the earlier
     small-batch path."""
     bad = []
     for ref in (0.0, 0.4, -0.4):
         for model in _utility_models(ref):
-            want = _bits(_parent_small_estimate(samples + ref, model))
+            want = _bits(_per_side_small_estimate(samples + ref, model))
             if _bits(estimate(samples + ref, model)) != want:
                 bad.append((ref, model))
     return bad
@@ -1350,9 +1353,8 @@ def _planted_unreversed_cache(samples, model):
     m = int(xs.searchsorted(ref, "left"))
     d_plus, d_minus = _grid_increments(model, xs.size)
     gains, losses = model.utility.gain_values(xs[k:]), model.utility.loss_values(xs[:m])
-    return CptEstimate(
-        xs.size, float(np.add.reduce(gains * d_plus[k:])), float(np.add.reduce(losses * d_minus[:m]))
-    )
+    pos = float(np.add.reduce(gains * d_plus[k:]))
+    return CptEstimate(xs.size, pos, float(np.add.reduce(losses * d_minus[:m])))
 
 
 def _planted_loss_count_is_gain_count(samples, model):
@@ -1366,12 +1368,12 @@ class TestSmallTieFreePath:
     """A tie-free batch of n <= 1024 shares one power between both sides when
     their exponents agree, reads w+'s increments reversed from the cache and
     takes the loss count from the gain count: the estimate keeps the bits of
-    the path before these changes."""
+    the per-side path, where each side takes its own distance and power."""
 
     @pytest.mark.parametrize("n", [2, 3, 10, 32, 142, _CACHED_MAX_N - 1, _CACHED_MAX_N])
     @pytest.mark.parametrize("side", ["mixed", "gains", "losses"])
     @pytest.mark.parametrize("at_reference", [False, True], ids=["off-ref", "at-ref"])
-    def test_edge_batches_match_the_parent_path(self, n, side, at_reference):
+    def test_edge_batches_match_the_per_side_path(self, n, side, at_reference):
         offsets = _in_place_batch(n, side, 0.0, n)
         if at_reference:
             offsets[n // 2] = 0.0  # one sample exactly at the reference
@@ -1381,7 +1383,7 @@ class TestSmallTieFreePath:
     def test_signed_zero_at_the_reference(self, zero, ref):
         samples = np.array([-2.0, zero, 0.5, 3.0])
         for model in _utility_models(ref):
-            want = _bits(_parent_small_estimate(samples, model))
+            want = _bits(_per_side_small_estimate(samples, model))
             assert _bits(estimate_cpt(samples, model)) == want
             assert _bits(estimate_cpt(samples[::-1], model)) == want
 
@@ -1392,13 +1394,15 @@ class TestSmallTieFreePath:
         at_reference=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_batches_match_the_parent_path(self, n, side, seed, at_reference):
+    def test_random_batches_match_the_per_side_path(self, n, side, seed, at_reference):
         offsets = _in_place_batch(n, side, 0.0, seed)
         if at_reference:
             offsets[seed % n] = 0.0
         assert _small_path_mismatches(offsets) == []
 
-    @pytest.mark.parametrize("planted", [_planted_unreversed_cache, _planted_loss_count_is_gain_count])
+    @pytest.mark.parametrize(
+        "planted", [_planted_unreversed_cache, _planted_loss_count_is_gain_count]
+    )
     def test_a_planted_fault_is_caught(self, planted):
         # among them seven losses and a sample at the reference: a sum of
         # eight terms is pairwise, one of seven is not
