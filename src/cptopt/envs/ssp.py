@@ -11,12 +11,15 @@ takes one double ``u`` and returns ``bisect_right(cdf, u)``: the index that
 ``Generator.choice(k, p=p)`` gives on the same double, because the cdf is
 built with choice's own checks, cumsum and normalization.  A batch of ``m``
 episodes is rolled out one episode after another from paired block draws:
-while ``r`` episodes are unfinished, one ``rng.random(2 * r)`` is walked in
-pairs, the action's double then the next state's.  Each unfinished episode
-needs at least one more step, so no block reaches past the doubles that ``m``
+while ``r > 1`` episodes are unfinished, one ``rng.random(2 * r)`` is walked
+in pairs, the action's double then the next state's, and the last episode
+draws one ``rng.random()`` per choice.  Each unfinished episode needs at
+least one more step, so no block reaches past the doubles that ``m``
 episodes drawing one ``rng.random()`` per choice would consume: the returns,
 and the generator's state after the batch, are those of the one-by-one
-draws.  An ``SspMdp`` builds its kernel rows' cdfs once, at construction; a
+draws.  The blocks pay when many episodes are unfinished at once, so a
+single episode (``ssp_episode``) walks single draws all the way.  An
+``SspMdp`` builds its kernel rows' cdfs once, at construction; a
 ``BoltzmannPolicy`` builds a state's action cdf on the state's first visit,
 so a state that is never visited is never evaluated.
 """
@@ -193,7 +196,8 @@ def _rollout(
     state, total, steps = start, 0.0, 0
     left = m
     while left:
-        draws = iter(rng.random(2 * left).tolist())
+        # a block of two would cost the last episode a pass per step
+        draws = iter(rng.random(2 * left).tolist()) if left > 1 else iter(rng.random, None)
         for u_action, u_state in zip(draws, draws):
             cdf = cdfs[state]
             if cdf is None:
@@ -205,7 +209,9 @@ def _rollout(
             if state == 0 or steps == t_max:
                 episodes.append((total, steps, state != 0))
                 state, total, steps = start, 0.0, 0
-        left = m - len(episodes)
+                left -= 1
+                if not left:
+                    break
     return episodes
 
 

@@ -267,25 +267,23 @@ def _tie_free_sum(xs, k, m, model) -> CptEstimate:
     increment.  ``xs[k:]`` lie strictly above the reference and ``xs[:m]``
     strictly below it, so every distance is positive and the utilities'
     clamp at zero changes nothing: the bits are those of ``gain_values`` and
-    ``loss_values``.  When both sides share one exponent, the distances and
-    powers are taken over all of ``xs`` at once: below the reference
-    ``|x - ref|`` is ``ref - x`` exactly, since rounding to nearest is
-    symmetric, and a sample at the reference, in neither side, becomes 0.
-    Each side is then reduced once.
+    ``loss_values``.  The distances are taken over all of ``xs`` at once:
+    below the reference ``|x - ref|`` is ``ref - x`` exactly, since rounding
+    to nearest is symmetric, and a sample at the reference, in neither side,
+    becomes 0.  When both sides share one exponent, so is the power.  Each
+    side is then reduced once.
     """
     n, u = xs.size, model.utility
     d_plus, d_minus = _increments(model.weight_plus, model.weight_minus, n)
     gains, losses = xs[k:], xs[:m]
+    np.subtract(xs, u.reference, xs)
+    np.abs(xs, xs)
     if u.sigma_plus == u.sigma_minus:
-        np.subtract(xs, u.reference, xs)
-        np.abs(xs, xs)
         if u.sigma_plus != 1.0:
             np.power(xs, u.sigma_plus, xs)
     else:
-        np.subtract(gains, u.reference, gains)
         if u.sigma_plus != 1.0:
             np.power(gains, u.sigma_plus, gains)
-        np.subtract(u.reference, losses, losses)
         if u.sigma_minus != 1.0:
             np.power(losses, u.sigma_minus, losses)
     # the j-th gain from the top pairs with w+((j+1)/n) - w+(j/n)

@@ -1265,17 +1265,17 @@ class TestInPlaceTieFreeSum:
     def test_a_planted_fault_is_caught(self, planted):
         assert _in_place_mismatches(planted, IN_PLACE_EDGE_CASES) != []
 
-    @pytest.mark.parametrize("sigmas, left", [((0.88, 0.88), 0.0), ((0.7, 0.9), 0.4)])
-    def test_sorted_samples_at_the_reference_are_neither_gain_nor_loss(self, sigmas, left):
-        # the sample equal to the reference scores zero: a shared exponent
-        # writes its distance, 0, over it, split exponents leave it as it is
+    @pytest.mark.parametrize("sigmas", [(0.88, 0.88), (0.7, 0.9)])
+    def test_sorted_samples_at_the_reference_are_neither_gain_nor_loss(self, sigmas):
+        # the sample equal to the reference scores zero: its distance, 0, is
+        # written over it, and no power or weight touches it
         utility = UtilitySpec.piecewise_power(*sigmas, 2.25, reference=0.4)
         model = CptModel(
             utility, WeightSpec.tversky_kahneman(0.61), WeightSpec.tversky_kahneman(0.69)
         )
         xs = np.array([-1.0, 0.4, 2.0])
         est = estimator._tie_free_sum(xs, 2, 1, model)
-        assert xs[1] == left
+        assert xs[1] == 0.0
         assert _bits(est) == _bits(_verbatim_tie_free_sum(np.array([-1.0, 0.4, 2.0]), 2, 1, model))
 
 
