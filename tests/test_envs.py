@@ -395,6 +395,11 @@ class TestSspSamplerEquivalence:
         for m in range(1, 61):
             _assert_same_batch(mdp, theta, m, m)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    def test_long_episodes(self, m):
+        # about 100 steps an episode: the last one walks single draws
+        _assert_same_batch(two_state_chain(continue_prob=0.99), (0.1, 10.0), m, m)
+
     def test_start_at_zero_draws_nothing(self):
         rng = substream(4)
         state = rng.bit_generator.state
