@@ -191,7 +191,9 @@ def _rollout(
     if start == 0:
         return [(0.0, 0, False)] * m
     kernel, rewards = mdp._kernel_cdfs, mdp.rewards  # type: ignore[attr-defined]
-    cdfs = [None] * mdp.n_states  # action cdfs by state, filled on first visit
+    # the policy's action cdfs by state, fetched on first visit: calling
+    # policy.action_cdf every step read up to 1.2x the batch's time
+    cdfs = [None] * mdp.n_states
     episodes: list[tuple[float, int, bool]] = []
     state, total, steps = start, 0.0, 0
     left = m
